@@ -383,6 +383,8 @@ def run(argv) -> int:
     """Parse argv (without the program name) and execute; returns the exit code."""
     try:
         args = build_parser().parse_args(argv)
+        if args.box < 0:
+            raise _UsageError(f"--box must be >= 0, got {args.box}")
         return _COMMANDS[args.verb](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

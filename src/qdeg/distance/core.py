@@ -22,7 +22,6 @@ from ..degreelattice import (
     minimal_elements,
 )
 from ..errors import InvariantViolationError, VerificationError
-from ..rootsystem import RootSystem
 from ..weylgroup import Parabolic, Weyl, WeylGroup
 
 
@@ -68,10 +67,6 @@ class AdjacencyGraph:
     edges: tuple  # per vertex: tuple of (target index, weight coeffs, root)
 
 
-def scan_corner(system: RootSystem, parabolic: Parabolic) -> Degree:
-    return d_x(system, parabolic)
-
-
 def delta_w(group: WeylGroup, parabolic: Parabolic, w: Weyl, pad: int = 2) -> DegreeFront:
     """Minimal degrees d with wW_P <= z_d^P W_P (curve-neighborhood definition).
 
@@ -83,7 +78,7 @@ def delta_w(group: WeylGroup, parabolic: Parabolic, w: Weyl, pad: int = 2) -> De
     key = ("delta_w", parabolic.delta_p, m, pad)
     if key in group.memo:
         return group.memo[key]
-    corner = scan_corner(system, parabolic)
+    corner = d_x(system, parabolic)
     hits = [
         d
         for d in degree_box(parabolic, corner, pad + 1)
@@ -205,7 +200,7 @@ def _search(group: WeylGroup, parabolic: Parabolic, source: int, mode: str, pad:
     if key in group.memo:
         return group.memo[key]
     graph = adjacency_graph(group, parabolic)
-    corner = scan_corner(group.system, parabolic)
+    corner = d_x(group.system, parabolic)
     cap = tuple(c + pad for c in corner.coeffs)
     seeds = coset_order(group, parabolic)[source] if mode == "up" else (source,)
     result = _pareto_search(graph, seeds, cap)

@@ -514,6 +514,8 @@ def _suite_main(group: WeylGroup, parabolic: Parabolic, pad: int, mode: str) -> 
         def _pairs():
             for i in range(n):
                 for j in range(n):
+                    if not table[(i, j)]:
+                        yield False, f"u#{i} v#{j} empty front"
                     for coeffs in table[(i, j)]:
                         yield (
                             _dominated(coeffs, dx.coeffs),
@@ -1191,6 +1193,8 @@ def verify_suite(
         raise ConfigurationError(
             f"unknown suite {name!r}; available: {', '.join(suite_names())}"
         )
+    if pad < 0:
+        raise ConfigurationError(f"scan box pad must be >= 0, got {pad}")
     if group is None:
         group = weyl_group(type_letter, rank)
     system = group.system

@@ -5,15 +5,22 @@ rows where row i is the image of the i-th simple root in the root basis.
 Equality of elements is equality of actions, which makes every operation
 independent of reduced-word choices.  All operations are pure; caches are
 per-WeylGroup dictionaries keyed by the immutable element tuples.
+
+``multiply`` builds a product with a simple reflection by rewriting only
+what changes: u s_j negates row j and subtracts a_ij * row j from each Dynkin
+neighbor row i, and s_j u changes only column j, by <row, alpha_j^vee>.
+Other products apply u to each row of v.  length(w) is the length of the
+reduced word, read off a descent walk that lowers the length by one per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from operator import mul, neg
+from typing import Iterable
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, InvariantViolationError, ResourceError
 from .rootsystem import RootSystem
 
 #: default enumeration cap (elements or cosets)
@@ -82,6 +89,13 @@ class WeylGroup:
             tuple(system.reflect_simple(system.simple_roots[i], j) for i in range(rank))
             for j in range(rank)
         )
+        cartan = system.cartan
+        self._simple_index = {s: j for j, s in enumerate(self._simple)}
+        # u s_j changes row j and each Dynkin neighbor row i, by a_ij * row j
+        self._neighbor_rows = tuple(
+            tuple((i, cartan[i][j]) for i in sorted(system.adjacency[j])) for j in range(rank)
+        )
+        self._cartan_columns = tuple(zip(*cartan))  # <x, alpha_j^vee> = x . column j
         self._length: dict = {self.identity: 0}
         self._inverse: dict = {self.identity: self.identity}
         self._word: dict = {self.identity: ()}
@@ -136,7 +150,21 @@ class WeylGroup:
         return self._reflection[alpha]
 
     def multiply(self, u: Weyl, v: Weyl) -> Weyl:
-        """(u v)(x) = u(v(x))."""
+        """(u v)(x) = u(v(x)), with a cheap update when a factor is simple."""
+        j = self._simple_index.get(v)
+        if j is not None:
+            rows = list(u)
+            row_j = u[j]
+            rows[j] = tuple(map(neg, row_j))
+            for i, a in self._neighbor_rows[j]:
+                rows[i] = tuple([x - a * y for x, y in zip(u[i], row_j)])
+            return tuple(rows)
+        j = self._simple_index.get(u)
+        if j is not None:
+            column = self._cartan_columns[j]
+            return tuple(
+                r[:j] + (r[j] - sum(map(mul, r, column)),) + r[j + 1:] for r in v
+            )
         return tuple(self.apply(u, v[i]) for i in range(self.system.rank))
 
     def product(self, ws) -> Weyl:
@@ -149,24 +177,19 @@ class WeylGroup:
 
     def length(self, w: Weyl) -> int:
         if w not in self._length:
-            self._length[w] = sum(
-                1 for a in self.system.positive_roots if self.is_negative(self.apply(w, a))
-            )
+            self._length[w] = len(self.reduced_word(w))
         return self._length[w]
-
-    def right_descents(self, w: Weyl) -> tuple:
-        return tuple(j for j in range(self.system.rank) if self.is_negative(w[j]))
 
     def reduced_word(self, w: Weyl) -> tuple:
         """Canonical reduced word: repeated least-index right-descent extraction."""
         if w not in self._word:
             word = []
             x = w
+            letters = range(self.system.rank)
             while True:
-                descents = self.right_descents(x)
-                if not descents:
+                j = next((j for j in letters if self.is_negative(x[j])), None)
+                if j is None:
                     break
-                j = descents[0]
                 word.append(j)
                 x = self.multiply(x, self._simple[j])
             if x != self.identity:
@@ -218,14 +241,12 @@ class WeylGroup:
                 return w
             w = self.multiply(w, self._simple[descent])
 
-    def coset_min_rep(self, w: Weyl, parabolic: Parabolic) -> CosetRep:
-        return CosetRep(self.coset_min(w, parabolic), parabolic, "minimal")
-
     def coset_max_rep(self, w: Weyl, parabolic: Parabolic) -> CosetRep:
         m = self.coset_min(w, parabolic)
         w_p = self.longest_element(parabolic)
         top = self.multiply(m, w_p)
-        assert self.length(top) == self.length(m) + self.length(w_p)
+        if self.length(top) != self.length(m) + self.length(w_p):
+            raise InvariantViolationError("l(m w_P) != l(m) + l(w_P) for a minimal m")
         return CosetRep(top, parabolic, "maximal")
 
     def w_x(self, parabolic: Parabolic) -> Weyl:
@@ -338,9 +359,6 @@ class WeylGroup:
                         fresh.append(y)
             frontier = fresh
         return list(seen)
-
-    def iter_cosets(self, parabolic: Parabolic, cap: int = ENUMERATION_CAP) -> Iterator:
-        return iter(self.cosets(parabolic, cap))
 
 
 def weyl_group(type_letter: str, rank: int) -> WeylGroup:

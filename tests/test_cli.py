@@ -53,6 +53,8 @@ def test_usage_errors_exit_two():
     assert code == 2
     code, _ = run_capture(["z", "--type", "A", "--rank", "2", "--degree", "1"])
     assert code == 2
+    code, out = run_capture(["verify", "--suite", "main", "--type", "G", "--rank", "2", "--box", "-1"])
+    assert code == 2 and out == ""
 
 
 def test_json_round_trip_roots():

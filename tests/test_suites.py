@@ -3,8 +3,10 @@
 import pytest
 
 from qdeg.distance import suite_names, verify_suite
+from qdeg.distance.suites import _suite_main
 from qdeg.errors import ConfigurationError
-from qdeg.weylgroup import Parabolic
+from qdeg.rootsystem import build_root_system
+from qdeg.weylgroup import Parabolic, WeylGroup
 
 from conftest import all_parabolics
 
@@ -49,6 +51,19 @@ def test_simply_laced_suite():
         assert verify_suite("simply-laced", "A", 3, parabolic).passed
     with pytest.raises(ConfigurationError):
         verify_suite("simply-laced", "B", 2)
+
+
+def test_negative_pad_is_rejected():
+    with pytest.raises(ConfigurationError):
+        verify_suite("main", "G", 2, Parabolic(2, frozenset()), pad=-1, mode="pairs")
+
+
+def test_main_pairs_counts_an_empty_front_as_a_failure():
+    """With pad -1 some pairs are unreachable inside the box and have empty fronts."""
+    group = WeylGroup(build_root_system("G", 2))
+    (check,) = _suite_main(group, Parabolic(2, frozenset()), -1, "pairs")
+    assert not check.passed
+    assert check.counterexample.endswith("empty front")
 
 
 def test_unknown_suite_name():

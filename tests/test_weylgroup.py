@@ -1,9 +1,11 @@
 """Weyl group actions, Bruhat order (vs. the subword oracle), Hecke basics."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qdeg.errors import ResourceError
-from qdeg.weylgroup import Parabolic, weyl_group
+from qdeg.errors import InvariantViolationError, ResourceError
+from qdeg.rootsystem import build_root_system
+from qdeg.weylgroup import Parabolic, WeylGroup, weyl_group
 
 
 def subword_leq(group, u, v):
@@ -13,6 +15,58 @@ def subword_leq(group, u, v):
         s = group.simple_reflection(j)
         reachable |= {group.multiply(x, s) for x in reachable}
     return u in reachable
+
+
+def general_product(group, u, v):
+    """u v computed column by column with apply, bypassing multiply."""
+    return tuple(group.apply(u, row) for row in v)
+
+
+def inversion_count(group, w):
+    return sum(1 for a in group.system.positive_roots if group.is_negative(group.apply(w, a)))
+
+
+def check_kernel(group, w):
+    for j in range(group.system.rank):
+        s = group.simple_reflection(j)
+        assert group.multiply(w, s) == general_product(group, w, s)
+        assert group.multiply(s, w) == general_product(group, s, w)
+    assert group.length(w) == inversion_count(group, w)
+
+
+@pytest.mark.parametrize(
+    "letter,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
+)
+def test_simple_factor_products_and_length_on_every_element(letter, rank):
+    group = weyl_group(letter, rank)
+    for w in group.elements():
+        check_kernel(group, w)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from([("E", 7), ("E", 8), ("C", 8)]),
+    word=st.lists(st.integers(0, 7), max_size=40),
+)
+def test_simple_factor_products_and_length_on_random_words(name, word):
+    """Groups too large to enumerate: elements drawn as random words."""
+    group = weyl_group(*name)
+    word = [j % group.system.rank for j in word]
+    w = group.identity
+    for j in word:
+        w = general_product(group, w, group.simple_reflection(j))
+    check_kernel(group, w)
+    v = group.from_word(reversed(word[: len(word) // 2]))
+    assert group.multiply(w, v) == general_product(group, w, v)
+
+
+def test_coset_max_rep_checks_lengths_without_assert():
+    """The length invariant raises InvariantViolationError, which -O cannot strip."""
+    group = WeylGroup(build_root_system("A", 2))
+    p = Parabolic.from_indices(2, {1})
+    group._length[group.identity] = 1  # corrupt one cached length
+    with pytest.raises(InvariantViolationError):
+        group.coset_max_rep(group.identity, p)
 
 
 def test_simple_reflections():
