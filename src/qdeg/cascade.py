@@ -35,10 +35,6 @@ def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vec_leq(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
 def delta_circ(system: RootSystem, s: Iterable | None = None) -> frozenset:
     """Simple roots of S orthogonal to the highest root of R(S).
 

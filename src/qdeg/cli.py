@@ -331,7 +331,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="qdeg", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, parabolic=True):
+    def common(p, parabolic=True, box=False):
         p.add_argument("--type", required=True, help="root system type letter A..G")
         p.add_argument("--rank", required=True, type=int)
         if parabolic:
@@ -341,8 +341,8 @@ def build_parser() -> _Parser:
                 help="comma-separated 1-based simple indices of Delta_P; empty = B",
             )
         p.add_argument("--json", action="store_true")
-        p.add_argument("--box", type=int, default=2, help="scan box pad over d_X")
-        p.add_argument("--cap", type=int, default=10**6, help="enumeration cap")
+        if box:
+            p.add_argument("--box", type=int, default=2, help="scan box pad over d_X")
 
     common(sub.add_parser("roots"), parabolic=False)
     common(sub.add_parser("cascade"), parabolic=False)
@@ -351,15 +351,16 @@ def build_parser() -> _Parser:
     common(p_z)
     p_z.add_argument("--degree", required=True, help="comma-separated coefficients over Delta \\ Delta_P")
     p_d = sub.add_parser("delta")
-    common(p_d)
+    common(p_d, box=True)
     p_d.add_argument("--u", default="", help="reduced word, 1-based comma-separated")
     p_d2 = sub.add_parser("delta2")
-    common(p_d2)
+    common(p_d2, box=True)
+    p_d2.add_argument("--cap", type=int, default=10**6, help="enumeration cap")
     p_d2.add_argument("--u", default="")
     p_d2.add_argument("--v", default="")
     common(sub.add_parser("exceptional"), parabolic=False)
     p_v = sub.add_parser("verify")
-    common(p_v)
+    common(p_v, box=True)
     p_v.add_argument("--suite", required=True)
     p_v.add_argument("--all-parabolics", action="store_true")
     p_v.add_argument("--jobs", type=int, default=1)
@@ -383,7 +384,7 @@ def run(argv) -> int:
     """Parse argv (without the program name) and execute; returns the exit code."""
     try:
         args = build_parser().parse_args(argv)
-        if args.box < 0:
+        if getattr(args, "box", 0) < 0:  # only delta, delta2 and verify take --box
             raise _UsageError(f"--box must be >= 0, got {args.box}")
         return _COMMANDS[args.verb](args)
     except _UsageError as exc:

@@ -15,6 +15,11 @@ from .rootsystem import RootSystem
 from .weylgroup import Parabolic
 
 
+def coeffs_leq(a, b) -> bool:
+    """a <= b coefficientwise, on raw coefficient tuples of equal length."""
+    return all(x <= y for x, y in zip(a, b))
+
+
 @dataclass(frozen=True)
 class Degree:
     """An effective class in H_2(G/P), coefficients indexed by parabolic.free."""
@@ -41,7 +46,7 @@ class Degree:
 
     def leq(self, other: "Degree") -> bool:
         self._check(other)
-        return all(a <= b for a, b in zip(self.coeffs, other.coeffs))
+        return coeffs_leq(self.coeffs, other.coeffs)
 
     def __add__(self, other: "Degree") -> "Degree":
         self._check(other)
@@ -84,13 +89,17 @@ def in_r_p(system: RootSystem, parabolic: Parabolic, alpha) -> bool:
     return system.support(alpha) <= parabolic.delta_p
 
 
+def outside_roots(system: RootSystem, parabolic: Parabolic) -> tuple:
+    """R^+ \\ R_P^+, in the order of system.positive_roots."""
+    return tuple(a for a in system.positive_roots if not in_r_p(system, parabolic, a))
+
+
 def c1(system: RootSystem, parabolic: Parabolic) -> ChernVector:
     """c_1(X) = sum of the roots outside R_P, on the fundamental weights."""
     total = [0] * system.rank
-    for alpha in system.positive_roots:
-        if not in_r_p(system, parabolic, alpha):
-            for i, c in enumerate(alpha):
-                total[i] += c
+    for alpha in outside_roots(system, parabolic):
+        for i, c in enumerate(alpha):
+            total[i] += c
     weight = tuple(total)
     for j in parabolic.delta_p:
         if system.pair_simple_coroot(weight, j) != 0:
@@ -105,9 +114,8 @@ def maximal_roots(system: RootSystem, parabolic: Parabolic, d: Degree) -> tuple:
     """Maximal elements of {alpha in R^+ \\ R_P^+ : d(alpha) <= d}."""
     inside = [
         alpha
-        for alpha in system.positive_roots
-        if not in_r_p(system, parabolic, alpha)
-        and d_of_root(system, parabolic, alpha).leq(d)
+        for alpha in outside_roots(system, parabolic)
+        if d_of_root(system, parabolic, alpha).leq(d)
     ]
     out = [
         a for a in inside if not any(a != b and system.root_leq(a, b) for b in inside)

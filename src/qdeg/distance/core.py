@@ -16,10 +16,11 @@ from ..cascade import d_x
 from ..curveneighborhood import z
 from ..degreelattice import (
     Degree,
+    coeffs_leq,
     d_of_root,
     degree_box,
-    in_r_p,
     minimal_elements,
+    outside_roots,
 )
 from ..errors import InvariantViolationError, VerificationError
 from ..weylgroup import Parabolic, Weyl, WeylGroup
@@ -110,9 +111,7 @@ def adjacency_graph(group: WeylGroup, parabolic: Parabolic, cap: int = 10**6) ->
     system = group.system
     cosets = group.cosets(parabolic, cap)
     index = {m: i for i, m in enumerate(cosets)}
-    outside = [
-        alpha for alpha in system.positive_roots if not in_r_p(system, parabolic, alpha)
-    ]
+    outside = outside_roots(system, parabolic)
     edges = []
     for m in cosets:
         seen: dict[int, tuple] = {}
@@ -160,10 +159,6 @@ class _SearchResult:
     cap_hit: bool = False
 
 
-def _dominates(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 def _pareto_search(graph: AdjacencyGraph, seeds, cap) -> _SearchResult:
     """Label-correcting search; labels per vertex form antichains under <=."""
     n = len(graph.cosets)
@@ -186,9 +181,9 @@ def _pareto_search(graph: AdjacencyGraph, seeds, cap) -> _SearchResult:
                 result.cap_hit = True
                 continue
             front = fronts[j]
-            if cand in front or any(_dominates(old, cand) for old in front):
+            if cand in front or any(coeffs_leq(old, cand) for old in front):
                 continue
-            front.difference_update([old for old in front if _dominates(cand, old)])
+            front.difference_update([old for old in front if coeffs_leq(cand, old)])
             front.add(cand)
             parents.setdefault((j, cand), (v, deg, alpha))
             queue.append((j, cand))

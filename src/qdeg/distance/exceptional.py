@@ -17,9 +17,8 @@ from ..cascade import (
     delta_circ as _delta_circ,
     is_strongly_orthogonal as _is_strongly_orthogonal,
     vec_add as _vec_add,
-    vec_leq as _vec_leq,
 )
-from ..degreelattice import Degree, maximal_roots
+from ..degreelattice import Degree, coeffs_leq, maximal_roots
 from ..errors import VerificationError
 from ..rootsystem import RootSystem
 from ..weylgroup import Parabolic, WeylGroup
@@ -115,11 +114,11 @@ def verify_lemma_technical(system: RootSystem, alpha) -> dict:
         raise VerificationError(f"component of beta is not of type A: {exc}") from exc
     theta_cov = system.coroot(system.highest_root)
     lhs = _vec_add(system.coroot(alpha), system.coroot(interval_root))
-    ineq1 = _vec_leq(lhs, theta_cov)
+    ineq1 = coeffs_leq(lhs, theta_cov)
     strict = ineq1 and lhs != theta_cov
     # Remark-level strengthening: alpha^vee + phi^vee < theta_1^vee
     lhs_phi = _vec_add(system.coroot(alpha), system.coroot(phi))
-    remark_strict = _vec_leq(lhs_phi, theta_cov) and lhs_phi != theta_cov
+    remark_strict = coeffs_leq(lhs_phi, theta_cov) and lhs_phi != theta_cov
     same_inequality = interval_root == system.simple_roots[beta]
     if same_inequality != (n in (1, 2)):
         raise VerificationError("n in {1, 2} equality criterion failed")
@@ -145,7 +144,7 @@ def verify_lemma_technical2(system: RootSystem, alpha) -> dict:
     for comp in orthogonal_components(system, alpha):
         lhs = _vec_add(lhs, _coroot_sum(system, comp))
     rhs = _coroot_sum(system)
-    holds = _vec_leq(lhs, rhs)
+    holds = coeffs_leq(lhs, rhs)
     strict = holds and lhs != rhs
     if not (holds and strict):
         raise VerificationError(f"degree inequality failed for {alpha}")

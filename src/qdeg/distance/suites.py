@@ -1,14 +1,15 @@
 """Named verification suites: exhaustive checks of the structural theorems.
 
-Each suite runs a list of claims against one (type, rank, parabolic) triple
-and reports pass/fail per claim with the first counterexample found.  Reports
-are deterministic: iteration orders are fixed and results are sorted.
+Each suite is a generator over one (type, rank, parabolic) triple that yields
+one CheckResult per claim, with the first counterexample found.  Reports are
+deterministic: iteration orders are fixed and results are sorted.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..cascade import (
     d_gpbeta as _d_gpbeta,
@@ -27,18 +28,19 @@ from ..curveneighborhood import (
 from ..degreelattice import (
     Degree,
     all_greedy_decompositions,
+    coeffs_leq,
     d_of_root,
     degree_box,
     extended_support,
     greedy_decomposition,
-    in_r_p,
     maximal_roots,
     naive_support,
+    outside_roots,
     restrict,
     induce,
 )
 from ..errors import ConfigurationError, InvariantViolationError
-from ..rootsystem import RootSystem, subsystem
+from ..rootsystem import subsystem
 from ..weylgroup import Parabolic, Weyl, WeylGroup, weyl_group
 from .core import (
     adjacency_graph,
@@ -86,43 +88,21 @@ class SuiteReport:
         }
 
 
-class _Collector:
-    def __init__(self):
-        self.results: list[CheckResult] = []
+def _check(name: str, items) -> CheckResult:
+    """Count (ok, info) items; the first failing item's info is the counterexample."""
+    n, bad = 0, None
+    for ok, info in items:
+        n += 1
+        if not ok and bad is None:
+            bad = str(info)
+    return CheckResult(name, bad is None, n, bad)
 
-    def check(self, name: str, pairs) -> None:
-        n, bad = 0, None
-        for ok, info in pairs:
-            n += 1
-            if not ok and bad is None:
-                bad = str(info)
-        self.results.append(CheckResult(name, bad is None, n, bad))
 
-    def done(self) -> tuple:
-        return tuple(self.results)
+_Checks = Iterator[CheckResult]
 
 
 def _word_str(group: WeylGroup, w: Weyl) -> str:
     return "s" + ".".join(str(j + 1) for j in group.reduced_word(w)) if w != group.identity else "e"
-
-
-def _parabolic_elements(group: WeylGroup, subset) -> tuple:
-    key = ("wp-elements", frozenset(subset))
-    if key not in group.memo:
-        gens = [group.simple_reflection(j) for j in sorted(subset)]
-        seen = {group.identity}
-        frontier = [group.identity]
-        while frontier:
-            fresh = []
-            for w in frontier:
-                for s in gens:
-                    x = group.multiply(w, s)
-                    if x not in seen:
-                        seen.add(x)
-                        fresh.append(x)
-            frontier = fresh
-        group.memo[key] = tuple(sorted(seen, key=lambda w: (group.length(w), w)))
-    return group.memo[key]
 
 
 def _supersets(parabolic: Parabolic):
@@ -142,15 +122,11 @@ def _group_at_most(group: WeylGroup, n: int) -> bool:
         return False
 
 
-def _dominated(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 def _min_tuples(tuples) -> tuple:
     ordered = sorted(set(tuples), key=lambda t: (sum(t), t))
     kept: list[tuple] = []
     for t in ordered:
-        if not any(_dominated(k, t) for k in kept):
+        if not any(coeffs_leq(k, t) for k in kept):
             kept.append(t)
     return tuple(sorted(kept))
 
@@ -160,12 +136,9 @@ def _pairs_table(group: WeylGroup, parabolic: Parabolic, pad: int) -> dict:
     key = ("pairs-table", parabolic.delta_p, pad)
     if key in group.memo:
         return group.memo[key]
-    graph = adjacency_graph(group, parabolic)
-    n = len(graph.cosets)
+    n = len(group.cosets(parabolic))
     up = coset_order(group, parabolic)
-    dual_index = [
-        graph.index[group.coset_min(group.dual(m), parabolic)] for m in graph.cosets
-    ]
+    dual_index = _dual_index(group, parabolic)
     below = [[y for y in range(n) if t in up[y]] for t in range(n)]
     table: dict = {}
     for i in range(n):
@@ -177,21 +150,56 @@ def _pairs_table(group: WeylGroup, parabolic: Parabolic, pad: int) -> dict:
     return table
 
 
+def _dual_index(group: WeylGroup, parabolic: Parabolic) -> list:
+    """For each coset index j, the index of the coset of w_o u_j."""
+    graph = adjacency_graph(group, parabolic)
+    return [graph.index[group.coset_min(group.dual(m), parabolic)] for m in graph.cosets]
+
+
+def _each_pair_degree(table: dict, ok):
+    """(ok(coeffs), info) for each degree of each pair front; an empty front fails."""
+    for (i, j), front in table.items():
+        if not front:
+            yield False, f"u#{i} v#{j} empty front"
+        for coeffs in front:
+            yield ok(coeffs), f"u#{i} v#{j} d={coeffs}"
+
+
+def _self_front(group: WeylGroup, parabolic: Parabolic, d: Degree, pad: int) -> bool:
+    """d in delta_P(z_d^P): the degree is minimal for its own curve neighborhood."""
+    return d in delta_w(group, parabolic, z(group, parabolic, d).z_min, pad)
+
+
+def _local_context(group: WeylGroup, parabolic: Parabolic, support) -> tuple:
+    """The component on a connected support, its Weyl group, and P restricted to it."""
+    comp = subsystem(group.system, support)[0]
+    local_group = weyl_group(comp.system.type_letter, comp.system.rank)
+    local_p = Parabolic(
+        comp.system.rank,
+        frozenset(i for i, node in enumerate(comp.nodes) if node in parabolic.delta_p),
+    )
+    return comp, local_group, local_p
+
+
+def _to_ambient(group: WeylGroup, comp, local_group: WeylGroup, w: Weyl) -> Weyl:
+    """The image in W of an element of the component's Weyl group."""
+    return group.from_word(comp.nodes[j] for j in local_group.reduced_word(w))
+
+
 # -- individual suites --------------------------------------------------------
 
 
-def _suite_hecke(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
-    out = _Collector()
+def _suite_hecke(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
     els = group.elements()
     w_p = group.longest_element(parabolic)
     table = {(u, v): group.hecke_product(u, v) for u in els for v in els}
     rel = [(u, v) for u in els for v in els if group.bruhat_leq(u, v)]
 
-    out.check(
+    yield _check(
         "monoid-identity",
         ((table[(u, group.identity)] == u and table[(group.identity, u)] == u, _word_str(group, u)) for u in els),
     )
-    out.check(
+    yield _check(
         "monoid-associative",
         (
             (table[(table[(u, v)], w)] == table[(u, table[(v, w)])], "triple")
@@ -200,7 +208,7 @@ def _suite_hecke(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
             for w in els
         ),
     )
-    out.check(
+    yield _check(
         "inverse-antihomomorphism",
         (
             (
@@ -212,7 +220,7 @@ def _suite_hecke(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
             for v in els
         ),
     )
-    out.check(
+    yield _check(
         "bruhat-monotone",
         (
             (
@@ -224,7 +232,7 @@ def _suite_hecke(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
             for w in els
         ),
     )
-    out.check(
+    yield _check(
         "product-below-hecke",
         ((group.bruhat_leq(group.multiply(u, v), table[(u, v)]), "pair") for u in els for v in els),
     )
@@ -239,12 +247,12 @@ def _suite_hecke(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
                     and table[(u2, v)] == uv
                 )
                 yield ok, f"u={_word_str(group, u)} v={_word_str(group, v)}"
-    out.check("hecke-v-reduction", _hecke_v())
+    yield _check("hecke-v-reduction", _hecke_v())
     def _max_rep():
         for w in els:
             is_max = group.coset_max_rep(w, parabolic).element == w
             yield (is_max == (table[(w, w_p)] == w)), _word_str(group, w)
-    out.check("max-rep-fixed-point", _max_rep())
+    yield _check("max-rep-fixed-point", _max_rep())
     def _min_rep():
         for w in els:
             if group.coset_min(w, parabolic) != w:
@@ -254,7 +262,7 @@ def _suite_hecke(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
                 top == table[(w, w_p)]
                 and group.coset_max_rep(w, parabolic).element == top
             ), _word_str(group, w)
-    out.check("min-rep-product", _min_rep())
+    yield _check("min-rep-product", _min_rep())
     def _wpodot():
         for w in els:
             top = table[(w, w_p)]
@@ -263,14 +271,14 @@ def _suite_hecke(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
                 and group.coset_min(w, parabolic) == group.multiply(top, w_p)
             )
             yield ok, _word_str(group, w)
-    out.check("wpodot", _wpodot())
+    yield _check("wpodot", _wpodot())
     coset_rel = [
         (v, v2)
         for v in els
         for v2 in els
         if group.bruhat_leq_coset(v, v2, parabolic)
     ]
-    out.check(
+    yield _check(
         "coset-monotone",
         (
             (
@@ -281,20 +289,12 @@ def _suite_hecke(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
             for u in els
         ),
     )
-    return out.done()
 
 
-def _zd_box(system: RootSystem, parabolic: Parabolic, cap: int = 4):
-    ranges = [range(cap + 1) for _ in parabolic.free]
-    for coeffs in itertools.product(*ranges):
-        yield Degree(parabolic, coeffs)
-
-
-def _suite_zd(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
-    out = _Collector()
+def _suite_zd(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
     system = group.system
     w_p = group.longest_element(parabolic)
-    box = list(_zd_box(system, parabolic))
+    box = list(degree_box(parabolic, Degree.zero(parabolic), 4))
 
     def _unique():
         for d in box:
@@ -307,7 +307,7 @@ def _suite_zd(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
                 for a in entries
             )
             yield ok, f"d={d.coeffs}"
-    out.check("greedy-unique-and-cosmall", _unique())
+    yield _check("greedy-unique-and-cosmall", _unique())
 
     def _removal():
         for d in box:
@@ -317,7 +317,7 @@ def _suite_zd(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
                 smaller = d - d_of_root(system, parabolic, entries[i])
                 ok = sorted(rest) == sorted(greedy_decomposition(system, parabolic, smaller))
                 yield ok, f"d={d.coeffs} drop {entries[i]}"
-    out.check("greedy-entry-removal", _removal())
+    yield _check("greedy-entry-removal", _removal())
 
     def _pairs_relation():
         for d in box:
@@ -328,7 +328,7 @@ def _suite_zd(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
                     system.inner(a, b) >= 0 and not system.is_root(plus),
                     f"d={d.coeffs} {a} {b}",
                 )
-    out.check("greedy-pair-relation", _pairs_relation())
+    yield _check("greedy-pair-relation", _pairs_relation())
 
     def _commute():
         for d in box:
@@ -339,9 +339,9 @@ def _suite_zd(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
                     group.hecke_product(sa, sb) == group.hecke_product(sb, sa),
                     f"d={d.coeffs}",
                 )
-    out.check("hecke-commute", _commute())
+    yield _check("hecke-commute", _commute())
 
-    out.check(
+    yield _check(
         "z-lift",
         ((z_lift_check(group, parabolic, d), f"d={d.coeffs}") for d in box),
     )
@@ -355,18 +355,17 @@ def _suite_zd(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
                 and parabolic.delta_p <= group.stabilizer_delta(zd.z_min, parabolic)
             )
             yield ok, f"d={d.coeffs}"
-    out.check("z-stabilizer", _stab())
+    yield _check("z-stabilizer", _stab())
 
     def _projection():
         for q in _supersets(parabolic):
-            w_q = group.longest_element(q)
             for d in box:
                 zq = z(group, q, restrict(d, q))
                 yield (
                     group.bruhat_leq(z(group, parabolic, d).z_max, zq.z_max),
                     f"d={d.coeffs} Q={sorted(q.delta_p)}",
                 )
-    out.check("z-projection", _projection())
+    yield _check("z-projection", _projection())
 
     def _inverse():
         for d in box:
@@ -375,7 +374,7 @@ def _suite_zd(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
             if not parabolic.delta_p:
                 ok = ok and zd.z_min == group.inverse(zd.z_min)
             yield ok, f"d={d.coeffs}"
-    out.check("z-inverse", _inverse())
+    yield _check("z-inverse", _inverse())
 
     def _monotone():
         for d in box:
@@ -387,13 +386,9 @@ def _suite_zd(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
                         ),
                         f"{d.coeffs} <= {d2.coeffs}",
                     )
-    out.check("z-monotone", _monotone())
+    yield _check("z-monotone", _monotone())
 
-    very = [
-        a
-        for a in system.positive_roots
-        if not in_r_p(system, parabolic, a) and is_very_cosmall(group, parabolic, a)
-    ]
+    very = [a for a in outside_roots(system, parabolic) if is_very_cosmall(group, parabolic, a)]
 
     def _verycosmall():
         for a in very:
@@ -402,7 +397,7 @@ def _suite_zd(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
             for d in box:
                 if group.bruhat_leq_coset(s_a, z(group, parabolic, d).z_min, parabolic):
                     yield da.leq(d), f"alpha={a} d={d.coeffs}"
-    out.check("verycosmall-forces-degree", _verycosmall())
+    yield _check("verycosmall-forces-degree", _verycosmall())
 
     w_x = group.w_x(parabolic)
 
@@ -420,7 +415,7 @@ def _suite_zd(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
                     dual_refl = group.multiply(group.w_o, group.reflection(a))
                     ok = ok and group.bruhat_leq(dual_refl, rest.z_max)
                 yield ok, f"d={d.coeffs}"
-        out.check("wx-theta-and-dualsmaller", _wx_start())
+        yield _check("wx-theta-and-dualsmaller", _wx_start())
 
     def _support():
         for d in box:
@@ -428,7 +423,7 @@ def _suite_zd(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
             got = frozenset(group.reduced_word(zd.z_max))
             want = extended_support(system, parabolic, d) | parabolic.delta_p
             yield got == want, f"d={d.coeffs}"
-    out.check("support-formula", _support())
+    yield _check("support-formula", _support())
 
     def _relation():
         for d in box:
@@ -442,7 +437,7 @@ def _suite_zd(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
                         _vec_add(m, simple)
                     )
                     yield ok, f"d={d.coeffs} alpha={m} beta={b + 1}"
-    out.check("first-entry-relation", _relation())
+    yield _check("first-entry-relation", _relation())
 
     if not parabolic.delta_p:
         def _local():
@@ -453,19 +448,17 @@ def _suite_zd(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
                 for phi in system.positive_roots:
                     if not all(system.root_leq(a, phi) for a in entries):
                         continue
-                    comp = subsystem(system, system.support(phi))[0]
-                    local_group = weyl_group(comp.system.type_letter, comp.system.rank)
-                    local_b = Parabolic(comp.system.rank, frozenset())
+                    comp, local_group, local_b = _local_context(
+                        group, parabolic, system.support(phi)
+                    )
                     local_d = Degree(local_b, comp.to_local_root(d.coeffs))
                     local_z = z(local_group, local_b, local_d)
-                    mapped = group.from_word(
-                        comp.nodes[j] for j in local_group.reduced_word(local_z.z_min)
-                    )
+                    mapped = _to_ambient(group, comp, local_group, local_z.z_min)
                     yield (
                         mapped == z(group, parabolic, d).z_min,
                         f"d={d.coeffs} phi={phi}",
                     )
-        out.check("local-z", _local())
+        yield _check("local-z", _local())
 
     def _equalwx():
         corner = _d_x(system, parabolic)
@@ -475,21 +468,18 @@ def _suite_zd(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
                 crit == (z(group, parabolic, d).z_min == w_x),
                 f"d={d.coeffs}",
             )
-    out.check("equalwx-criterion", _equalwx())
-
-    return out.done()
+    yield _check("equalwx-criterion", _equalwx())
 
 
-def _suite_uniqueness(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
-    out = _Collector()
+def _suite_uniqueness(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
     system = group.system
     dx = _d_x(system, parabolic)
     front = delta_w(group, parabolic, group.w_o, pad)
-    out.check(
+    yield _check(
         "front-singleton-dx",
         [(front.degrees == (dx,), f"front={[d.coeffs for d in front.degrees]}")],
     )
-    out.check(
+    yield _check(
         "z-at-dx-is-wx",
         [(z(group, parabolic, dx).z_min == group.w_x(parabolic), f"d={dx.coeffs}")],
     )
@@ -498,43 +488,35 @@ def _suite_uniqueness(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple
             if d == dx:
                 continue
             yield z(group, parabolic, d).z_min != group.w_x(parabolic), f"d={d.coeffs}"
-    out.check("z-below-dx-not-wx", _below())
-    return out.done()
+    yield _check("z-below-dx-not-wx", _below())
 
 
-def _suite_main(group: WeylGroup, parabolic: Parabolic, pad: int, mode: str) -> tuple:
-    out = _Collector()
+def _suite_main(group: WeylGroup, parabolic: Parabolic, pad: int, mode: str) -> _Checks:
     system = group.system
     dx = _d_x(system, parabolic)
     if mode == "auto":
         mode = "pairs" if _group_at_most(group, 48) else "box"
     if mode == "pairs":
-        table = _pairs_table(group, parabolic, pad)
-        n = len(group.cosets(parabolic))
-        def _pairs():
-            for i in range(n):
-                for j in range(n):
-                    if not table[(i, j)]:
-                        yield False, f"u#{i} v#{j} empty front"
-                    for coeffs in table[(i, j)]:
-                        yield (
-                            _dominated(coeffs, dx.coeffs),
-                            f"u#{i} v#{j} d={coeffs}",
-                        )
-        out.check("minimal-degrees-bounded-by-dx", _pairs())
+        yield _check(
+            "minimal-degrees-bounded-by-dx",
+            _each_pair_degree(
+                _pairs_table(group, parabolic, pad), lambda c: coeffs_leq(c, dx.coeffs)
+            ),
+        )
     elif mode == "box":
-        def _box():
-            for d in degree_box(parabolic, dx, pad):
-                if d in delta_w(group, parabolic, z(group, parabolic, d).z_min, pad):
-                    yield d.leq(dx), f"d={d.coeffs}"
-        out.check("self-front-degrees-bounded-by-dx", _box())
+        yield _check(
+            "self-front-degrees-bounded-by-dx",
+            (
+                (d.leq(dx), f"d={d.coeffs}")
+                for d in degree_box(parabolic, dx, pad)
+                if _self_front(group, parabolic, d, pad)
+            ),
+        )
     else:
         raise ConfigurationError(f"unknown main-suite mode {mode!r}")
-    return out.done()
 
 
-def _suite_description(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
-    out = _Collector()
+def _suite_description(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
     def _agree():
         for m in group.cosets(parabolic):
             scan = delta_w(group, parabolic, m, pad)
@@ -544,36 +526,27 @@ def _suite_description(group: WeylGroup, parabolic: Parabolic, pad: int) -> tupl
                 f"u={_word_str(group, m)} scan={[d.coeffs for d in scan.degrees]}"
                 f" chain={[d.coeffs for d in chain.degrees]}",
             )
-    out.check("delta-w-equals-delta-uv-wo", _agree())
-    return out.done()
+    yield _check("delta-w-equals-delta-uv-wo", _agree())
 
 
-def _suite_delta2(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
-    out = _Collector()
-    table = _pairs_table(group, parabolic, pad)
-    n = len(group.cosets(parabolic))
-    def _membership():
-        for i in range(n):
-            for j in range(n):
-                for coeffs in table[(i, j)]:
-                    d = Degree(parabolic, coeffs)
-                    yield (
-                        d in delta_w(group, parabolic, z(group, parabolic, d).z_min, pad),
-                        f"u#{i} v#{j} d={coeffs}",
-                    )
-    out.check("pair-degrees-are-self-front", _membership())
-    return out.done()
+def _suite_delta2(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
+    yield _check(
+        "pair-degrees-are-self-front",
+        _each_pair_degree(
+            _pairs_table(group, parabolic, pad),
+            lambda c: _self_front(group, parabolic, Degree(parabolic, c), pad),
+        ),
+    )
 
 
-def _suite_delta_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
-    out = _Collector()
+def _suite_delta_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
     system = group.system
     cosets = group.cosets(parabolic)
     els = group.elements()
-    wp_els = _parabolic_elements(group, parabolic.delta_p)
+    wp_els = group.elements(parabolic)
     front = lambda w: delta_w(group, parabolic, w, pad)
 
-    out.check(
+    yield _check(
         "wp-invariance",
         (
             (front(group.multiply(u, m)).degrees == front(m).degrees, _word_str(group, m))
@@ -581,7 +554,7 @@ def _suite_delta_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> tupl
             for u in wp_els
         ),
     )
-    out.check(
+    yield _check(
         "inverse-invariance",
         ((front(w).degrees == front(group.inverse(w)).degrees, _word_str(group, w)) for w in els),
     )
@@ -595,7 +568,7 @@ def _suite_delta_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> tupl
                         any(d2.leq(d) for d2 in front(m).degrees),
                         f"{_word_str(group, m)} <= {_word_str(group, m2)} d={d.coeffs}",
                     )
-    out.check("bruhat-monotone", _monotone())
+    yield _check("bruhat-monotone", _monotone())
     def _triangle():
         for u in els:
             fu = front(u).degrees
@@ -609,7 +582,7 @@ def _suite_delta_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> tupl
                             any(d3.leq(total) for d3 in fuv),
                             f"u={_word_str(group, u)} v={_word_str(group, v)}",
                         )
-    out.check("triangle", _triangle())
+    yield _check("triangle", _triangle())
     def _projection():
         for q in _supersets(parabolic):
             for m in cosets:
@@ -619,8 +592,8 @@ def _suite_delta_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> tupl
                         any(e.leq(restrict(d, q)) for e in fq),
                         f"{_word_str(group, m)} Q={sorted(q.delta_p)}",
                     )
-    out.check("projection", _projection())
-    outside = [a for a in system.positive_roots if not in_r_p(system, parabolic, a)]
+    yield _check("projection", _projection())
+    outside = outside_roots(system, parabolic)
     def _cosmall_member():
         for a in outside:
             if not is_cosmall(group, parabolic, a):
@@ -629,7 +602,7 @@ def _suite_delta_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> tupl
                 d_of_root(system, parabolic, a) in front(group.reflection(a)),
                 f"alpha={a}",
             )
-    out.check("cosmall-membership", _cosmall_member())
+    yield _check("cosmall-membership", _cosmall_member())
     def _verycosmall_singleton():
         for a in outside:
             if not is_very_cosmall(group, parabolic, a):
@@ -638,7 +611,7 @@ def _suite_delta_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> tupl
                 front(group.reflection(a)).degrees == (d_of_root(system, parabolic, a),),
                 f"alpha={a}",
             )
-    out.check("verycosmall-singleton", _verycosmall_singleton())
+    yield _check("verycosmall-singleton", _verycosmall_singleton())
     def _simple_degree():
         for b in range(system.rank):
             yield (
@@ -646,51 +619,40 @@ def _suite_delta_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> tupl
                 == (d_of_root(system, parabolic, system.simple_roots[b]),),
                 f"beta={b + 1}",
             )
-    out.check("simple-root-degree", _simple_degree())
+    yield _check("simple-root-degree", _simple_degree())
     corner = _d_x(system, parabolic)
     selfish = [
-        d
-        for d in degree_box(parabolic, corner, pad)
-        if d in front(z(group, parabolic, d).z_min)
+        d for d in degree_box(parabolic, corner, pad) if _self_front(group, parabolic, d, pad)
     ]
     def _reduce():
         for d in selfish:
             for a in greedy_decomposition(system, parabolic, d):
                 rest = d - d_of_root(system, parabolic, a)
-                yield (
-                    rest in front(z(group, parabolic, rest).z_min),
-                    f"d={d.coeffs} alpha={a}",
-                )
-    out.check("greedy-reduction", _reduce())
-    def _membership():
-        for m in cosets:
-            for d in front(m).degrees:
-                yield (
-                    d in front(z(group, parabolic, d).z_min),
-                    f"{_word_str(group, m)} d={d.coeffs}",
-                )
-    out.check("front-degree-self-membership", _membership())
-    return out.done()
+                yield _self_front(group, parabolic, rest, pad), f"d={d.coeffs} alpha={a}"
+    yield _check("greedy-reduction", _reduce())
+    yield _check(
+        "front-degree-self-membership",
+        (
+            (_self_front(group, parabolic, d, pad), f"{_word_str(group, m)} d={d.coeffs}")
+            for m in cosets
+            for d in front(m).degrees
+        ),
+    )
 
 
-def _suite_delta2_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
-    out = _Collector()
+def _suite_delta2_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
     system = group.system
     graph = adjacency_graph(group, parabolic)
     cosets = graph.cosets
-    n = len(cosets)
     up = coset_order(group, parabolic)
     table = _pairs_table(group, parabolic, pad)
-    dual_index = [
-        graph.index[group.coset_min(group.dual(m), parabolic)] for m in cosets
-    ]
-    wp_els = _parabolic_elements(group, parabolic.delta_p)
+    dual_index = _dual_index(group, parabolic)
 
     def _rep_independence():
-        outside = [a for a in system.positive_roots if not in_r_p(system, parabolic, a)]
+        outside = outside_roots(system, parabolic)
         for m in cosets:
             base = None
-            for u in wp_els:
+            for u in group.elements(parabolic):
                 rep = group.multiply(m, u)
                 labels = {}
                 for alpha in outside:
@@ -705,65 +667,60 @@ def _suite_delta2_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> tup
                     base = flat
                 ok = flat == base and all(len(cs) == 1 for cs in labels.values())
                 yield ok, f"coset={_word_str(group, m)} rep-shift={_word_str(group, u)}"
-    out.check("adjacency-rep-independence", _rep_independence())
+    yield _check("adjacency-rep-independence", _rep_independence())
 
-    out.check(
+    yield _check(
         "symmetry",
-        ((table[(i, j)] == table[(j, i)], f"u#{i} v#{j}") for i in range(n) for j in range(n)),
+        ((front == table[(j, i)], f"u#{i} v#{j}") for (i, j), front in table.items()),
     )
-    def _zero():
-        for i in range(n):
-            for j in range(n):
-                zero_front = table[(i, j)] == ((0,) * len(parabolic.free),)
-                yield (
-                    zero_front == (dual_index[j] in up[i]),
-                    f"u#{i} v#{j}",
-                )
-    out.check("zero-iff-dominated", _zero())
+    zero = ((0,) * len(parabolic.free),)
+    yield _check(
+        "zero-iff-dominated",
+        (
+            ((front == zero) == (dual_index[j] in up[i]), f"u#{i} v#{j}")
+            for (i, j), front in table.items()
+        ),
+    )
     def _pair_monotone():
-        comparable = [(i, i2) for i in range(n) for i2 in up[i]]
+        comparable = [(i, i2) for i, above in enumerate(up) for i2 in above]
         for i, i2 in comparable:
             for j, j2 in comparable:
                 for c2 in table[(i2, j2)]:
                     yield (
-                        any(_dominated(c, c2) for c in table[(i, j)]),
+                        any(coeffs_leq(c, c2) for c in table[(i, j)]),
                         f"({i},{j}) <= ({i2},{j2}) d={c2}",
                     )
-    out.check("pair-monotone", _pair_monotone())
+    yield _check("pair-monotone", _pair_monotone())
     def _endpoints():
-        for i in range(n):
-            for j in range(n):
-                for coeffs in table[(i, j)]:
-                    d = Degree(parabolic, coeffs)
-                    witness = chain_witness(group, parabolic, cosets[i], cosets[j], d)
-                    first = graph.index[witness.cosets[0]]
-                    last_dual = graph.index[
-                        group.coset_min(group.dual(witness.cosets[-1]), parabolic)
-                    ]
-                    for i2 in up[i]:
-                        if first not in up[i2]:
+        for (i, j), front in table.items():
+            for coeffs in front:
+                d = Degree(parabolic, coeffs)
+                witness = chain_witness(group, parabolic, cosets[i], cosets[j], d)
+                first = graph.index[witness.cosets[0]]
+                last_dual = graph.index[
+                    group.coset_min(group.dual(witness.cosets[-1]), parabolic)
+                ]
+                for i2 in up[i]:
+                    if first not in up[i2]:
+                        continue
+                    for j2 in up[j]:
+                        if last_dual not in up[j2]:
                             continue
-                        for j2 in up[j]:
-                            if last_dual not in up[j2]:
-                                continue
-                            yield (
-                                coeffs in table[(i2, j2)],
-                                f"({i},{j})->({i2},{j2}) d={coeffs}",
-                            )
-    out.check("chain-endpoint-transfer", _endpoints())
-    identity_idx = graph.index[group.identity]
+                        yield (
+                            coeffs in table[(i2, j2)],
+                            f"({i},{j})->({i2},{j2}) d={coeffs}",
+                        )
+    yield _check("chain-endpoint-transfer", _endpoints())
     def _equalu():
-        for i in range(n):
-            exact = chain_front_exact(group, parabolic, cosets[i], group.identity, pad)
-            for d in delta_w(group, parabolic, cosets[i], pad).degrees:
+        for i, m in enumerate(cosets):
+            exact = chain_front_exact(group, parabolic, m, group.identity, pad)
+            for d in delta_w(group, parabolic, m, pad).degrees:
                 yield d in exact, f"u#{i} d={d.coeffs}"
-    out.check("equalu-anchored-witness", _equalu())
+    yield _check("equalu-anchored-witness", _equalu())
     def _cor611():
-        for i in range(n):
-            for d in delta_w(group, parabolic, cosets[i], pad).degrees:
-                witness = chain_witness(
-                    group, parabolic, cosets[i], group.w_o, d, exact=True
-                )
+        for i, m in enumerate(cosets):
+            for d in delta_w(group, parabolic, m, pad).degrees:
+                witness = chain_witness(group, parabolic, m, group.w_o, d, exact=True)
                 suffix = Degree.zero(parabolic)
                 ok = True
                 # strict descent along the chain
@@ -777,18 +734,16 @@ def _suite_delta2_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> tup
                             system, parabolic, witness.edge_roots[k - 1]
                         )
                 yield ok, f"u#{i} d={d.coeffs}"
-    out.check("cor611-suffixes-and-descent", _cor611())
-    return out.done()
+    yield _check("cor611-suffixes-and-descent", _cor611())
 
 
-def _suite_inductive(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
-    out = _Collector()
+def _suite_inductive(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
     system = group.system
     dx = _d_x(system, parabolic)
     entries = greedy_decomposition(system, parabolic, dx)
     front = lambda w: delta_w(group, parabolic, w, pad)
     if parabolic.free:  # vacuous when X is a point
-        out.check(
+        yield _check(
             "theta-in-greedy-of-dx",
             [(system.highest_root in entries, f"entries={entries}")],
         )
@@ -802,17 +757,17 @@ def _suite_inductive(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
             yield front(group.dual(s_a)).degrees == (rest,), f"delta(s_alpha^*) alpha={a}"
             yield front(z_rest).degrees == (rest,), f"delta(z) alpha={a}"
             yield front(group.dual(z_rest)).degrees == (da,), f"delta(z^*) alpha={a}"
-    out.check("inductive-identities", _identities())
+    yield _check("inductive-identities", _identities())
     def _geqdx():
         for m in group.cosets(parabolic):
             dual_front = front(group.dual(m))
             for d in front(m).degrees:
                 for d2 in dual_front.degrees:
                     yield (
-                        _dominated(dx.coeffs, (d + d2).coeffs),
+                        dx.leq(d + d2),
                         f"{_word_str(group, m)} d={d.coeffs} d*={d2.coeffs}",
                     )
-    out.check("dual-sum-dominates-dx", _geqdx())
+    yield _check("dual-sum-dominates-dx", _geqdx())
     def _cor():
         for m in group.cosets(parabolic):
             f1, f2 = front(m), front(group.dual(m))
@@ -821,12 +776,10 @@ def _suite_inductive(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
                     len(f1.degrees) == 1 and len(f2.degrees) == 1,
                     _word_str(group, m),
                 )
-    out.check("tight-sum-forces-singletons", _cor())
-    return out.done()
+    yield _check("tight-sum-forces-singletons", _cor())
 
 
-def _suite_resind(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
-    out = _Collector()
+def _suite_resind(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
     system = group.system
     corner = _d_x(system, parabolic)
     p_box = list(degree_box(parabolic, corner, pad))
@@ -846,24 +799,22 @@ def _suite_resind(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
                     for d in p_box
                     if restrict(d, q).leq(e)
                     and z(group, parabolic, d).z_max == ze.z_max
-                    and d in delta_w(group, parabolic, z(group, parabolic, d).z_min, pad)
+                    and _self_front(group, parabolic, d, pad)
                 ]
                 yield bool(witnesses), f"Q={sorted(q.delta_p)} e={e.coeffs} (witness)"
-                if e in delta_w(group, q, ze.z_min, pad):
+                if _self_front(group, q, e, pad):
                     yield (
                         any(restrict(d, q) == e for d in witnesses),
                         f"Q={sorted(q.delta_p)} e={e.coeffs} (equality)",
                     )
-    out.check("restriction-induction", _checks())
-    return out.done()
+    yield _check("restriction-induction", _checks())
 
 
-def _suite_simply_laced(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
+def _suite_simply_laced(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
     system = group.system
     lengths = {system.inner(a, a) for a in system.positive_roots}
     if len(lengths) != 1:
         raise ConfigurationError("suite simply-laced requires a simply-laced system")
-    out = _Collector()
     def _reflections():
         for a in system.positive_roots:
             yield (
@@ -871,7 +822,7 @@ def _suite_simply_laced(group: WeylGroup, parabolic: Parabolic, pad: int) -> tup
                 == (d_of_root(system, parabolic, a),),
                 f"alpha={a}",
             )
-    out.check("delta-of-reflection-is-d-alpha", _reflections())
+    yield _check("delta-of-reflection-is-d-alpha", _reflections())
     def _lemma514():
         for b in range(system.rank):
             p_b = Parabolic(system.rank, frozenset(range(system.rank)) - {b})
@@ -881,33 +832,17 @@ def _suite_simply_laced(group: WeylGroup, parabolic: Parabolic, pad: int) -> tup
                     delta_w(group, p_b, group.reflection(a), pad).degrees == (expected,),
                     f"alpha={a} beta={b + 1}",
                 )
-    out.check("lemma-5-14", _lemma514())
-    return out.done()
+    yield _check("lemma-5-14", _lemma514())
 
 
-def _suite_compatibility(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
-    out = _Collector()
+def _suite_compatibility(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
     system = group.system
     supports = sorted({system.support(phi) for phi in system.positive_roots}, key=sorted)
     locally_high = [a for a in system.positive_roots if _is_locally_high(system, a)]
 
-    def _local_context(s):
-        comp = subsystem(system, s)[0]
-        local_group = weyl_group(comp.system.type_letter, comp.system.rank)
-        local_p = Parabolic(
-            comp.system.rank,
-            frozenset(
-                i for i, node in enumerate(comp.nodes) if node in parabolic.delta_p
-            ),
-        )
-        return comp, local_group, local_p
-
-    def _to_ambient(comp, local_group, w):
-        return group.from_word(comp.nodes[j] for j in local_group.reduced_word(w))
-
     def _delta_agree():
         for s in supports:
-            comp, local_group, local_p = _local_context(s)
+            comp, local_group, local_p = _local_context(group, parabolic, s)
             for m in local_group.cosets(local_p):
                 local_front = delta_w(local_group, local_p, m, pad)
                 mapped = []
@@ -916,44 +851,44 @@ def _suite_compatibility(group: WeylGroup, parabolic: Parabolic, pad: int) -> tu
                     for i, c in zip(local_p.free, d.coeffs):
                         coeffs[comp.nodes[i]] = c
                     mapped.append(Degree(parabolic, tuple(coeffs[b] for b in parabolic.free)))
-                ambient = delta_w(group, parabolic, _to_ambient(comp, local_group, m), pad)
+                ambient = delta_w(group, parabolic, _to_ambient(group, comp, local_group, m), pad)
                 yield (
                     tuple(sorted(mapped, key=lambda d: d.coeffs)) == ambient.degrees,
                     f"S={sorted(x + 1 for x in s)} u={_word_str(local_group, m)}",
                 )
-    out.check("delta-local-equals-global", _delta_agree())
+    yield _check("delta-local-equals-global", _delta_agree())
 
     def _coset_inclusion():
         for s in supports:
-            comp, local_group, local_p = _local_context(s)
+            comp, local_group, local_p = _local_context(group, parabolic, s)
             els = local_group.elements()
             for u in els:
                 for v in els:
                     local_same = local_group.coset_min(u, local_p) == local_group.coset_min(v, local_p)
-                    ua, va = _to_ambient(comp, local_group, u), _to_ambient(comp, local_group, v)
+                    ua, va = _to_ambient(group, comp, local_group, u), _to_ambient(group, comp, local_group, v)
                     ambient_same = group.coset_min(ua, parabolic) == group.coset_min(va, parabolic)
                     yield local_same == ambient_same, f"S={sorted(x + 1 for x in s)}"
-    out.check("coset-inclusion", _coset_inclusion())
+    yield _check("coset-inclusion", _coset_inclusion())
 
     def _hecke_compat():
         for s in supports:
-            comp, local_group, local_p = _local_context(s)
+            comp, local_group, local_p = _local_context(group, parabolic, s)
             els = local_group.elements()
             for u in els:
                 for v in els:
-                    local = _to_ambient(comp, local_group, local_group.hecke_product(u, v))
+                    local = _to_ambient(group, comp, local_group, local_group.hecke_product(u, v))
                     ambient = group.hecke_product(
-                        _to_ambient(comp, local_group, u), _to_ambient(comp, local_group, v)
+                        _to_ambient(group, comp, local_group, u), _to_ambient(group, comp, local_group, v)
                     )
                     yield local == ambient, f"S={sorted(x + 1 for x in s)}"
-    out.check("hecke-compatibility", _hecke_compat())
+    yield _check("hecke-compatibility", _hecke_compat())
 
     def _chain_closure():
-        outside = [a for a in system.positive_roots if not in_r_p(system, parabolic, a)]
+        outside = outside_roots(system, parabolic)
         for s in supports:
-            comp, local_group, local_p = _local_context(s)
+            comp, local_group, local_p = _local_context(group, parabolic, s)
             image = {
-                group.coset_min(_to_ambient(comp, local_group, m), parabolic)
+                group.coset_min(_to_ambient(group, comp, local_group, m), parabolic)
                 for m in local_group.cosets(local_p)
             }
             for m in image:
@@ -967,7 +902,7 @@ def _suite_compatibility(group: WeylGroup, parabolic: Parabolic, pad: int) -> tu
                         system.support(alpha) <= s,
                         f"S={sorted(x + 1 for x in s)} alpha={alpha}",
                     )
-    out.check("chain-edge-closure", _chain_closure())
+    yield _check("chain-edge-closure", _chain_closure())
 
     def _locally_high():
         for a in locally_high:
@@ -976,18 +911,14 @@ def _suite_compatibility(group: WeylGroup, parabolic: Parabolic, pad: int) -> tu
                 == (d_of_root(system, parabolic, a),),
                 f"alpha={a}",
             )
-    out.check("locally-high-delta", _locally_high())
-    return out.done()
+    yield _check("locally-high-delta", _locally_high())
 
 
-def _suite_orthogonality(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
-    out = _Collector()
+def _suite_orthogonality(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
     system = group.system
     corner = _d_x(system, parabolic)
     selfish = [
-        d
-        for d in degree_box(parabolic, corner, pad)
-        if d in delta_w(group, parabolic, z(group, parabolic, d).z_min, pad)
+        d for d in degree_box(parabolic, corner, pad) if _self_front(group, parabolic, d, pad)
     ]
     def _first_entry():
         for d in selfish:
@@ -1000,7 +931,7 @@ def _suite_orthogonality(group: WeylGroup, parabolic: Parabolic, pad: int) -> tu
                     orth = system.inner(m, simple) == 0
                     strong = orth and not system.is_root(_vec_add(m, simple))
                     yield orth and strong, f"d={d.coeffs} alpha={m} beta={b + 1}"
-    out.check("first-entry-orthogonality", _first_entry())
+    yield _check("first-entry-orthogonality", _first_entry())
     if not parabolic.delta_p:
         def _pairwise():
             for d in selfish:
@@ -1013,26 +944,21 @@ def _suite_orthogonality(group: WeylGroup, parabolic: Parabolic, pad: int) -> tu
                         _is_strongly_orthogonal(system, a, b),
                         f"d={d.coeffs} {a} {b}",
                     )
-        out.check("pairwise-strong-orthogonality", _pairwise())
-    return out.done()
+        yield _check("pairwise-strong-orthogonality", _pairwise())
 
 
-def _suite_final_cor(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
-    out = _Collector()
+def _suite_final_cor(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
     system = group.system
     corner = _d_x(system, parabolic)
     def _restriction():
         for d in degree_box(parabolic, corner, pad):
-            if d not in delta_w(group, parabolic, z(group, parabolic, d).z_min, pad):
+            if not _self_front(group, parabolic, d, pad):
                 continue
             for b in parabolic.free:
                 p_b = parabolic.maximal_above(b)
                 e = restrict(d, p_b)
-                yield (
-                    e in delta_w(group, p_b, z(group, p_b, e).z_min, pad),
-                    f"d={d.coeffs} beta={b + 1}",
-                )
-    out.check("maximal-restriction-membership", _restriction())
+                yield _self_front(group, p_b, e, pad), f"d={d.coeffs} beta={b + 1}"
+    yield _check("maximal-restriction-membership", _restriction())
     def _interval():
         for b in parabolic.free:
             p_b = parabolic.maximal_above(b)
@@ -1040,37 +966,31 @@ def _suite_final_cor(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
             got = {
                 e.coeffs[0]
                 for e in degree_box(p_b, Degree(p_b, (top,)), pad)
-                if e in delta_w(group, p_b, z(group, p_b, e).z_min, pad)
+                if _self_front(group, p_b, e, pad)
             }
             yield got == set(range(top + 1)), f"beta={b + 1} got={sorted(got)}"
-    out.check("interval-identity-box", _interval())
+    yield _check("interval-identity-box", _interval())
     if _group_at_most(group, 60):
         def _interval_pairs():
             for b in parabolic.free:
                 p_b = parabolic.maximal_above(b)
                 top = _d_gpbeta(system, b)
-                table = _pairs_table(group, p_b, pad)
-                n = len(group.cosets(p_b))
-                got = {
-                    c[0] for i in range(n) for j in range(n) for c in table[(i, j)]
-                }
+                got = {c[0] for front in _pairs_table(group, p_b, pad).values() for c in front}
                 yield got == set(range(top + 1)), f"beta={b + 1} got={sorted(got)}"
-        out.check("interval-identity-pairs", _interval_pairs())
-    return out.done()
+        yield _check("interval-identity-pairs", _interval_pairs())
 
 
-def _suite_g2_examples(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
+def _suite_g2_examples(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
     system = group.system
     if (system.type_letter, system.rank) != ("G", 2):
         raise ConfigurationError("suite g2-examples requires type G rank 2")
-    out = _Collector()
     b = Parabolic(2, frozenset())
     p2 = Parabolic(2, frozenset({0}))  # P_{alpha_2}
     theta_s = system.highest_short_root
     s_ts = group.reflection(theta_s)
     front = delta_w(group, p2, s_ts, pad)
     pairing = system.coroot(theta_s)[1]
-    out.check(
+    yield _check(
         "example-5-9",
         [
             (
@@ -1079,7 +999,7 @@ def _suite_g2_examples(group: WeylGroup, parabolic: Parabolic, pad: int) -> tupl
             )
         ],
     )
-    out.check(
+    yield _check(
         "example-5-9-prime",
         [
             (
@@ -1091,10 +1011,8 @@ def _suite_g2_examples(group: WeylGroup, parabolic: Parabolic, pad: int) -> tupl
     dgb = _d_x(system, b)
     e = Degree(b, (2, 1))
     expected_greedy = ((3, 1), (1, 0))
-    table = _pairs_table(group, b, pad)
-    n = len(group.cosets(b))
-    absent = all(e.coeffs not in table[(i, j)] for i in range(n) for j in range(n))
-    out.check(
+    absent = all(e.coeffs not in front for front in _pairs_table(group, b, pad).values())
+    yield _check(
         "example-inclusionstrict",
         [
             (dgb.coeffs == (2, 2), f"d_GB={dgb.coeffs}"),
@@ -1103,13 +1021,9 @@ def _suite_g2_examples(group: WeylGroup, parabolic: Parabolic, pad: int) -> tupl
                 f"greedy={greedy_decomposition(system, b, e)}",
             ),
             (absent, "degree (2,1) occurred in some delta_B(u,v)"),
-            (
-                e not in delta_w(group, b, z(group, b, e).z_min, pad),
-                "degree (2,1) is a self-front degree",
-            ),
+            (not _self_front(group, b, e, pad), "degree (2,1) is a self-front degree"),
         ],
     )
-    return out.done()
 
 
 @dataclass(frozen=True)
@@ -1136,23 +1050,18 @@ def front_coverage(group: WeylGroup, parabolic: Parabolic, pad: int = 2) -> Fron
     system = group.system
     corner = _d_x(system, parabolic)
     achieved = tuple(
-        d
-        for d in degree_box(parabolic, corner, 0)
-        if d in delta_w(group, parabolic, z(group, parabolic, d).z_min, pad)
+        d for d in degree_box(parabolic, corner, 0) if _self_front(group, parabolic, d, pad)
     )
     gaps = tuple(d for d in degree_box(parabolic, corner, 0) if d not in achieved)
     nonsingleton = ()
     if _group_at_most(group, 48):
         table = _pairs_table(group, parabolic, pad)
-        n = len(group.cosets(parabolic))
         from_pairs = {c for front in table.values() for c in front}
         if from_pairs != {d.coeffs for d in achieved}:
             raise InvariantViolationError(
                 "pair-front union disagrees with the self-front characterization"
             )
-        nonsingleton = tuple(
-            (i, j) for i in range(n) for j in range(n) if len(table[(i, j)]) > 1
-        )
+        nonsingleton = tuple(pair for pair, front in table.items() if len(front) > 1)
     return FrontCoverage(achieved, gaps, nonsingleton)
 
 
@@ -1201,9 +1110,9 @@ def verify_suite(
     if parabolic is None:
         parabolic = Parabolic(system.rank, frozenset())
     if name == "main":
-        checks = _SUITES[name](group, parabolic, pad, mode)
+        checks = tuple(_SUITES[name](group, parabolic, pad, mode))
     else:
-        checks = _SUITES[name](group, parabolic, pad)
+        checks = tuple(_SUITES[name](group, parabolic, pad))
     return SuiteReport(
         suite=name,
         type_letter=system.type_letter,

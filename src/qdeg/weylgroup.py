@@ -316,12 +316,15 @@ class WeylGroup:
 
     # -- enumeration -----------------------------------------------------------------
 
-    def elements(self, cap: int = ENUMERATION_CAP) -> tuple:
-        key = ("elements", cap)
+    def elements(self, parabolic: Parabolic | None = None, cap: int = ENUMERATION_CAP) -> tuple:
+        """All of W, or of W_P when a parabolic is given, sorted by (length, word)."""
+        subset = frozenset(range(self.system.rank)) if parabolic is None else parabolic.delta_p
+        key = ("elements", subset, cap)
         if key not in self.memo:
+            gens = [self._simple[j] for j in sorted(subset)]
+            reps = self._bfs(self.identity, lambda w: (self.multiply(w, s) for s in gens), cap)
             self.memo[key] = tuple(
-                sorted(self._bfs(self.identity, self._right_neighbors, cap),
-                       key=lambda w: (self.length(w), self.reduced_word(w)))
+                sorted(reps, key=lambda w: (self.length(w), self.reduced_word(w)))
             )
         return self.memo[key]
 
@@ -340,9 +343,6 @@ class WeylGroup:
                 sorted(reps, key=lambda w: (self.length(w), self.reduced_word(w)))
             )
         return self.memo[key]
-
-    def _right_neighbors(self, w):
-        return (self.multiply(w, s) for s in self._simple)
 
     @staticmethod
     def _bfs(start, neighbors, cap) -> list:

@@ -57,6 +57,18 @@ def test_usage_errors_exit_two():
     assert code == 2 and out == ""
 
 
+def test_box_and_cap_only_on_the_verbs_that_read_them():
+    code, out = run_capture(["roots", "--type", "G", "--rank", "2", "--box", "3"])
+    assert code == 2 and out == ""
+    code, _ = run_capture(["verify", "--suite", "main", "--type", "G", "--rank", "2", "--cap", "5"])
+    assert code == 2
+    for verb in (["delta"], ["delta2", "--cap", "100"], ["verify", "--suite", "uniqueness"]):
+        code, _ = run_capture(verb + ["--type", "G", "--rank", "2", "--box", "1"])
+        assert code == 0
+        code, _ = run_capture(verb + ["--type", "G", "--rank", "2", "--box", "-1"])
+        assert code == 2
+
+
 def test_json_round_trip_roots():
     code, out = run_capture(["roots", "--type", "G", "--rank", "2", "--json"])
     assert code == 0

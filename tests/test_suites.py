@@ -1,9 +1,12 @@
 """The named verification suites on small systems, plus their error paths."""
 
+import hashlib
+import json
+
 import pytest
 
 from qdeg.distance import suite_names, verify_suite
-from qdeg.distance.suites import _suite_main
+from qdeg.distance.suites import _suite_delta2, _suite_main
 from qdeg.errors import ConfigurationError
 from qdeg.rootsystem import build_root_system
 from qdeg.weylgroup import Parabolic, WeylGroup
@@ -66,6 +69,15 @@ def test_main_pairs_counts_an_empty_front_as_a_failure():
     assert check.counterexample.endswith("empty front")
 
 
+def test_delta2_counts_an_empty_front_as_a_failure():
+    """The same unreachable pairs must not let pair-degrees-are-self-front pass."""
+    group = WeylGroup(build_root_system("G", 2))
+    (check,) = _suite_delta2(group, Parabolic(2, frozenset()), -1)
+    assert not check.passed
+    assert check.counterexample.endswith("empty front")
+    assert check.checked == 144
+
+
 def test_unknown_suite_name():
     with pytest.raises(ConfigurationError):
         verify_suite("nonsense", "A", 2)
@@ -99,3 +111,115 @@ def test_report_shape():
     assert doc["parabolic"] == [1]
     assert doc["passed"] is True
     assert all(set(c) == {"name", "passed", "checked", "counterexample"} for c in doc["checks"])
+
+
+#: sha256 of the sorted-key JSON report of every suite on every parabolic, in
+#: all_parabolics order.  A refactor of the suites must leave these unchanged.
+GOLDEN_DIGESTS = {
+    ("compatibility", "B", 2): (
+        "8083688be60c0d9331dfc125279746dec8a1dfaeefea248ce6420027c33bb591",
+        "59ff463dfadbb4789ba74dea8a8521ed61271cc858d9550d7833860db8b49e12",
+        "c4e08e5fbf54830cd9ad6bfe6057dbaa85bda49417b888d12ed2fdc349e5ef12",
+        "3d92ff9f98f09d664a7bb8b6967c1047562309847b6ad64527e01641367fff72",
+    ),
+    ("delta-props", "B", 2): (
+        "d0c5cbaae14449df646613ace6c1e2c82454d3bbc5fb68fa2ce75ba6e175d692",
+        "84f29594a86d9b819e7d57352632c7f85b888b19cd6dc4a831e4845a641612ab",
+        "31202ec4f78359081ffd70e80ec30b623d25b76ce5a2c181b9dfbfd76bca1885",
+        "b83b3f956ea949c3ffcd5378e11f9f1169ede054c1006f2d07413e9ea5077941",
+    ),
+    ("delta2", "B", 2): (
+        "3918647933dba340d1947eb782f4311adc34bc89eb14ea853d5f27af2a2fb4ea",
+        "c09f4a17e10267b8d5045401cd277fcf24976844976cd9fcb7821be3089f1cf4",
+        "1c15cff50b9ea0bf8fb199ac51752aa43b510df2c2f09e17846d458b19ad2c3a",
+        "7ca3a3702931b1e5bdca5c94c01deec718c7f62160b5e2efb9624721a2cb4923",
+    ),
+    ("delta2-props", "B", 2): (
+        "11895a4023d9d07a138d98ba89b8fd9c976d6f2ff107ca0d9f06f1b5e89688d8",
+        "b038a43a9f4c79482a52cdc99b36876a056ceeeb0cb932ba486f29295c72eac8",
+        "b78b7cf4ad42f5be16bd50df8380569fb00917817ec2a5979a0c9e439da530c3",
+        "57a677b0a02da945bcbae6cf4b537cedafc926d8f404043fd149754b2b2cbb41",
+    ),
+    ("description", "B", 2): (
+        "f8fa0763fb6b067ceb74df94d38df2fa30768c97cfadbc0b0c30dd84d32489da",
+        "0bff2ee0312ce13feb83cbe57b56794cc498ef20d6651d8687ced00e5de5d62c",
+        "5d2a8fd7b3012ecc7fca9ab824aa263187a4dfb12ae4654a6e480bdcfc8a2003",
+        "1825528d23a41e3645eb9d780cf1fb219dbe3508cf53d6eb0208cd4012f987e3",
+    ),
+    ("final-cor", "B", 2): (
+        "1cc86c8c51f51b5da836ef0708ed6b5728c4e603a8850e5be0697583974b2985",
+        "cea3c48238d7c8250648b702bc75129d49e47d697f0e47a13fadc5638b3cbc96",
+        "221659f299d930171caf2fabafd8ae061c5f659334d6219544259664a35f7be6",
+        "e84b14a149c1ee4cf9129124067fd3b0adae0e4d891d24029c10596257827f40",
+    ),
+    ("g2-examples", "G", 2): (
+        "20573a527e56339da58f3d9977a6d77bf6754fa73b7228ccb2580dee423e9e27",
+        "45365b3f150a2737d568f3f37178412003929bbb2276f49882d78c644e37915c",
+        "3d5313d940a86643510c2f3e035ff2577cfe218b0e6d7e17dce864220e6652c0",
+        "1ae5b63fc46c0f43a69ca59ed3237087833a19ac319212f7d80567cda3d70231",
+    ),
+    ("hecke", "B", 2): (
+        "5cd10ae7d89ffd62a7775890b464e82671c43a9c2423575e99eaa554d82500cc",
+        "52062e1ddb1780beb20dca637ca70877c5ce0317f223f55f49b440927f66aee2",
+        "67f1cf4e44dc1031f2b302dce49fd08dea24d909c56ab130025f99f27647590c",
+        "4f006bf91e54a7d2a753daf097f18338d8c67a8dbfbd61112b025d5639ddbb6f",
+    ),
+    ("inductive", "B", 2): (
+        "84dd2f21356a648305071b63c3025ea06c29a993412c6ba50367565b9131c9ab",
+        "a24c96041b03785ea0a2c134253413d17dc209d2dbf8899b7034498d3bb40073",
+        "e2e6b029bc5bb55c76aa4cb9e0ab85a49d9243f5ef4c9a1575383e715f15209b",
+        "a0db6d93fb34adcccca60684296a78b338b60cf5d20f3961213f070bebc3357e",
+    ),
+    ("main", "B", 2): (
+        "ab76d201eea68b1035b7de525187090155cc7d8046854687984a77998293a1ac",
+        "0972174b7c6f1b8a802f5363a5b33f44f8158c6f074eda35b3354ddd624f28c0",
+        "fc87ad401654e9edf185d4054d57914440a7ef89f6e02ad810f8d03788bb309a",
+        "8588ca2069b7a4db0a6f5e8e9b15aed62b7e45fca85abbfec8c134df775a8ec2",
+    ),
+    ("orthogonality", "B", 2): (
+        "cafdff5206143918647379d95f9676ea1d0927dfc1cb4087bbf965d5b3d39cee",
+        "e26a2607e1953d8f4f44495862657d1765f7bf77d4babe091fe3337e0a70faa8",
+        "c915b8c2ce65b237e5a01ac32fcf0bbdb05b9fc8e08002c24b61f0cbbb739c45",
+        "01013574d96401db3ea1a3bedb7dd41e1c6cac9237fa810e787b44b627021e5f",
+    ),
+    ("resind", "B", 2): (
+        "38a27ab5e46ae8b2cd1a4a1c2adf2e18de9a331928e2e626de02bee796810545",
+        "2fe2de342f2dbb66bee9e126ba9208a9918194777c641475c5a16b39490240d0",
+        "099f606fd5eb2a3ec58f03156078c420a12eeb50154232546be44adf81eeb2c5",
+        "6cec2224df9d22bc414df88dbee50c687636a6ff06273dce247ce234a38005be",
+    ),
+    ("simply-laced", "A", 3): (
+        "12e674cba6291bccd7f2b40bb8455b370ed7a3cd8df326a3b7690875ea00003b",
+        "84f671aa699f35d51843ab6ef2c96c4e7400344367c147f9f35f352d577bac11",
+        "281032d017b150e178f82154a7d4f07b0cb43be0613d1afbab78f65348e3c338",
+        "c8e358fa4ef27963f74fedf62453e34a1ed5f8c82812bd49165b4d1c6d0aa608",
+        "d062b6d068e07a558d09f17263fcaddb714417582ce477912482a8b657870d29",
+        "41202daa774c87006e6617a9e0ba66251f89641b48bfe3bd4153a3a504a29891",
+        "100cb51ef850c416c3d5ceaab8ac2fc25d4876f8d6b9218a80eb3666b7976189",
+        "e465914831f8917ff8ea5ef8b0c4a8c9b8a4c4712e9d2c13c7dcc7770eae47e2",
+    ),
+    ("uniqueness", "B", 2): (
+        "e80d1dcfff1474166a2eb070bc20c043242963c4c3c8b04daa923354261fef50",
+        "990cace91e283c625d07494d28f0a05614bcef3140ac64ab6c3db5d27b699a90",
+        "76bc91896de00ea4c7d939beaece7aec3ee91ec7a1fcba91c1d00abb398c54d5",
+        "bbd4243a3ada917c879243f77175b3ebf9c5894991b299116d64f2fa7259f865",
+    ),
+    ("zd", "B", 2): (
+        "b8f165cc179f0b75f04ced8da6645b14ab9292fd24d4226ea4f2001346af7d79",
+        "6c146c831b7a2a97acb80d202f7df1e53032d26e13ccf164aec680a6bbfb06c6",
+        "3ac3c59460422c4724e57355be4997b21fab12c9d9e6aed53f24bc69b8d9f6a3",
+        "fc869f2596c8d5ed35da0092e0d4d520fb22c45ccc1d5742fea84c47ff02d57e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name,letter,rank", sorted(GOLDEN_DIGESTS))
+def test_verify_json_matches_golden_digests(name, letter, rank):
+    assert set(suite_names()) == {key[0] for key in GOLDEN_DIGESTS}
+    got = tuple(
+        hashlib.sha256(
+            json.dumps(verify_suite(name, letter, rank, p).to_json(), sort_keys=True).encode()
+        ).hexdigest()
+        for p in all_parabolics(rank)
+    )
+    assert got == GOLDEN_DIGESTS[(name, letter, rank)]

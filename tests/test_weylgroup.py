@@ -226,6 +226,19 @@ def test_enumeration():
         weyl_group("B", 3).elements(cap=7)
 
 
+@pytest.mark.parametrize("letter,rank", [("B", 3), ("G", 2)])
+def test_parabolic_subgroup_enumeration(letter, rank):
+    """elements(P) is W_P: |W| / |W/W_P| members, each in the identity coset."""
+    from conftest import all_parabolics
+
+    group = weyl_group(letter, rank)
+    for p in all_parabolics(rank):
+        wp_els = group.elements(p)
+        assert len(set(wp_els)) == len(wp_els) == len(group.elements()) // len(group.cosets(p))
+        assert all(group.coset_min(w, p) == group.identity for w in wp_els)
+        assert group.longest_element(p) in wp_els
+
+
 def test_inverse_via_word():
     b3 = weyl_group("B", 3)
     for w in b3.elements()[:40]:
