@@ -136,15 +136,19 @@ def d_x(system: RootSystem, parabolic: Parabolic) -> Degree:
     """The unique minimal degree in pt * pt on G/P, by both closed formulas.
 
     Computes the coroot-sum restriction and the per-maximal-parabolic sum and
-    insists they agree.
+    insists they agree, once per (system, parabolic); later calls read
+    system.cache.
     """
-    by_cascade = tuple(coroot_sum(system)[b] for b in parabolic.free)
-    by_quotients = tuple(d_gpbeta(system, b) for b in parabolic.free)
-    if by_cascade != by_quotients:
-        raise InvariantViolationError(
-            f"d_X formulas disagree: {by_cascade} vs {by_quotients}"
-        )
-    return Degree(parabolic, by_cascade)
+    key = ("d_x", parabolic.delta_p)
+    if key not in system.cache:
+        by_cascade = tuple(coroot_sum(system)[b] for b in parabolic.free)
+        by_quotients = tuple(d_gpbeta(system, b) for b in parabolic.free)
+        if by_cascade != by_quotients:
+            raise InvariantViolationError(
+                f"d_X formulas disagree: {by_cascade} vs {by_quotients}"
+            )
+        system.cache[key] = Degree(parabolic, by_cascade)
+    return system.cache[key]
 
 
 def boundary_roots(system: RootSystem, s: Iterable) -> frozenset:

@@ -2,6 +2,13 @@
 
 A degree is a nonnegative integer vector over Delta \\ Delta_P, the image of
 the coroot lattice modulo Z Delta_P^vee.  The partial order is coefficientwise.
+
+d(alpha) is read from a table built once per (system, parabolic), on first
+use, and kept in ``system.cache`` under the key ("degrees", Delta_P): one
+frozen Degree per positive root, each coroot computed once, and the roots
+outside R_P in lex-descending order beside their raw d(alpha) tuples.
+``maximal_roots`` is one sweep over that list, so a greedy step compares
+coefficient tuples and computes no coroot.
 """
 
 from __future__ import annotations
@@ -77,14 +84,6 @@ class ChernVector:
         return sum(a * b for a, b in zip(self.coeffs, d.coeffs))
 
 
-def d_of_root(system: RootSystem, parabolic: Parabolic, alpha) -> Degree:
-    """d(alpha): the image of alpha^vee in H_2(G/P); zero iff alpha in R_P^+."""
-    if not system.is_positive_root(alpha):
-        raise DomainError(f"{alpha} is not a positive root")
-    cov = system.coroot(alpha)
-    return Degree(parabolic, tuple(cov[i] for i in parabolic.free))
-
-
 def in_r_p(system: RootSystem, parabolic: Parabolic, alpha) -> bool:
     return system.support(alpha) <= parabolic.delta_p
 
@@ -92,6 +91,31 @@ def in_r_p(system: RootSystem, parabolic: Parabolic, alpha) -> bool:
 def outside_roots(system: RootSystem, parabolic: Parabolic) -> tuple:
     """R^+ \\ R_P^+, in the order of system.positive_roots."""
     return tuple(a for a in system.positive_roots if not in_r_p(system, parabolic, a))
+
+
+def _degree_table(system: RootSystem, parabolic: Parabolic) -> tuple:
+    """({alpha: d(alpha)} over R^+, ((alpha, d(alpha).coeffs) outside R_P, lex-descending))."""
+    key = ("degrees", parabolic.delta_p)
+    table = system.cache.get(key)
+    if table is None:
+        free = parabolic.free
+        degrees = {}
+        for alpha in system.positive_roots:
+            cov = system.coroot(alpha)
+            degrees[alpha] = Degree(parabolic, tuple(cov[i] for i in free))
+        outside = sorted(
+            ((a, degrees[a].coeffs) for a in outside_roots(system, parabolic)), reverse=True
+        )
+        table = system.cache[key] = (degrees, tuple(outside))
+    return table
+
+
+def d_of_root(system: RootSystem, parabolic: Parabolic, alpha) -> Degree:
+    """d(alpha): the image of alpha^vee in H_2(G/P); zero iff alpha in R_P^+."""
+    degree = _degree_table(system, parabolic)[0].get(tuple(alpha))
+    if degree is None:
+        raise DomainError(f"{alpha} is not a positive root")
+    return degree
 
 
 def c1(system: RootSystem, parabolic: Parabolic) -> ChernVector:
@@ -111,16 +135,19 @@ def c1(system: RootSystem, parabolic: Parabolic) -> ChernVector:
 
 
 def maximal_roots(system: RootSystem, parabolic: Parabolic, d: Degree) -> tuple:
-    """Maximal elements of {alpha in R^+ \\ R_P^+ : d(alpha) <= d}."""
-    inside = [
-        alpha
-        for alpha in outside_roots(system, parabolic)
-        if d_of_root(system, parabolic, alpha).leq(d)
-    ]
-    out = [
-        a for a in inside if not any(a != b and system.root_leq(a, b) for b in inside)
-    ]
-    return tuple(sorted(out))
+    """Maximal elements of {alpha in R^+ \\ R_P^+ : d(alpha) <= d}, sorted.
+
+    One sweep in lex-descending order: a root can lie below only lex-larger
+    roots, and below a dropped one only through a kept one above it.
+    """
+    if d.parabolic != parabolic:
+        raise DomainError("degrees over different parabolics")
+    bound = d.coeffs
+    kept: list = []
+    for alpha, d_alpha in _degree_table(system, parabolic)[1]:
+        if coeffs_leq(d_alpha, bound) and not any(coeffs_leq(alpha, b) for b in kept):
+            kept.append(alpha)
+    return tuple(reversed(kept))
 
 
 def greedy_decomposition(system: RootSystem, parabolic: Parabolic, d: Degree) -> tuple:

@@ -319,46 +319,53 @@ class WeylGroup:
     def elements(self, parabolic: Parabolic | None = None, cap: int = ENUMERATION_CAP) -> tuple:
         """All of W, or of W_P when a parabolic is given, sorted by (length, word)."""
         subset = frozenset(range(self.system.rank)) if parabolic is None else parabolic.delta_p
-        key = ("elements", subset, cap)
-        if key not in self.memo:
-            gens = [self._simple[j] for j in sorted(subset)]
-            reps = self._bfs(self.identity, lambda w: (self.multiply(w, s) for s in gens), cap)
-            self.memo[key] = tuple(
-                sorted(reps, key=lambda w: (self.length(w), self.reduced_word(w)))
-            )
-        return self.memo[key]
+        gens = [self._simple[j] for j in sorted(subset)]
+        return self._enumerated(
+            ("elements", subset), lambda w: (self.multiply(w, s) for s in gens), cap
+        )
 
     def cosets(self, parabolic: Parabolic, cap: int = ENUMERATION_CAP) -> tuple:
-        """All cosets of W/W_P as minimal representatives, each exactly once."""
-        key = ("cosets", parabolic.delta_p, cap)
-        if key not in self.memo:
-            def neighbors(m):
-                return (
-                    self.coset_min(self.multiply(self._simple[j], m), parabolic)
-                    for j in range(self.system.rank)
-                )
+        """All cosets of W/W_P as minimal representatives, each exactly once.
 
-            reps = self._bfs(self.identity, neighbors, cap)
-            self.memo[key] = tuple(
-                sorted(reps, key=lambda w: (self.length(w), self.reduced_word(w)))
+        For the Borel subgroup these are the elements of W, the same tuple.
+        """
+        if not parabolic.delta_p:
+            return self.elements(cap=cap)
+
+        def neighbors(m):
+            return (
+                self.coset_min(self.multiply(self._simple[j], m), parabolic)
+                for j in range(self.system.rank)
             )
-        return self.memo[key]
 
-    @staticmethod
-    def _bfs(start, neighbors, cap) -> list:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for y in neighbors(x):
-                    if y not in seen:
-                        seen.add(y)
-                        if len(seen) > cap:
-                            raise ResourceError(f"enumeration exceeded the cap of {cap}")
-                        fresh.append(y)
-            frontier = fresh
-        return list(seen)
+        return self._enumerated(("cosets", parabolic.delta_p), neighbors, cap)
+
+    def _enumerated(self, key, neighbors, cap) -> tuple:
+        """The closure of the identity under neighbors, by BFS, sorted by (length, word).
+
+        Memoised under a key without the cap: only a complete enumeration is
+        stored, and the cap is checked against its size on every call.
+        """
+        if key not in self.memo:
+            seen = {self.identity}
+            frontier = [self.identity]
+            while frontier:
+                fresh = []
+                for x in frontier:
+                    for y in neighbors(x):
+                        if y not in seen:
+                            seen.add(y)
+                            if len(seen) > cap:
+                                raise ResourceError(f"enumeration exceeded the cap of {cap}")
+                            fresh.append(y)
+                frontier = fresh
+            self.memo[key] = tuple(
+                sorted(seen, key=lambda w: (self.length(w), self.reduced_word(w)))
+            )
+        out = self.memo[key]
+        if len(out) > cap:
+            raise ResourceError(f"enumeration exceeded the cap of {cap}")
+        return out
 
 
 def weyl_group(type_letter: str, rank: int) -> WeylGroup:

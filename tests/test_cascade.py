@@ -1,5 +1,7 @@
 """Kostant cascades, chain cascades, d_X formulas, and the type-A reduction."""
 
+import importlib
+
 import pytest
 
 from qdeg.cascade import (
@@ -17,7 +19,7 @@ from qdeg.cascade import (
     w_o_of,
 )
 from qdeg.degreelattice import Degree, greedy_decomposition
-from qdeg.errors import DomainError
+from qdeg.errors import DomainError, InvariantViolationError
 from qdeg.rootsystem import build_root_system
 from qdeg.weylgroup import Parabolic, weyl_group
 
@@ -140,6 +142,19 @@ def test_d_x():
     a3 = build_root_system("A", 3)
     p = Parabolic.from_indices(3, {0, 2})
     assert d_x(a3, p).coeffs == (2,)
+
+
+def test_d_x_is_computed_once_per_parabolic():
+    b3 = build_root_system("B", 3)
+    for p in all_parabolics(3):
+        assert d_x(b3, p) is d_x(b3, Parabolic(3, p.delta_p))
+
+
+def test_d_x_formulas_still_compared_on_first_call(monkeypatch):
+    module = importlib.import_module("qdeg.cascade")  # qdeg.cascade is also a function
+    monkeypatch.setattr(module, "d_gpbeta", lambda system, beta: d_gpbeta(system, beta) + 1)
+    with pytest.raises(InvariantViolationError):
+        d_x(build_root_system("G", 2), Parabolic.from_indices(2, set()))
 
 
 def test_alpha_beta_phi():

@@ -1,9 +1,9 @@
 """Degrees, c_1, greedy decompositions, supports, restriction and induction."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from qdeg.cascade import vec_add
+from qdeg.cascade import d_x, vec_add
 from qdeg.degreelattice import (
     Degree,
     all_greedy_decompositions,
@@ -27,18 +27,46 @@ from qdeg.weylgroup import Parabolic
 
 from conftest import all_parabolics
 
+E_SYSTEMS = {rank: build_root_system("E", rank) for rank in (6, 7, 8)}
+
+
+def coroot_degree(system, parabolic, a):
+    """d(alpha) straight from the coroot, bypassing the per-parabolic table."""
+    cov = system.coroot(a)
+    return tuple(cov[i] for i in parabolic.free)
+
 
 def brute_maximal_roots(system, parabolic, d):
+    """The quadratic root_leq filter that maximal_roots replaced (test oracle)."""
     inside = [
         a
         for a in system.positive_roots
-        if not in_r_p(system, parabolic, a) and d_of_root(system, parabolic, a).leq(d)
+        if not in_r_p(system, parabolic, a)
+        and all(x <= y for x, y in zip(coroot_degree(system, parabolic, a), d.coeffs))
     ]
     out = []
     for a in inside:
         if not any(b != a and system.root_leq(a, b) for b in inside):
             out.append(a)
     return tuple(sorted(out))
+
+
+def brute_greedy(system, parabolic, d):
+    """Greedy decomposition stepping through max(brute_maximal_roots) (test oracle)."""
+    out = []
+    while not d.is_zero():
+        alpha = max(brute_maximal_roots(system, parabolic, d))
+        out.append(alpha)
+        d = Degree(
+            parabolic,
+            tuple(x - y for x, y in zip(d.coeffs, coroot_degree(system, parabolic, alpha))),
+        )
+    return tuple(out)
+
+
+def check_against_oracles(system, parabolic, d):
+    assert maximal_roots(system, parabolic, d) == brute_maximal_roots(system, parabolic, d)
+    assert greedy_decomposition(system, parabolic, d) == brute_greedy(system, parabolic, d)
 
 
 def test_d_of_root():
@@ -50,6 +78,48 @@ def test_d_of_root():
     for a in g2.positive_roots:
         assert d_of_root(g2, b, a).coeffs == g2.coroot(a)
         assert d_of_root(g2, p2, a).is_zero() == in_r_p(g2, p2, a)
+
+
+@pytest.mark.parametrize(
+    "letter,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
+)
+def test_degree_layer_matches_the_oracles_on_the_dx_box(letter, rank):
+    system = build_root_system(letter, rank)
+    for p in all_parabolics(rank):
+        for a in system.positive_roots:
+            assert d_of_root(system, p, a).coeffs == coroot_degree(system, p, a)
+        for d in degree_box(p, d_x(system, p), 1):
+            check_against_oracles(system, p, d)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_degree_layer_matches_the_oracles_on_e_types(data):
+    system = E_SYSTEMS[data.draw(st.sampled_from(sorted(E_SYSTEMS)))]
+    rank = system.rank
+    p = Parabolic.from_indices(rank, data.draw(st.sets(st.integers(0, rank - 1))))
+    corner = d_x(system, p).coeffs
+    d = Degree(p, tuple(data.draw(st.integers(0, c + 1)) for c in corner))
+    check_against_oracles(system, p, d)
+
+
+def test_d_of_root_rejects_everything_but_positive_roots():
+    b3 = build_root_system("B", 3)
+    for p in all_parabolics(3):
+        for bad in [tuple(-c for c in b3.highest_root), (1, 0, 1), (0, 0, 0)]:
+            with pytest.raises(DomainError):
+                d_of_root(b3, p, bad)
+
+
+def test_degree_table_is_built_once_on_first_use():
+    g2 = build_root_system("G", 2)
+    b = Parabolic.from_indices(2, set())
+    assert ("degrees", b.delta_p) not in g2.cache
+    theta = d_of_root(g2, b, g2.highest_root)
+    assert ("degrees", b.delta_p) in g2.cache
+    assert d_of_root(g2, Parabolic.from_indices(2, set()), g2.highest_root) is theta
+    with pytest.raises(DomainError):
+        maximal_roots(g2, b, Degree.zero(Parabolic.from_indices(2, {0})))
 
 
 def test_c1():

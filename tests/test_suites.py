@@ -1,12 +1,13 @@
 """The named verification suites on small systems, plus their error paths."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
 
 from qdeg.distance import suite_names, verify_suite
-from qdeg.distance.suites import _suite_delta2, _suite_main
+from qdeg.distance.suites import _suite_delta2, _suite_delta2_props, _suite_final_cor, _suite_main
 from qdeg.errors import ConfigurationError
 from qdeg.rootsystem import build_root_system
 from qdeg.weylgroup import Parabolic, WeylGroup
@@ -76,6 +77,23 @@ def test_delta2_counts_an_empty_front_as_a_failure():
     assert not check.passed
     assert check.counterexample.endswith("empty front")
     assert check.checked == 144
+
+
+def test_pair_properties_count_an_empty_front_as_a_failure():
+    """No claim over the pair fronts may pass on the unreachable pairs of pad -1."""
+    group = WeylGroup(build_root_system("G", 2))
+    borel = Parabolic(2, frozenset())
+    # delta2-props raises further on, at the unstable delta_w box; take its pair claims
+    props = {c.name: c for c in itertools.islice(_suite_delta2_props(group, borel, -1), 5)}
+    final = {c.name: c for c in _suite_final_cor(group, borel, -1)}
+    for check in (
+        props["symmetry"],
+        props["pair-monotone"],
+        props["chain-endpoint-transfer"],
+        final["interval-identity-pairs"],
+    ):
+        assert not check.passed
+        assert check.counterexample.endswith("empty front")
 
 
 def test_unknown_suite_name():

@@ -255,3 +255,33 @@ def test_element_support_definitions_agree():
                 j for j in range(rank) if group.bruhat_leq(group.simple_reflection(j), w)
             )
             assert from_word == from_bruhat
+
+
+def test_enumeration_memo_is_keyed_without_the_cap():
+    from qdeg.distance import verify_suite
+
+    borel = Parabolic(3, frozenset())
+    group = weyl_group("B", 3)
+    verify_suite("main", "B", 3, borel)
+    verify_suite("delta-props", "B", 3, borel)
+    w = group.elements()
+    assert len(w) == 48
+    assert [k for k, v in group.memo.items() if v == w] == [("elements", frozenset({0, 1, 2}))]
+    assert group.cosets(borel) is w
+    assert group.elements(cap=48) is w
+    with pytest.raises(ResourceError):
+        group.elements(cap=47)
+    with pytest.raises(ResourceError):
+        group.cosets(borel, cap=47)
+
+
+def test_a_capped_enumeration_is_never_stored():
+    group = WeylGroup(build_root_system("B", 3))
+    p = Parabolic(3, frozenset({0}))
+    with pytest.raises(ResourceError):
+        group.elements(cap=47)
+    with pytest.raises(ResourceError):
+        group.cosets(p, cap=23)
+    assert not group.memo
+    assert len(group.cosets(p, cap=24)) == 24
+    assert len(group.elements(cap=48)) == 48
