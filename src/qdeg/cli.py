@@ -15,8 +15,15 @@ from multiprocessing import Pool
 from .cascade import cascade as _cascade_of, d_x as _d_x, delta_circ as _delta_circ
 from .curveneighborhood import z
 from .degreelattice import Degree, greedy_decomposition
-from .distance import delta_uv, delta_w, exceptional_roots, verify_suite
-from .errors import ConfigurationError, DomainError, QdegError, ResourceError
+from .distance import CheckResult, SuiteReport, delta_uv, delta_w, exceptional_roots, verify_suite
+from .errors import (
+    ConfigurationError,
+    DomainError,
+    InvariantViolationError,
+    QdegError,
+    ResourceError,
+    VerificationError,
+)
 from .rootsystem import RootSystem, build_root_system
 from .weylgroup import Parabolic, WeylGroup, weyl_group
 
@@ -275,9 +282,18 @@ def _cmd_exceptional(args) -> int:
 
 
 def _run_one_suite(task) -> dict:
+    """One suite report; a failed verification is a failed report, not a lost run."""
     name, letter, rank, delta_p, pad, mode = task
-    parabolic = Parabolic.from_indices(build_root_system(letter, rank).rank, delta_p)
-    report = verify_suite(name, letter, rank, parabolic, pad=pad, mode=mode)
+    system = build_root_system(letter, rank)
+    parabolic = Parabolic.from_indices(system.rank, delta_p)
+    try:
+        report = verify_suite(name, letter, rank, parabolic, pad=pad, mode=mode)
+    except (VerificationError, InvariantViolationError) as exc:
+        check = CheckResult("exception", False, 1, f"{type(exc).__name__}: {exc}")
+        parabolic_json = tuple(encode_parabolic(parabolic))
+        report = SuiteReport(
+            name, system.type_letter, system.rank, parabolic_json, False, (check,)
+        )
     return report.to_json()
 
 

@@ -5,12 +5,23 @@ Pareto-minimal degrees.  delta_uv runs a multi-objective label-correcting
 search on the adjacency graph of W/W_P with edge weights d(alpha) and
 collects minimal chain degrees.  Their agreement (for v = w_o) is itself a
 theorem and the central cross-check of this package.
+
+Inside the chain search a degree label is one Python int (``PackedLabels``).
+Each coefficient has a bit field wide enough for cap + the largest edge
+weight, with a guard bit above it; coefficient 0 sits in the highest field,
+so int order is lexicographic order on coefficient tuples.  Adding degrees is
+one ``+``, ``a <= b`` coefficientwise is ``((b | G) - a) & G == G`` for the
+guard mask G (a field's guard survives the subtraction iff it borrows
+nothing), and the cap test is the same check against the packed cap.  Int
+order is a linear extension of <=, so a Pareto filter is ``sorted()`` and one
+sweep.  A codec is built once per (parabolic, cap) and kept in
+``group.memo``; ``Degree`` is created only for the labels that survive.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from ..cascade import d_x
 from ..curveneighborhood import z
@@ -22,7 +33,7 @@ from ..degreelattice import (
     minimal_elements,
     outside_roots,
 )
-from ..errors import InvariantViolationError, VerificationError
+from ..errors import DomainError, InvariantViolationError, VerificationError
 from ..weylgroup import Parabolic, Weyl, WeylGroup
 
 
@@ -152,41 +163,116 @@ def coset_order(group: WeylGroup, parabolic: Parabolic) -> tuple:
     return up
 
 
+@dataclass(frozen=True)
+class PackedLabels:
+    """Degree labels as ints for one (parabolic, cap): the codec of the chain search."""
+
+    size: int  # number of coefficients, len(parabolic.free)
+    width: int  # bits per field, the guard bit included
+    guard: int  # the guard bit of every field
+    cap: int  # the packed cap
+    edges: tuple  # per vertex: tuple of (target index, packed weight, root)
+    tuples: dict = field(default_factory=dict, compare=False)  # unpack memo
+
+    @classmethod
+    def build(cls, cap: tuple, edges: tuple) -> "PackedLabels":
+        """The codec for labels <= cap on a graph with these (target, coeffs, root) edges."""
+        heaviest = max((c for out in edges for _, w, _ in out for c in w), default=0)
+        width = (max(cap, default=0) + heaviest).bit_length() + 1
+        guard = sum(1 << (width * i + width - 1) for i in range(len(cap)))
+        labels = cls(len(cap), width, guard, 0, ())
+        return replace(
+            labels,
+            cap=labels.pack(cap),
+            edges=tuple(
+                tuple((j, labels.pack(w), alpha) for j, w, alpha in out) for out in edges
+            ),
+        )
+
+    def pack(self, coeffs) -> int:
+        top = (1 << (self.width - 1)) - 1
+        if len(coeffs) != self.size or not all(0 <= c <= top for c in coeffs):
+            raise DomainError(f"{tuple(coeffs)} does not fit the label fields")
+        out = 0
+        for c in coeffs:
+            out = (out << self.width) | c
+        return out
+
+    def unpack(self, label: int) -> tuple:
+        out = self.tuples.get(label)
+        if out is None:
+            top = (1 << (self.width - 1)) - 1
+            out = self.tuples[label] = tuple(
+                (label >> (self.width * i)) & top for i in reversed(range(self.size))
+            )
+        return out
+
+    def minimal(self, labels) -> list:
+        """The Pareto-minimal labels, ascending (lex order on their coefficients)."""
+        guard = self.guard
+        kept: list[int] = []
+        for t in sorted(set(labels)):
+            high = t | guard
+            for k in kept:
+                if (high - k) & guard == guard:
+                    break
+            else:
+                kept.append(t)
+        return kept
+
+
+def _labels(group: WeylGroup, parabolic: Parabolic, cap: tuple) -> PackedLabels:
+    key = ("labels", parabolic.delta_p, cap)
+    if key not in group.memo:
+        group.memo[key] = PackedLabels.build(cap, adjacency_graph(group, parabolic).edges)
+    return group.memo[key]
+
+
 @dataclass
 class _SearchResult:
-    fronts: list  # per vertex: set of degree coefficient tuples (an antichain)
-    parents: dict  # (vertex, coeffs) -> (prev vertex, prev coeffs, root) or None
+    labels: PackedLabels
+    fronts: list  # per vertex: set of packed labels (an antichain)
+    parents: dict  # (vertex, label) -> (prev vertex, prev label, root) or None
     cap_hit: bool = False
 
 
-def _pareto_search(graph: AdjacencyGraph, seeds, cap) -> _SearchResult:
-    """Label-correcting search; labels per vertex form antichains under <=."""
-    n = len(graph.cosets)
-    fronts: list[set] = [set() for _ in range(n)]
+def _pareto_search(labels: PackedLabels, seeds) -> _SearchResult:
+    """Label-correcting search in FIFO order; labels per vertex form antichains under <=."""
+    edges = labels.edges
+    guard = labels.guard
+    cap = labels.cap | guard
+    fronts: list[set] = [set() for _ in edges]
     parents: dict = {}
-    result = _SearchResult(fronts, parents)
-    zero = (0,) * len(cap)
+    result = _SearchResult(labels, fronts, parents)
     queue = deque()
     for s in seeds:
-        fronts[s].add(zero)
-        parents[(s, zero)] = None
-        queue.append((s, zero))
+        fronts[s].add(0)
+        parents[(s, 0)] = None
+        queue.append((s, 0))
     while queue:
         v, deg = queue.popleft()
         if deg not in fronts[v]:
             continue  # dominated since it was queued
-        for j, weight, alpha in graph.edges[v]:
-            cand = tuple(x + y for x, y in zip(deg, weight))
-            if any(c > t for c, t in zip(cand, cap)):
+        for j, weight, alpha in edges[v]:
+            cand = deg + weight
+            if (cap - cand) & guard != guard:
                 result.cap_hit = True
                 continue
             front = fronts[j]
-            if cand in front or any(coeffs_leq(old, cand) for old in front):
+            if cand in front:
                 continue
-            front.difference_update([old for old in front if coeffs_leq(cand, old)])
-            front.add(cand)
-            parents.setdefault((j, cand), (v, deg, alpha))
-            queue.append((j, cand))
+            high = cand | guard
+            dominated = []
+            for old in front:
+                if (high - old) & guard == guard:
+                    break  # old <= cand
+                if ((old | guard) - cand) & guard == guard:
+                    dominated.append(old)
+            else:
+                front.difference_update(dominated)
+                front.add(cand)
+                parents.setdefault((j, cand), (v, deg, alpha))
+                queue.append((j, cand))
     return result
 
 
@@ -194,13 +280,18 @@ def _search(group: WeylGroup, parabolic: Parabolic, source: int, mode: str, pad:
     key = ("search", parabolic.delta_p, source, mode, pad)
     if key in group.memo:
         return group.memo[key]
-    graph = adjacency_graph(group, parabolic)
     corner = d_x(group.system, parabolic)
-    cap = tuple(c + pad for c in corner.coeffs)
+    labels = _labels(group, parabolic, tuple(c + pad for c in corner.coeffs))
     seeds = coset_order(group, parabolic)[source] if mode == "up" else (source,)
-    result = _pareto_search(graph, seeds, cap)
+    result = _pareto_search(labels, seeds)
     group.memo[key] = result
     return result
+
+
+def _front(parabolic: Parabolic, result: _SearchResult, packed) -> DegreeFront:
+    labels = result.labels
+    degrees = tuple(Degree(parabolic, labels.unpack(t)) for t in labels.minimal(packed))
+    return DegreeFront(degrees, "chain", result.cap_hit)
 
 
 def delta_uv(group: WeylGroup, parabolic: Parabolic, u: Weyl, v: Weyl, pad: int = 2) -> DegreeFront:
@@ -211,10 +302,7 @@ def delta_uv(group: WeylGroup, parabolic: Parabolic, u: Weyl, v: Weyl, pad: int 
     up = coset_order(group, parabolic)
     terminals = [y for y in range(len(graph.cosets)) if vstar in up[y]]
     result = _search(group, parabolic, ui, "up", pad)
-    candidates = [
-        Degree(parabolic, coeffs) for y in terminals for coeffs in result.fronts[y]
-    ]
-    return DegreeFront(minimal_elements(candidates), "chain", result.cap_hit)
+    return _front(parabolic, result, (t for y in terminals for t in result.fronts[y]))
 
 
 def chain_front_exact(group: WeylGroup, parabolic: Parabolic, x: Weyl, y: Weyl, pad: int = 2) -> DegreeFront:
@@ -223,19 +311,18 @@ def chain_front_exact(group: WeylGroup, parabolic: Parabolic, x: Weyl, y: Weyl, 
     xi = graph.index[group.coset_min(x, parabolic)]
     yi = graph.index[group.coset_min(y, parabolic)]
     result = _search(group, parabolic, xi, "exact", pad)
-    front = minimal_elements(Degree(parabolic, c) for c in result.fronts[yi])
-    return DegreeFront(front, "chain", result.cap_hit)
+    return _front(parabolic, result, result.fronts[yi])
 
 
-def _backtrack(graph: AdjacencyGraph, result: _SearchResult, vertex: int, coeffs) -> tuple:
+def _backtrack(graph: AdjacencyGraph, result: _SearchResult, vertex: int, label: int) -> tuple:
     cosets = [graph.cosets[vertex]]
     roots = []
-    state = (vertex, coeffs)
+    state = (vertex, label)
     while result.parents[state] is not None:
-        prev_vertex, prev_coeffs, alpha = result.parents[state]
+        prev_vertex, prev_label, alpha = result.parents[state]
         cosets.append(graph.cosets[prev_vertex])
         roots.append(alpha)
-        state = (prev_vertex, prev_coeffs)
+        state = (prev_vertex, prev_label)
     return tuple(reversed(cosets)), tuple(reversed(roots))
 
 
@@ -251,17 +338,21 @@ def chain_witness(
     """A chain realizing the front degree d from uW_P to vW_P.
 
     With exact=True the chain starts at uW_P itself and ends at the coset of
-    v* itself, rather than anywhere above / below.
+    v* itself, rather than anywhere above / below.  A degree above the search
+    cap has no chain: it is never packed, so it cannot alias a stored label.
     """
     graph = adjacency_graph(group, parabolic)
     ui = graph.index[group.coset_min(u, parabolic)]
     vstar = graph.index[group.coset_min(group.dual(v), parabolic)]
     up = coset_order(group, parabolic)
     result = _search(group, parabolic, ui, "exact" if exact else "up", pad)
+    labels = result.labels
+    fits = d.parabolic == parabolic and coeffs_leq(d.coeffs, labels.unpack(labels.cap))
+    label = labels.pack(d.coeffs) if fits else None  # None is in no front
     terminals = [vstar] if exact else [y for y in range(len(graph.cosets)) if vstar in up[y]]
     for y in terminals:
-        if d.coeffs in result.fronts[y]:
-            cosets, roots = _backtrack(graph, result, y, d.coeffs)
+        if label in result.fronts[y]:
+            cosets, roots = _backtrack(graph, result, y, label)
             total = Degree.zero(parabolic)
             for alpha in roots:
                 total = total + d_of_root(group.system, parabolic, alpha)

@@ -49,6 +49,7 @@ from .core import (
     coset_order,
     delta_w,
     delta_uv,
+    PackedLabels,
     _search,
 )
 
@@ -122,13 +123,9 @@ def _group_at_most(group: WeylGroup, n: int) -> bool:
         return False
 
 
-def _min_tuples(tuples) -> tuple:
-    ordered = sorted(set(tuples), key=lambda t: (sum(t), t))
-    kept: list[tuple] = []
-    for t in ordered:
-        if not any(coeffs_leq(k, t) for k in kept):
-            kept.append(t)
-    return tuple(sorted(kept))
+def _min_tuples(labels: PackedLabels, packed) -> tuple:
+    """The Pareto-minimal packed labels, unpacked into sorted coefficient tuples."""
+    return tuple(map(labels.unpack, labels.minimal(packed)))
 
 
 def _pairs_table(group: WeylGroup, parabolic: Parabolic, pad: int) -> dict:
@@ -142,10 +139,11 @@ def _pairs_table(group: WeylGroup, parabolic: Parabolic, pad: int) -> dict:
     below = [[y for y in range(n) if t in up[y]] for t in range(n)]
     table: dict = {}
     for i in range(n):
-        fronts = _search(group, parabolic, i, "up", pad).fronts
+        result = _search(group, parabolic, i, "up", pad)
+        fronts = result.fronts
         for j in range(n):
             cands = [c for y in below[dual_index[j]] for c in fronts[y]]
-            table[(i, j)] = _min_tuples(cands)
+            table[(i, j)] = _min_tuples(result.labels, cands)
     group.memo[key] = table
     return table
 

@@ -15,6 +15,7 @@ reduced word, read off a descent walk that lowers the length by one per step.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul, neg
@@ -321,7 +322,10 @@ class WeylGroup:
         subset = frozenset(range(self.system.rank)) if parabolic is None else parabolic.delta_p
         gens = [self._simple[j] for j in sorted(subset)]
         return self._enumerated(
-            ("elements", subset), lambda w: (self.multiply(w, s) for s in gens), cap
+            ("elements", subset),
+            lambda w: (self.multiply(w, s) for s in gens),
+            cap,
+            lambda: self.order(subset),
         )
 
     def cosets(self, parabolic: Parabolic, cap: int = ENUMERATION_CAP) -> tuple:
@@ -338,15 +342,41 @@ class WeylGroup:
                 for j in range(self.system.rank)
             )
 
-        return self._enumerated(("cosets", parabolic.delta_p), neighbors, cap)
+        return self._enumerated(
+            ("cosets", parabolic.delta_p),
+            neighbors,
+            cap,
+            lambda: self.order() // self.order(parabolic.delta_p),
+        )
 
-    def _enumerated(self, key, neighbors, cap) -> tuple:
+    def order(self, subset: Iterable | None = None) -> int:
+        """|W_J| for the simple roots J (all of Delta by default), in closed form.
+
+        |W_J| is the product of (e + 1) over the exponents e of R_J, and
+        n_k - n_{k+1} exponents equal k, where n_k counts the positive roots
+        of R_J of height k.
+        """
+        subset = frozenset(range(self.system.rank)) if subset is None else frozenset(subset)
+        heights = Counter(
+            sum(a) for a in self.system.positive_roots if self.system.support(a) <= subset
+        )
+        out = 1
+        for k, n in heights.items():
+            out *= (k + 1) ** (n - heights[k + 1])
+        return out
+
+    def _enumerated(self, key, neighbors, cap, size) -> tuple:
         """The closure of the identity under neighbors, by BFS, sorted by (length, word).
 
         Memoised under a key without the cap: only a complete enumeration is
-        stored, and the cap is checked against its size on every call.
+        stored, and the cap is checked against its size on every call.  On a
+        miss, the closed-form size() is checked against the cap before the
+        BFS allocates anything, and against the BFS count after it.
         """
         if key not in self.memo:
+            expected = size()
+            if expected > cap:
+                raise ResourceError(f"enumeration of {expected} exceeded the cap of {cap}")
             seen = {self.identity}
             frontier = [self.identity]
             while frontier:
@@ -355,10 +385,12 @@ class WeylGroup:
                     for y in neighbors(x):
                         if y not in seen:
                             seen.add(y)
-                            if len(seen) > cap:
-                                raise ResourceError(f"enumeration exceeded the cap of {cap}")
                             fresh.append(y)
                 frontier = fresh
+            if len(seen) != expected:
+                raise InvariantViolationError(
+                    f"enumerated {len(seen)} elements, the closed form gives {expected}"
+                )
             self.memo[key] = tuple(
                 sorted(seen, key=lambda w: (self.length(w), self.reduced_word(w)))
             )

@@ -142,3 +142,50 @@ def test_exceptional_verb():
     doc = json.loads(out)
     assert [r["root"] for r in doc["exceptional"]] == [[1, 2, 2, 2], [1, 2, 4, 2]]
     assert doc["delta_minus_circ"] == [1]
+
+
+def _suite_failing_on_p1(exc_type):
+    from qdeg.distance import suites
+
+    def suite(group, parabolic, pad):
+        if parabolic.delta_p == {0}:
+            raise exc_type("planted at P1")
+        return (suites.CheckResult("fine", True, 1),)
+
+    return suite
+
+
+def test_a_verification_error_in_one_report_keeps_the_others(monkeypatch):
+    from qdeg.distance import suites
+    from qdeg.errors import InvariantViolationError, VerificationError
+
+    argv = ["verify", "--suite", "planted", "--type", "A", "--rank", "2", "--parabolic", "all"]
+    for exc_type in (VerificationError, InvariantViolationError):
+        monkeypatch.setitem(suites._SUITES, "planted", _suite_failing_on_p1(exc_type))
+        code, out = run_capture(argv + ["--json"])
+        assert code == 1
+        reports = json.loads(out)["reports"]
+        assert [r["parabolic"] for r in reports] == [[], [1], [1, 2], [2]]
+        assert [r["passed"] for r in reports] == [True, False, True, True]
+        failed = reports[1]
+        assert failed["suite"] == "planted" and failed["system"] == {"type": "A", "rank": 2}
+        assert failed["checks"] == [
+            {
+                "name": "exception",
+                "passed": False,
+                "checked": 1,
+                "counterexample": f"{exc_type.__name__}: planted at P1",
+            }
+        ]
+        assert run_capture(argv + ["--json", "--jobs", "2"]) == (code, out)
+
+
+def test_configuration_resource_and_domain_errors_still_exit_two(monkeypatch):
+    from qdeg.distance import suites
+    from qdeg.errors import ConfigurationError, DomainError, ResourceError
+
+    argv = ["verify", "--suite", "planted", "--type", "A", "--rank", "2", "--parabolic", "all"]
+    for exc_type in (ConfigurationError, ResourceError, DomainError):
+        monkeypatch.setitem(suites._SUITES, "planted", _suite_failing_on_p1(exc_type))
+        assert run_capture(argv) == (2, "")
+        assert run_capture(argv + ["--jobs", "2"]) == (2, "")

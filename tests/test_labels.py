@@ -1,0 +1,145 @@
+"""Packed degree labels: the codec, and the chain search against its tuple form."""
+
+from collections import deque
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qdeg.cascade import d_x
+from qdeg.degreelattice import Degree, coeffs_leq
+from qdeg.distance import adjacency_graph, chain_witness, coset_order, delta_uv
+from qdeg.distance.core import PackedLabels, _search
+from qdeg.errors import DomainError, VerificationError
+from qdeg.weylgroup import Parabolic, weyl_group
+
+from conftest import all_parabolics
+
+
+def tuple_pareto_search(graph, seeds, cap):
+    """The chain search on coefficient tuples, as it was before labels were packed."""
+    n = len(graph.cosets)
+    fronts = [set() for _ in range(n)]
+    parents = {}
+    cap_hit = False
+    zero = (0,) * len(cap)
+    queue = deque()
+    for s in seeds:
+        fronts[s].add(zero)
+        parents[(s, zero)] = None
+        queue.append((s, zero))
+    while queue:
+        v, deg = queue.popleft()
+        if deg not in fronts[v]:
+            continue
+        for j, weight, alpha in graph.edges[v]:
+            cand = tuple(x + y for x, y in zip(deg, weight))
+            if any(c > t for c, t in zip(cand, cap)):
+                cap_hit = True
+                continue
+            front = fronts[j]
+            if cand in front or any(coeffs_leq(old, cand) for old in front):
+                continue
+            front.difference_update([old for old in front if coeffs_leq(cand, old)])
+            front.add(cand)
+            parents.setdefault((j, cand), (v, deg, alpha))
+            queue.append((j, cand))
+    return fronts, parents, cap_hit
+
+
+def brute_minimal(tuples):
+    return sorted(t for t in set(tuples) if not any(o != t and coeffs_leq(o, t) for o in tuples))
+
+
+@st.composite
+def codecs(draw):
+    """A codec for a random cap and heaviest edge weight, 0 to 4 coefficients."""
+    size = draw(st.integers(0, 4))
+    cap = tuple(draw(st.lists(st.integers(0, 40), min_size=size, max_size=size)))
+    weight = tuple(draw(st.lists(st.integers(0, 9), min_size=size, max_size=size)))
+    return PackedLabels.build(cap, (((0, weight, None),),)), cap, weight
+
+
+def coefficients(labels, bound=None):
+    """Coefficient tuples for the codec; the field's top value is drawn often."""
+    top = (1 << (labels.width - 1)) - 1
+    tops = [top] * labels.size if bound is None else list(bound)
+    return st.tuples(*(st.one_of(st.just(t), st.just(0), st.integers(0, t)) for t in tops))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_codec_matches_tuple_arithmetic(data):
+    labels, cap, weight = data.draw(codecs())
+    assert labels.width > (max(cap + weight, default=0)).bit_length()
+    a = data.draw(coefficients(labels))
+    b = data.draw(coefficients(labels))
+    pa, pb = labels.pack(a), labels.pack(b)
+    assert labels.unpack(pa) == a and labels.unpack(pb) == b
+    assert (pa < pb) == (a < b)  # int order is lex order
+    # the filter keeps the lower of two labels exactly when <= holds
+    assert (labels.minimal([pa, pb]) == [pa]) == coeffs_leq(a, b)
+    # a label under the cap plus an edge weight stays inside its fields
+    x = data.draw(coefficients(labels, cap))
+    w = data.draw(coefficients(labels, weight))
+    total = tuple(s + t for s, t in zip(x, w))
+    assert labels.pack(x) + labels.pack(w) == labels.pack(total)
+    assert labels.unpack(labels.pack(x) + labels.pack(w)) == total
+    assert (labels.minimal([labels.pack(total), labels.cap]) == [labels.pack(total)]) == (
+        coeffs_leq(total, cap)
+    )
+    some = data.draw(st.lists(coefficients(labels), max_size=8))
+    assert [labels.unpack(t) for t in labels.minimal(map(labels.pack, some))] == brute_minimal(some)
+
+
+def test_codec_rejects_what_does_not_fit():
+    labels = PackedLabels.build((3, 1), (((0, (1, 2), None),),))
+    top = (1 << (labels.width - 1)) - 1
+    assert labels.unpack(labels.pack((top, top))) == (top, top)
+    for bad in [(top + 1, 0), (0, -1), (1,), (1, 2, 3)]:
+        with pytest.raises(DomainError):
+            labels.pack(bad)
+    empty = PackedLabels.build((), ((),))
+    assert (empty.pack(()), empty.unpack(0), empty.guard, empty.minimal([0, 0])) == (0, (), 0, [0])
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("G", 2), ("C", 3)])
+def test_packed_search_matches_the_tuple_search(letter, rank):
+    """Same fronts, same parents (so the same witnesses) and same cap hits."""
+    group = weyl_group(letter, rank)
+    for p in all_parabolics(rank):
+        graph = adjacency_graph(group, p)
+        up = coset_order(group, p)
+        for pad in (0, 2, 5):
+            cap = tuple(c + pad for c in d_x(group.system, p).coeffs)
+            for source in range(len(graph.cosets)):
+                for mode, seeds in (("up", up[source]), ("exact", (source,))):
+                    result = _search(group, p, source, mode, pad)
+                    unpack = result.labels.unpack
+                    fronts, parents, cap_hit = tuple_pareto_search(graph, seeds, cap)
+                    assert [{unpack(t) for t in f} for f in result.fronts] == fronts
+                    packed_parents = {
+                        (v, unpack(t)): parent and (parent[0], unpack(parent[1]), parent[2])
+                        for (v, t), parent in result.parents.items()
+                    }
+                    assert packed_parents == parents
+                    assert result.cap_hit == cap_hit
+
+
+def test_a_degree_above_the_cap_has_no_chain_and_aliases_nothing():
+    group = weyl_group("B", 3)
+    p = Parabolic(3, frozenset())
+    w_o = group.w_o
+    (d,) = delta_uv(group, p, w_o, w_o).degrees
+    assert d.coeffs[0] > 0
+    assert chain_witness(group, p, w_o, w_o, d).total == d
+    labels = _search(group, p, 0, "up", 2).labels
+    # borrow one from the first field into the next: the same int under a
+    # pack that let a coefficient overflow its field
+    alias = (d.coeffs[0] - 1, d.coeffs[1] + (1 << labels.width), *d.coeffs[2:])
+    overflowed = sum(c << (labels.width * (labels.size - 1 - k)) for k, c in enumerate(alias))
+    assert overflowed == labels.pack(d.coeffs)
+    with pytest.raises(VerificationError):
+        chain_witness(group, p, w_o, w_o, Degree(p, alias))
+    over = Degree(p, tuple(c + 3 for c in d_x(group.system, p).coeffs))
+    with pytest.raises(VerificationError):
+        chain_witness(group, p, w_o, w_o, over)

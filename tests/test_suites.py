@@ -158,6 +158,18 @@ GOLDEN_DIGESTS = {
         "b78b7cf4ad42f5be16bd50df8380569fb00917817ec2a5979a0c9e439da530c3",
         "57a677b0a02da945bcbae6cf4b537cedafc926d8f404043fd149754b2b2cbb41",
     ),
+    # about 4 s; its chain-endpoint-transfer items follow the search's witness
+    # parents, so a change of the search's queue order changes these
+    ("delta2-props", "B", 3): (
+        "b708454bd3e9d8e57ed1580ae3758e21fca1764b58e4f1367dcd145b20fcdc01",
+        "5c1fe7919ea607b07c5bdc293283deaf8654ddc1f1667581cb29343c29d3ba04",
+        "ec57b19b61c59db9000d36894f602144f45c4db1102c2a14104de2e500fe3aec",
+        "0a94755d46a95bc1a5e62048912408a0c50265f4b68dfc823fdb826b728666ab",
+        "11058a01193a52655ccd0fb7d3f6e711ef5f46f5004a4129c84a7aabcf7b43a2",
+        "a9616765fd53858c13da9d2090d38ed5dc761b393d2ba30671d231211b8ef233",
+        "0c0995b9af6b4300fd86c9b32d0dce613ac3b0102023c21cc5e8f5df289400b5",
+        "f2f2c2762291a53e73b6016ae640554c57db5e1aad69fe32b457bf3afbd88733",
+    ),
     ("description", "B", 2): (
         "f8fa0763fb6b067ceb74df94d38df2fa30768c97cfadbc0b0c30dd84d32489da",
         "0bff2ee0312ce13feb83cbe57b56794cc498ef20d6651d8687ced00e5de5d62c",

@@ -285,3 +285,32 @@ def test_a_capped_enumeration_is_never_stored():
     assert not group.memo
     assert len(group.cosets(p, cap=24)) == 24
     assert len(group.elements(cap=48)) == 48
+
+
+@pytest.mark.parametrize(
+    "letter,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
+)
+def test_closed_form_order_matches_the_enumerations(letter, rank):
+    from conftest import all_parabolics
+
+    group = weyl_group(letter, rank)
+    assert group.order() == len(group.elements())
+    for p in all_parabolics(rank):
+        assert group.order(p.delta_p) == len(group.elements(p))
+        assert group.order() // group.order(p.delta_p) == len(group.cosets(p))
+
+
+def test_an_over_cap_enumeration_raises_before_any_bfs(monkeypatch):
+    group = WeylGroup(build_root_system("E", 8))
+    assert group.order() == 696729600
+
+    def no_products(*args):
+        raise AssertionError("the enumeration started")
+
+    monkeypatch.setattr(group, "multiply", no_products)
+    monkeypatch.setattr(group, "coset_min", no_products)
+    with pytest.raises(ResourceError):
+        group.elements()
+    with pytest.raises(ResourceError):
+        group.cosets(Parabolic(8, frozenset({0})))
+    assert not group.memo
