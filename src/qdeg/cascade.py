@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .degreelattice import Degree
 from .errors import DomainError, InvariantViolationError
-from .rootsystem import RootSystem
+from .rootsystem import RootSystem, coeffs_leq
 from .weylgroup import Parabolic, Weyl, WeylGroup
 
 
@@ -73,10 +73,10 @@ def cascade(system: RootSystem, s: Iterable | None = None) -> Cascade:
 def chain_cascade(system: RootSystem, phi) -> ChainCascade:
     """C_R(phi) = {alpha in B_R : alpha >= phi}, totally ordered descending."""
     phi = system.check_root(phi)
-    members = [a for a in cascade(system).roots if system.root_leq(phi, a)]
+    members = [a for a in cascade(system).roots if coeffs_leq(phi, a)]
     members.sort(key=sum, reverse=True)
     for a, b in zip(members, members[1:]):
-        if not system.root_leq(b, a):
+        if not coeffs_leq(b, a):
             raise InvariantViolationError("chain cascade is not totally ordered")
     return ChainCascade(phi, tuple(members))
 

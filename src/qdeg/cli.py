@@ -60,16 +60,6 @@ def encode_degree(d: Degree) -> dict:
     }
 
 
-def decode_degree(rank: int, obj: dict) -> Degree:
-    parabolic = Parabolic.from_indices(rank, (i - 1 for i in obj["parabolic"]))
-    coeffs = tuple(int(obj["coeffs"].get(str(b + 1), 0)) for b in parabolic.free)
-    return Degree(parabolic, coeffs)
-
-
-def decode_root(obj) -> tuple:
-    return tuple(int(c) for c in obj)
-
-
 # -- argument parsing ----------------------------------------------------------
 
 
@@ -299,7 +289,7 @@ def _run_one_suite(task) -> dict:
 
 def _cmd_verify(args) -> int:
     system = build_root_system(args.type, args.rank)
-    if args.all_parabolics or args.parabolic == "all":
+    if args.parabolic == "all":
         if system.rank > 5:
             raise _UsageError("iterating every parabolic is guarded to rank <= 5")
         import itertools
@@ -354,7 +344,7 @@ def build_parser() -> _Parser:
             p.add_argument(
                 "--parabolic",
                 default="",
-                help="comma-separated 1-based simple indices of Delta_P; empty = B",
+                help="comma-separated 1-based simple indices of Delta_P; empty = B; verify takes all",
             )
         p.add_argument("--json", action="store_true")
         if box:
@@ -378,7 +368,6 @@ def build_parser() -> _Parser:
     p_v = sub.add_parser("verify")
     common(p_v, box=True)
     p_v.add_argument("--suite", required=True)
-    p_v.add_argument("--all-parabolics", action="store_true")
     p_v.add_argument("--jobs", type=int, default=1)
     p_v.add_argument("--mode", default="auto", choices=["auto", "pairs", "box"])
     return parser

@@ -91,10 +91,6 @@ def is_very_cosmall(group: WeylGroup, parabolic: Parabolic, alpha) -> bool:
     return True
 
 
-def _b_parabolic(rank: int) -> Parabolic:
-    return Parabolic(rank, frozenset())
-
-
 def _lift_box(group: WeylGroup, parabolic: Parabolic, pad: int):
     """Componentwise caps (d_{G/B})_beta + pad over the Delta_P coordinates."""
     dgb = _coroot_sum(group.system)
@@ -108,7 +104,7 @@ def z_lift_check(group: WeylGroup, parabolic: Parabolic, d: Degree, pad: int = 3
     exhausting the box without such a witness is a verification failure.
     """
     system = group.system
-    b = _b_parabolic(system.rank)
+    b = Parabolic(system.rank, frozenset())
     target = z(group, parabolic, d).z_max
     base = induce(system, d, b)
     caps = _lift_box(group, parabolic, pad)

@@ -1,30 +1,29 @@
 """The degree lattice H_2(G/P): d(alpha), c_1, greedy decompositions, supports.
 
 A degree is a nonnegative integer vector over Delta \\ Delta_P, the image of
-the coroot lattice modulo Z Delta_P^vee.  The partial order is coefficientwise.
+the coroot lattice modulo Z Delta_P^vee.  The partial order is coefficientwise
+(``coeffs_leq``, the same order as on roots).  Lex order is a linear extension
+of it, so ``maximal_roots`` and ``minimal_elements`` are each one sorted sweep.
 
 d(alpha) is read from a table built once per (system, parabolic), on first
 use, and kept in ``system.cache`` under the key ("degrees", Delta_P): one
 frozen Degree per positive root, each coroot computed once, and the roots
 outside R_P in lex-descending order beside their raw d(alpha) tuples.
 ``maximal_roots`` is one sweep over that list, so a greedy step compares
-coefficient tuples and computes no coroot.
+coefficient tuples and computes no coroot.  ``degree_box`` refuses a box of
+more than ENUMERATION_CAP points before it makes a single degree.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DomainError
-from .rootsystem import RootSystem
-from .weylgroup import Parabolic
-
-
-def coeffs_leq(a, b) -> bool:
-    """a <= b coefficientwise, on raw coefficient tuples of equal length."""
-    return all(x <= y for x, y in zip(a, b))
+from .errors import DomainError, ResourceError
+from .rootsystem import RootSystem, coeffs_leq
+from .weylgroup import ENUMERATION_CAP, Parabolic
 
 
 @dataclass(frozen=True)
@@ -221,21 +220,25 @@ def induce(system: RootSystem, e: Degree, p: Parabolic) -> Degree:
 
 
 def minimal_elements(degrees: Iterable[Degree]) -> tuple:
-    """The Pareto-minimal antichain of a finite set of degrees.
+    """The Pareto-minimal antichain of a finite set of degrees, in lex order.
 
-    Candidates are processed in increasing total order, so a candidate can
-    only ever be dominated by an already-kept element.
+    One sweep in lex-ascending order, a linear extension of <=: a candidate
+    can only ever be dominated by an already-kept element.
     """
-    ordered = sorted(set(degrees), key=lambda d: (sum(d.coeffs), d.coeffs))
     kept: list[Degree] = []
-    for d in ordered:
+    for d in sorted(set(degrees), key=lambda d: d.coeffs):
         if not any(k.leq(d) for k in kept):
             kept.append(d)
-    return tuple(sorted(kept, key=lambda d: d.coeffs))
+    return tuple(kept)
 
 
 def degree_box(parabolic: Parabolic, corner: Degree, pad: int = 0):
-    """All degrees d <= corner + pad (componentwise), in lexicographic order."""
+    """All degrees d <= corner + pad (componentwise), in lexicographic order.
+
+    A box of more than ENUMERATION_CAP points raises ResourceError at once.
+    """
     ranges = [range(c + pad + 1) for c in corner.coeffs]
-    for coeffs in itertools.product(*ranges):
-        yield Degree(parabolic, coeffs)
+    size = math.prod(map(len, ranges))
+    if size > ENUMERATION_CAP:
+        raise ResourceError(f"scan box of {size} degrees exceeded the cap of {ENUMERATION_CAP}")
+    return (Degree(parabolic, coeffs) for coeffs in itertools.product(*ranges))

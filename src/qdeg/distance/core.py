@@ -16,6 +16,11 @@ nothing), and the cap test is the same check against the packed cap.  Int
 order is a linear extension of <=, so a Pareto filter is ``sorted()`` and one
 sweep.  A codec is built once per (parabolic, cap) and kept in
 ``group.memo``; ``Degree`` is created only for the labels that survive.
+
+The coset-pair tables of W/W_P are built here and nowhere else:
+``coset_order`` (the cosets above each coset) and ``coset_duals`` (the index
+of w_o u_j W_P) are memoised per parabolic, and ``_chain_ends`` (the cosets
+y <= w_o u_j W_P, where a chain to u_j W_P may end) is computed on demand.
 """
 
 from __future__ import annotations
@@ -25,15 +30,9 @@ from dataclasses import dataclass, field, replace
 
 from ..cascade import d_x
 from ..curveneighborhood import z
-from ..degreelattice import (
-    Degree,
-    coeffs_leq,
-    d_of_root,
-    degree_box,
-    minimal_elements,
-    outside_roots,
-)
+from ..degreelattice import Degree, d_of_root, degree_box, minimal_elements, outside_roots
 from ..errors import DomainError, InvariantViolationError, VerificationError
+from ..rootsystem import coeffs_leq
 from ..weylgroup import Parabolic, Weyl, WeylGroup
 
 
@@ -114,13 +113,13 @@ def delta_w(group: WeylGroup, parabolic: Parabolic, w: Weyl, pad: int = 2) -> De
 # -- adjacency graph and chain search ------------------------------------------
 
 
-def adjacency_graph(group: WeylGroup, parabolic: Parabolic, cap: int = 10**6) -> AdjacencyGraph:
+def adjacency_graph(group: WeylGroup, parabolic: Parabolic) -> AdjacencyGraph:
     """The reflection-translation graph on W/W_P with degree-labeled edges."""
     key = ("adjacency", parabolic.delta_p)
     if key in group.memo:
         return group.memo[key]
     system = group.system
-    cosets = group.cosets(parabolic, cap)
+    cosets = group.cosets(parabolic)
     index = {m: i for i, m in enumerate(cosets)}
     outside = outside_roots(system, parabolic)
     edges = []
@@ -161,6 +160,23 @@ def coset_order(group: WeylGroup, parabolic: Parabolic) -> tuple:
     )
     group.memo[key] = up
     return up
+
+
+def coset_duals(group: WeylGroup, parabolic: Parabolic) -> tuple:
+    """For each coset index j, the index of the coset w_o u_j W_P."""
+    key = ("coset_duals", parabolic.delta_p)
+    if key not in group.memo:
+        graph = adjacency_graph(group, parabolic)
+        group.memo[key] = tuple(
+            graph.index[group.coset_min(group.dual(m), parabolic)] for m in graph.cosets
+        )
+    return group.memo[key]
+
+
+def _chain_ends(group: WeylGroup, parabolic: Parabolic, j: int) -> list:
+    """The indices y with u_y W_P <= w_o u_j W_P: where a chain to u_j W_P may end."""
+    dual = coset_duals(group, parabolic)[j]
+    return [y for y, above in enumerate(coset_order(group, parabolic)) if dual in above]
 
 
 @dataclass(frozen=True)
@@ -296,11 +312,9 @@ def _front(parabolic: Parabolic, result: _SearchResult, packed) -> DegreeFront:
 
 def delta_uv(group: WeylGroup, parabolic: Parabolic, u: Weyl, v: Weyl, pad: int = 2) -> DegreeFront:
     """Minimal total degrees of chains from uW_P to vW_P (chain definition)."""
-    graph = adjacency_graph(group, parabolic)
-    ui = graph.index[group.coset_min(u, parabolic)]
-    vstar = graph.index[group.coset_min(group.dual(v), parabolic)]
-    up = coset_order(group, parabolic)
-    terminals = [y for y in range(len(graph.cosets)) if vstar in up[y]]
+    index = adjacency_graph(group, parabolic).index
+    ui = index[group.coset_min(u, parabolic)]
+    terminals = _chain_ends(group, parabolic, index[group.coset_min(v, parabolic)])
     result = _search(group, parabolic, ui, "up", pad)
     return _front(parabolic, result, (t for y in terminals for t in result.fronts[y]))
 
@@ -343,13 +357,12 @@ def chain_witness(
     """
     graph = adjacency_graph(group, parabolic)
     ui = graph.index[group.coset_min(u, parabolic)]
-    vstar = graph.index[group.coset_min(group.dual(v), parabolic)]
-    up = coset_order(group, parabolic)
+    vi = graph.index[group.coset_min(v, parabolic)]
     result = _search(group, parabolic, ui, "exact" if exact else "up", pad)
     labels = result.labels
     fits = d.parabolic == parabolic and coeffs_leq(d.coeffs, labels.unpack(labels.cap))
     label = labels.pack(d.coeffs) if fits else None  # None is in no front
-    terminals = [vstar] if exact else [y for y in range(len(graph.cosets)) if vstar in up[y]]
+    terminals = [coset_duals(group, parabolic)[vi]] if exact else _chain_ends(group, parabolic, vi)
     for y in terminals:
         if label in result.fronts[y]:
             cosets, roots = _backtrack(graph, result, y, label)

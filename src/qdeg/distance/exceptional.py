@@ -18,9 +18,9 @@ from ..cascade import (
     is_strongly_orthogonal as _is_strongly_orthogonal,
     vec_add as _vec_add,
 )
-from ..degreelattice import Degree, coeffs_leq, maximal_roots
+from ..degreelattice import Degree, maximal_roots
 from ..errors import VerificationError
-from ..rootsystem import RootSystem
+from ..rootsystem import RootSystem, coeffs_leq
 from ..weylgroup import Parabolic, WeylGroup
 from ..curveneighborhood import is_cosmall
 
@@ -40,20 +40,17 @@ class ExceptionalReport:
     alt_b_cosmall_agrees: bool  # "B-cosmall" in place of "maximal root of alpha^vee+beta^vee"
 
 
-def _b(system: RootSystem) -> Parabolic:
-    return Parabolic(system.rank, frozenset())
-
-
 def _witnesses(system: RootSystem, alpha) -> list:
     """The beta in Delta \\ Delta^circ certifying alpha exceptional, if any."""
     circ = _delta_circ(system)
+    borel = Parabolic(system.rank, frozenset())
     out = []
     for beta in sorted(set(range(system.rank)) - circ):
         simple = system.simple_roots[beta]
         if system.inner(alpha, simple) != 0:
             continue
-        e = Degree(_b(system), _vec_add(system.coroot(alpha), system.coroot(simple)))
-        if alpha in maximal_roots(system, _b(system), e):
+        e = Degree(borel, _vec_add(system.coroot(alpha), system.coroot(simple)))
+        if alpha in maximal_roots(system, borel, e):
             out.append(beta)
     return out
 
@@ -74,7 +71,7 @@ def _alt_condition(system: RootSystem, group: WeylGroup, alpha) -> bool:
         system.inner(alpha, system.simple_roots[b]) == 0
         for b in set(range(system.rank)) - circ
     )
-    return ortho and is_cosmall(group, _b(system), alpha)
+    return ortho and is_cosmall(group, Parabolic(system.rank, frozenset()), alpha)
 
 
 def orthogonal_components(system: RootSystem, alpha) -> tuple:
@@ -173,7 +170,7 @@ def exceptional_roots(system: RootSystem, group: WeylGroup) -> list:
                 strongly_orthogonal=_is_strongly_orthogonal(
                     system, alpha, system.simple_roots[beta]
                 ),
-                b_cosmall=is_cosmall(group, _b(system), alpha),
+                b_cosmall=is_cosmall(group, Parabolic(system.rank, frozenset()), alpha),
                 alt_b_cosmall_agrees=_alt_condition(system, group, alpha)
                 == is_exceptional(system, alpha),
             )

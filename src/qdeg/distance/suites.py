@@ -28,7 +28,6 @@ from ..curveneighborhood import (
 from ..degreelattice import (
     Degree,
     all_greedy_decompositions,
-    coeffs_leq,
     d_of_root,
     degree_box,
     extended_support,
@@ -40,16 +39,18 @@ from ..degreelattice import (
     induce,
 )
 from ..errors import ConfigurationError, InvariantViolationError
-from ..rootsystem import subsystem
+from ..rootsystem import coeffs_leq, subsystem
 from ..weylgroup import Parabolic, Weyl, WeylGroup, weyl_group
 from .core import (
     adjacency_graph,
     chain_witness,
     chain_front_exact,
+    coset_duals,
     coset_order,
     delta_w,
     delta_uv,
     PackedLabels,
+    _chain_ends,
     _search,
 )
 
@@ -113,16 +114,6 @@ def _supersets(parabolic: Parabolic):
             yield Parabolic(parabolic.rank, parabolic.delta_p | frozenset(extra))
 
 
-def _group_at_most(group: WeylGroup, n: int) -> bool:
-    """|W| <= n, probed without enumerating past n elements."""
-    from ..errors import ResourceError
-
-    try:
-        return len(group.elements(cap=n)) <= n
-    except ResourceError:
-        return False
-
-
 def _min_tuples(labels: PackedLabels, packed) -> tuple:
     """The Pareto-minimal packed labels, unpacked into sorted coefficient tuples."""
     return tuple(map(labels.unpack, labels.minimal(packed)))
@@ -134,24 +125,16 @@ def _pairs_table(group: WeylGroup, parabolic: Parabolic, pad: int) -> dict:
     if key in group.memo:
         return group.memo[key]
     n = len(group.cosets(parabolic))
-    up = coset_order(group, parabolic)
-    dual_index = _dual_index(group, parabolic)
-    below = [[y for y in range(n) if t in up[y]] for t in range(n)]
+    ends = [_chain_ends(group, parabolic, j) for j in range(n)]
     table: dict = {}
     for i in range(n):
         result = _search(group, parabolic, i, "up", pad)
         fronts = result.fronts
         for j in range(n):
-            cands = [c for y in below[dual_index[j]] for c in fronts[y]]
+            cands = [c for y in ends[j] for c in fronts[y]]
             table[(i, j)] = _min_tuples(result.labels, cands)
     group.memo[key] = table
     return table
-
-
-def _dual_index(group: WeylGroup, parabolic: Parabolic) -> list:
-    """For each coset index j, the index of the coset of w_o u_j."""
-    graph = adjacency_graph(group, parabolic)
-    return [graph.index[group.coset_min(group.dual(m), parabolic)] for m in graph.cosets]
 
 
 def _empty_fronts(table: dict):
@@ -172,6 +155,16 @@ def _each_pair_degree(table: dict, ok):
 def _self_front(group: WeylGroup, parabolic: Parabolic, d: Degree, pad: int) -> bool:
     """d in delta_P(z_d^P): the degree is minimal for its own curve neighborhood."""
     return d in delta_w(group, parabolic, z(group, parabolic, d).z_min, pad)
+
+
+def _minimal_degrees(group: WeylGroup, parabolic: Parabolic, pad: int) -> list:
+    """The self-front degrees of the d_X + pad box, in lex order.
+
+    These are the degrees minimal in some sigma_u * sigma_v; the paper's last
+    result makes d_X the unique maximal one.
+    """
+    corner = _d_x(group.system, parabolic)
+    return [d for d in degree_box(parabolic, corner, pad) if _self_front(group, parabolic, d, pad)]
 
 
 def _local_context(group: WeylGroup, parabolic: Parabolic, support) -> tuple:
@@ -450,7 +443,7 @@ def _suite_zd(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
                 if not entries:
                     continue
                 for phi in system.positive_roots:
-                    if not all(system.root_leq(a, phi) for a in entries):
+                    if not all(coeffs_leq(a, phi) for a in entries):
                         continue
                     comp, local_group, local_b = _local_context(
                         group, parabolic, system.support(phi)
@@ -499,7 +492,7 @@ def _suite_main(group: WeylGroup, parabolic: Parabolic, pad: int, mode: str) -> 
     system = group.system
     dx = _d_x(system, parabolic)
     if mode == "auto":
-        mode = "pairs" if _group_at_most(group, 48) else "box"
+        mode = "pairs" if group.order() <= 48 else "box"
     if mode == "pairs":
         yield _check(
             "minimal-degrees-bounded-by-dx",
@@ -510,11 +503,7 @@ def _suite_main(group: WeylGroup, parabolic: Parabolic, pad: int, mode: str) -> 
     elif mode == "box":
         yield _check(
             "self-front-degrees-bounded-by-dx",
-            (
-                (d.leq(dx), f"d={d.coeffs}")
-                for d in degree_box(parabolic, dx, pad)
-                if _self_front(group, parabolic, d, pad)
-            ),
+            ((d.leq(dx), f"d={d.coeffs}") for d in _minimal_degrees(group, parabolic, pad)),
         )
     else:
         raise ConfigurationError(f"unknown main-suite mode {mode!r}")
@@ -624,10 +613,7 @@ def _suite_delta_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Che
                 f"beta={b + 1}",
             )
     yield _check("simple-root-degree", _simple_degree())
-    corner = _d_x(system, parabolic)
-    selfish = [
-        d for d in degree_box(parabolic, corner, pad) if _self_front(group, parabolic, d, pad)
-    ]
+    selfish = _minimal_degrees(group, parabolic, pad)
     def _reduce():
         for d in selfish:
             for a in greedy_decomposition(system, parabolic, d):
@@ -650,7 +636,7 @@ def _suite_delta2_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Ch
     cosets = graph.cosets
     up = coset_order(group, parabolic)
     table = _pairs_table(group, parabolic, pad)
-    dual_index = _dual_index(group, parabolic)
+    duals = coset_duals(group, parabolic)
 
     def _rep_independence():
         outside = outside_roots(system, parabolic)
@@ -682,7 +668,7 @@ def _suite_delta2_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Ch
     yield _check(
         "zero-iff-dominated",
         (
-            ((front == zero) == (dual_index[j] in up[i]), f"u#{i} v#{j}")
+            ((front == zero) == (duals[j] in up[i]), f"u#{i} v#{j}")
             for (i, j), front in table.items()
         ),
     )
@@ -704,9 +690,7 @@ def _suite_delta2_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Ch
                 d = Degree(parabolic, coeffs)
                 witness = chain_witness(group, parabolic, cosets[i], cosets[j], d)
                 first = graph.index[witness.cosets[0]]
-                last_dual = graph.index[
-                    group.coset_min(group.dual(witness.cosets[-1]), parabolic)
-                ]
+                last_dual = duals[graph.index[witness.cosets[-1]]]
                 for i2 in up[i]:
                     if first not in up[i2]:
                         continue
@@ -788,8 +772,7 @@ def _suite_inductive(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Check
 
 def _suite_resind(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
     system = group.system
-    corner = _d_x(system, parabolic)
-    p_box = list(degree_box(parabolic, corner, pad))
+    selfish = _minimal_degrees(group, parabolic, pad)
     def _checks():
         for q in _supersets(parabolic):
             w_q = group.longest_element(q)
@@ -803,10 +786,8 @@ def _suite_resind(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
                 yield ok, f"Q={sorted(q.delta_p)} e={e.coeffs} (hecke formula)"
                 witnesses = [
                     d
-                    for d in p_box
-                    if restrict(d, q).leq(e)
-                    and z(group, parabolic, d).z_max == ze.z_max
-                    and _self_front(group, parabolic, d, pad)
+                    for d in selfish
+                    if restrict(d, q).leq(e) and z(group, parabolic, d).z_max == ze.z_max
                 ]
                 yield bool(witnesses), f"Q={sorted(q.delta_p)} e={e.coeffs} (witness)"
                 if _self_front(group, q, e, pad):
@@ -923,10 +904,7 @@ def _suite_compatibility(group: WeylGroup, parabolic: Parabolic, pad: int) -> _C
 
 def _suite_orthogonality(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
     system = group.system
-    corner = _d_x(system, parabolic)
-    selfish = [
-        d for d in degree_box(parabolic, corner, pad) if _self_front(group, parabolic, d, pad)
-    ]
+    selfish = _minimal_degrees(group, parabolic, pad)
     def _first_entry():
         for d in selfish:
             if d.is_zero():
@@ -956,11 +934,8 @@ def _suite_orthogonality(group: WeylGroup, parabolic: Parabolic, pad: int) -> _C
 
 def _suite_final_cor(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
     system = group.system
-    corner = _d_x(system, parabolic)
     def _restriction():
-        for d in degree_box(parabolic, corner, pad):
-            if not _self_front(group, parabolic, d, pad):
-                continue
+        for d in _minimal_degrees(group, parabolic, pad):
             for b in parabolic.free:
                 p_b = parabolic.maximal_above(b)
                 e = restrict(d, p_b)
@@ -969,15 +944,11 @@ def _suite_final_cor(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Check
     def _interval():
         for b in parabolic.free:
             p_b = parabolic.maximal_above(b)
-            top = _d_gpbeta(system, b)
-            got = {
-                e.coeffs[0]
-                for e in degree_box(p_b, Degree(p_b, (top,)), pad)
-                if _self_front(group, p_b, e, pad)
-            }
+            top = _d_gpbeta(system, b)  # d_X of P_beta, the corner of its box
+            got = {e.coeffs[0] for e in _minimal_degrees(group, p_b, pad)}
             yield got == set(range(top + 1)), f"beta={b + 1} got={sorted(got)}"
     yield _check("interval-identity-box", _interval())
-    if _group_at_most(group, 60):
+    if group.order() <= 60:
         def _interval_pairs():
             for b in parabolic.free:
                 p_b = parabolic.maximal_above(b)
@@ -1063,7 +1034,7 @@ def front_coverage(group: WeylGroup, parabolic: Parabolic, pad: int = 2) -> Fron
     )
     gaps = tuple(d for d in degree_box(parabolic, corner, 0) if d not in achieved)
     nonsingleton = ()
-    if _group_at_most(group, 48):
+    if group.order() <= 48:
         table = _pairs_table(group, parabolic, pad)
         from_pairs = {c for front in table.values() for c in front}
         if from_pairs != {d.coeffs for d in achieved}:
@@ -1106,7 +1077,10 @@ def verify_suite(
     mode: str = "auto",
     group: WeylGroup | None = None,
 ) -> SuiteReport:
-    """Run one named suite on (type, rank, parabolic) and report per-claim results."""
+    """Run one named suite on (type, rank, parabolic) and report per-claim results.
+
+    A group or parabolic of another system is a ConfigurationError.
+    """
     if name not in _SUITES:
         raise ConfigurationError(
             f"unknown suite {name!r}; available: {', '.join(suite_names())}"
@@ -1116,8 +1090,12 @@ def verify_suite(
     if group is None:
         group = weyl_group(type_letter, rank)
     system = group.system
+    if (system.type_letter, system.rank) != (str(type_letter).upper(), rank):
+        raise ConfigurationError(f"group of {system!r} given for type {type_letter}{rank}")
     if parabolic is None:
         parabolic = Parabolic(system.rank, frozenset())
+    if parabolic.rank != rank or not parabolic.delta_p <= set(range(rank)):
+        raise ConfigurationError(f"{parabolic!r} of rank {parabolic.rank} given for rank {rank}")
     if name == "main":
         checks = tuple(_SUITES[name](group, parabolic, pad, mode))
     else:

@@ -163,12 +163,6 @@ class RootSystem:
             raise DomainError(f"{v} is not a root of {self.type_letter}{self.rank}")
         return v
 
-    def root_leq(self, a, b) -> bool:
-        """Coefficientwise partial order on roots."""
-        if len(a) != len(b):
-            raise DomainError("roots from mismatched systems")
-        return all(y - x >= 0 for x, y in zip(a, b))
-
     def support(self, a) -> frozenset:
         """Simple roots occurring with positive coefficient in a positive root."""
         return frozenset(i for i, c in enumerate(a) if c != 0)
@@ -184,11 +178,6 @@ class RootSystem:
         if len(x) != self.rank or len(c) != self.rank:
             raise DomainError("mismatched systems in pairing")
         return sum(c[j] * self.pair_simple_coroot(x, j) for j in range(self.rank) if c[j])
-
-    @staticmethod
-    def pair_weight(beta: int, c) -> int:
-        """(omega_beta, c): the coefficient of beta^vee in the coroot vector c."""
-        return c[beta]
 
     def inner(self, a, b) -> int:
         """The W-invariant form, short roots normalized to squared length 2."""
@@ -223,10 +212,7 @@ class RootSystem:
 
     @cached_property
     def highest_root(self) -> Root:
-        maxima = _maximal(self.positive_roots, self.root_leq)
-        if len(maxima) != 1:
-            raise ConfigurationError("root system is not irreducible")
-        return maxima[0]
+        return _highest(self.positive_roots, ConfigurationError("root system is not irreducible"))
 
     @cached_property
     def highest_short_root(self):
@@ -235,10 +221,7 @@ class RootSystem:
         if len(lengths) == 1:
             return None
         short = [a for a in self.positive_roots if self.inner(a, a) == min(lengths)]
-        maxima = _maximal(short, self.root_leq)
-        if len(maxima) != 1:
-            raise ConfigurationError("no unique highest short root")
-        return maxima[0]
+        return _highest(short, ConfigurationError("no unique highest short root"))
 
     def highest_root_of_support(self, s: Iterable) -> Root:
         """Highest root of the sub-root-system generated by the subset s of Delta.
@@ -249,10 +232,7 @@ class RootSystem:
         key = ("subhigh", s)
         if key not in self.cache:
             inside = [a for a in self.positive_roots if self.support(a) <= s]
-            maxima = _maximal(inside, self.root_leq)
-            if len(maxima) != 1:
-                raise DomainError(f"support {sorted(s)} is not connected")
-            self.cache[key] = maxima[0]
+            self.cache[key] = _highest(inside, DomainError(f"support {sorted(s)} is not connected"))
         return self.cache[key]
 
     # -- Dynkin graph helpers -------------------------------------------------
@@ -280,13 +260,25 @@ class RootSystem:
         return len(s) <= 1 or len(self.components(s)) == 1
 
 
-def _maximal(items, leq):
-    out = []
-    for a in items:
-        if any(a != b and leq(a, b) for b in items):
-            continue
-        out.append(a)
-    return sorted(out)
+def coeffs_leq(a, b) -> bool:
+    """a <= b coefficientwise, on raw coefficient tuples of equal length."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _highest(items, error: Exception):
+    """The unique maximal item under coeffs_leq; raises error unless there is one.
+
+    One sweep in lex-descending order: lex order is a linear extension of <=,
+    so an item can lie below only items already seen, and below a dropped one
+    only through a kept one above it.
+    """
+    kept: list = []
+    for a in sorted(items, reverse=True):
+        if not any(coeffs_leq(a, b) for b in kept):
+            kept.append(a)
+    if len(kept) != 1:
+        raise error
+    return kept[0]
 
 
 def _generate_positive_roots(cartan: tuple) -> tuple:
@@ -344,12 +336,6 @@ class SubsystemComponent:
 
     system: RootSystem
     nodes: tuple  # ambient index of each local simple root
-
-    def to_ambient_root(self, local, ambient_rank: int):
-        out = [0] * ambient_rank
-        for i, c in enumerate(local):
-            out[self.nodes[i]] = c
-        return tuple(out)
 
     def to_local_root(self, ambient):
         out = [0] * len(self.nodes)

@@ -291,13 +291,11 @@ class WeylGroup:
 
     # -- Hecke monoid --------------------------------------------------------------
 
-    def hecke_step(self, u: Weyl, j: int) -> Weyl:
-        """u . s_j: multiply if the length goes up, absorb otherwise."""
-        return self.multiply(u, self._simple[j]) if not self.is_negative(u[j]) else u
-
     def hecke_product(self, u: Weyl, v: Weyl) -> Weyl:
+        """u . v: along v's reduced word, u . s_j = u s_j if that is longer, else u."""
         for j in self.reduced_word(v):
-            u = self.hecke_step(u, j)
+            if not self.is_negative(u[j]):
+                u = self.multiply(u, self._simple[j])
         return u
 
     def hecke_coset(self, u: Weyl, v: Weyl, parabolic: Parabolic) -> Weyl:

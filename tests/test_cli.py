@@ -2,11 +2,11 @@
 
 import io
 import json
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
-from qdeg.cli import decode_degree, decode_root, encode_degree, run
-from qdeg.degreelattice import Degree
-from qdeg.weylgroup import Parabolic
+from qdeg.cli import run
 
 
 def run_capture(argv):
@@ -73,15 +73,9 @@ def test_json_round_trip_roots():
     code, out = run_capture(["roots", "--type", "G", "--rank", "2", "--json"])
     assert code == 0
     doc = json.loads(out)
-    roots = [decode_root(r["root"]) for r in doc["positive_roots"]]
+    roots = [tuple(r["root"]) for r in doc["positive_roots"]]
     assert (3, 2) in roots and len(roots) == 6
     assert doc["positive_roots"][-1]["coroot"]
-
-
-def test_degree_round_trip():
-    p = Parabolic.from_indices(3, {1})
-    d = Degree(p, (2, 0))
-    assert decode_degree(3, encode_degree(d)) == d
 
 
 def test_delta_json_and_determinism():
@@ -95,18 +89,25 @@ def test_delta_json_and_determinism():
 
 
 def test_verify_all_parabolics():
-    code, out = run_capture(
-        ["verify", "--suite", "uniqueness", "--type", "B", "--rank", "2", "--all-parabolics", "--json"]
-    )
+    argv = ["verify", "--suite", "uniqueness", "--type", "B", "--rank", "2", "--json"]
+    code, out = run_capture(argv + ["--parabolic", "all"])
     assert code == 0
     doc = json.loads(out)
-    assert len(doc["reports"]) == 4
+    assert [r["parabolic"] for r in doc["reports"]] == [[], [1], [1, 2], [2]]
     assert all(r["passed"] for r in doc["reports"])
-    # "--parabolic all" spells the same iteration
-    code2, out2 = run_capture(
-        ["verify", "--suite", "uniqueness", "--type", "B", "--rank", "2", "--parabolic", "all", "--json"]
-    )
-    assert code2 == 0 and out2 == out
+    # "--parabolic all" is the only spelling
+    assert run_capture(argv + ["--all-parabolics"]) == (2, "")
+
+
+def test_scan_box_over_the_cap_exits_two_at_once():
+    """A --box whose scan box has more than ENUMERATION_CAP points is refused before the scan."""
+    for verb in (["delta"], ["verify", "--suite", "uniqueness"]):
+        argv = verb + ["--type", "B", "--rank", "3", "--box", "100000"]
+        done = subprocess.run(
+            [sys.executable, "-m", "qdeg.cli", *argv], capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 2 and done.stdout == "", argv
+        assert "exceeded the cap" in done.stderr
 
 
 def test_delta2_verb_and_cap():

@@ -1,5 +1,7 @@
 """Degrees, c_1, greedy decompositions, supports, restriction and induction."""
 
+from math import prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +23,7 @@ from qdeg.degreelattice import (
     naive_support,
     restrict,
 )
-from qdeg.errors import DomainError
+from qdeg.errors import DomainError, ResourceError
 from qdeg.rootsystem import build_root_system
 from qdeg.weylgroup import Parabolic
 
@@ -37,7 +39,7 @@ def coroot_degree(system, parabolic, a):
 
 
 def brute_maximal_roots(system, parabolic, d):
-    """The quadratic root_leq filter that maximal_roots replaced (test oracle)."""
+    """The quadratic filter that maximal_roots replaced (test oracle)."""
     inside = [
         a
         for a in system.positive_roots
@@ -46,7 +48,7 @@ def brute_maximal_roots(system, parabolic, d):
     ]
     out = []
     for a in inside:
-        if not any(b != a and system.root_leq(a, b) for b in inside):
+        if not any(b != a and all(x <= y for x, y in zip(a, b)) for b in inside):
             out.append(a)
     return tuple(sorted(out))
 
@@ -247,11 +249,31 @@ def test_minimal_elements_small():
 def test_minimal_elements_oracle(coeff_set):
     b3 = Parabolic.from_indices(3, set())
     degrees = [Degree(b3, c) for c in coeff_set]
-    got = set(minimal_elements(degrees))
+    got = minimal_elements(degrees)
     brute = {
         d for d in degrees if not any(e != d and e.leq(d) for e in degrees)
     }
-    assert got == brute
+    assert got == tuple(sorted(brute, key=lambda d: d.coeffs))
+
+
+def test_degree_box_over_the_cap_raises_before_it_yields():
+    b3 = Parabolic.from_indices(3, set())
+    corner = Degree(b3, (99, 99, 99))  # 100^3 points, exactly the cap
+    assert next(degree_box(b3, corner)) == Degree.zero(b3)
+    with pytest.raises(ResourceError):
+        degree_box(b3, corner, 1)  # 101^3 points
+    # delta_w's default scan, d_X + 3 with its stability layer, on Borels
+    for letter, rank, size in [("D", 5, 10_368), ("E", 6, 138_240), ("A", 8, 2_822_400),
+                               ("C", 8, 19_958_400), ("E", 7, 3_991_680), ("E", 8, 278_691_840)]:
+        system = build_root_system(letter, rank)
+        borel = Parabolic.from_indices(rank, set())
+        corner = d_x(system, borel)
+        assert prod(c + 4 for c in corner.coeffs) == size
+        if size <= 10**6:
+            degree_box(borel, corner, 3)
+        else:
+            with pytest.raises(ResourceError):
+                degree_box(borel, corner, 3)
 
 
 def test_lemma_roots():

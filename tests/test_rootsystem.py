@@ -1,11 +1,12 @@
 """Root system construction, coroots, pairings, and sub-root-systems."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from qdeg.errors import ConfigurationError, DomainError
-from qdeg.rootsystem import POSITIVE_ROOT_COUNT, build_root_system, subsystem
+from qdeg.rootsystem import POSITIVE_ROOT_COUNT, build_root_system, coeffs_leq, subsystem
 
 
 def all_admissible(max_rank=8):
@@ -59,6 +60,36 @@ def test_highest_short_roots():
     assert b2.highest_short_root == (1, 1) == expected
 
 
+def brute_maximal(roots):
+    """The quadratic filter that the sorted sweep replaced (test oracle)."""
+    return sorted(
+        a for a in roots if not any(b != a and all(x <= y for x, y in zip(a, b)) for b in roots)
+    )
+
+
+@pytest.mark.parametrize("letter,rank", [("E", 8), ("F", 4), ("B", 4), ("C", 4), ("G", 2)])
+def test_highest_roots_match_the_quadratic_filter(letter, rank):
+    system = build_root_system(letter, rank)
+    connected = 0
+    for n in range(1, rank + 1):
+        for s in itertools.combinations(range(rank), n):
+            if not system.is_connected(s):
+                with pytest.raises(DomainError):
+                    system.highest_root_of_support(s)
+                continue
+            connected += 1
+            inside = [a for a in system.positive_roots if system.support(a) <= set(s)]
+            assert [system.highest_root_of_support(s)] == brute_maximal(inside), s
+    assert connected >= rank
+    assert [system.highest_root] == brute_maximal(system.positive_roots)
+    lengths = sorted({system.inner(a, a) for a in system.positive_roots})
+    if len(lengths) == 1:
+        assert system.highest_short_root is None
+    else:
+        short = [a for a in system.positive_roots if system.inner(a, a) == lengths[0]]
+        assert [system.highest_short_root] == brute_maximal(short)
+
+
 def test_coroots():
     g2 = build_root_system("G", 2)
     assert g2.coroot(g2.highest_root) == (1, 2)
@@ -74,7 +105,7 @@ def test_coroots():
 def test_pairings():
     g2 = build_root_system("G", 2)
     theta_s = g2.highest_short_root
-    assert g2.pair_weight(1, g2.coroot(theta_s)) == 3
+    assert g2.coroot(theta_s)[1] == 3  # (omega_2, theta_s^vee)
     for a in g2.positive_roots:
         assert g2.pair(a, g2.coroot(a)) == 2
     a2 = build_root_system("A", 2)
@@ -92,12 +123,11 @@ def test_support():
     assert b4.is_positive_root((1, 2, 2, 2))
 
 
-def test_root_leq():
+def test_coeffs_leq_orders_roots():
     g2 = build_root_system("G", 2)
-    assert all(g2.root_leq(a, g2.highest_root) for a in g2.positive_roots)
-    assert g2.root_leq(g2.highest_short_root, g2.highest_root)
-    a2 = build_root_system("A", 2)
-    assert not a2.root_leq((1, 0), (0, 1)) and not a2.root_leq((0, 1), (1, 0))
+    assert all(coeffs_leq(a, g2.highest_root) for a in g2.positive_roots)
+    assert coeffs_leq(g2.highest_short_root, g2.highest_root)
+    assert not coeffs_leq((1, 0), (0, 1)) and not coeffs_leq((0, 1), (1, 0))
 
 
 def test_reflection_closure():
@@ -157,7 +187,10 @@ def test_subsystem_embedding_roundtrip():
     for nodes in [{0, 2, 3, 1}, {2, 3, 4, 5, 6}, {1, 3, 4}]:
         (comp,) = subsystem(e7, nodes)
         for local in comp.system.positive_roots:
-            ambient = comp.to_ambient_root(local, e7.rank)
+            ambient = [0] * e7.rank
+            for node, c in zip(comp.nodes, local):
+                ambient[node] = c
+            ambient = tuple(ambient)
             assert e7.is_positive_root(ambient)
             assert comp.to_local_root(ambient) == local
 

@@ -10,7 +10,7 @@ from qdeg.distance import suite_names, verify_suite
 from qdeg.distance.suites import _suite_delta2, _suite_delta2_props, _suite_final_cor, _suite_main
 from qdeg.errors import ConfigurationError
 from qdeg.rootsystem import build_root_system
-from qdeg.weylgroup import Parabolic, WeylGroup
+from qdeg.weylgroup import Parabolic, WeylGroup, weyl_group
 
 from conftest import all_parabolics
 
@@ -94,6 +94,19 @@ def test_pair_properties_count_an_empty_front_as_a_failure():
     ):
         assert not check.passed
         assert check.counterexample.endswith("empty front")
+
+
+def test_verify_suite_rejects_a_parabolic_or_group_of_another_system():
+    with pytest.raises(ConfigurationError):
+        verify_suite("uniqueness", "B", 3, parabolic=Parabolic(2, frozenset({0})))
+    with pytest.raises(ConfigurationError):
+        verify_suite("uniqueness", "B", 3, parabolic=Parabolic(3, frozenset({3})))
+    with pytest.raises(ConfigurationError):
+        verify_suite("uniqueness", "A", 2, group=weyl_group("B", 3))
+    with pytest.raises(ConfigurationError):
+        verify_suite("uniqueness", "C", 3, group=weyl_group("B", 3))
+    report = verify_suite("uniqueness", "b", 3, group=weyl_group("B", 3))
+    assert report.passed and (report.type_letter, report.rank) == ("B", 3)
 
 
 def test_unknown_suite_name():
@@ -253,3 +266,29 @@ def test_verify_json_matches_golden_digests(name, letter, rank):
         for p in all_parabolics(rank)
     )
     assert got == GOLDEN_DIGESTS[(name, letter, rank)]
+
+
+#: the same digests for ``main --mode box`` on B3, which no entry above runs
+#: (``main`` picks pairs on B2); recorded before the box scan was shared.
+BOX_MODE_DIGESTS = (
+    "a8bd5e2017623c4e1d3705644af66e3dbde08e2b04253249c16a7bf508b68666",
+    "eed69160aa442f22ac5a0a4d0259fae432c115fd21582dd7d7fad44b5d8989cd",
+    "2a28aa3cbdf3122cb7687736aec120ac224e12e8a60f398dd1b02c744edf17a4",
+    "41e3cde60d21c32f7ad584ee4f295cc3ab1894bac12d931e5cdef9ca6f00c1f9",
+    "6e4fdc1904948cca43c97e82e20380b19eda98c28a85edf1e3160656b213fe12",
+    "b630f2247eda916d4326d52c0d9c37182b77a92fad728cf6735b8d1e8134bb45",
+    "a46826644718ff97c2e82370b126ca82b03eb531cb7f4aa3f429b53d6f106a5e",
+    "4b25c76ded51f6381a5047329e3bc437946f00129814e3d7490c2b717c1ff14e",
+)
+
+
+def test_main_box_mode_matches_golden_digests():
+    got = tuple(
+        hashlib.sha256(
+            json.dumps(
+                verify_suite("main", "B", 3, p, mode="box").to_json(), sort_keys=True
+            ).encode()
+        ).hexdigest()
+        for p in all_parabolics(3)
+    )
+    assert got == BOX_MODE_DIGESTS
