@@ -139,6 +139,7 @@ def d_x(system: RootSystem, parabolic: Parabolic) -> Degree:
     insists they agree, once per (system, parabolic); later calls read
     system.cache.
     """
+    parabolic.check_rank(system.rank)
     key = ("d_x", parabolic.delta_p)
     if key not in system.cache:
         by_cascade = tuple(coroot_sum(system)[b] for b in parabolic.free)

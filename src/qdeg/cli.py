@@ -359,7 +359,12 @@ def build_parser() -> _Parser:
     p_d = sub.add_parser("delta")
     common(p_d, box=True)
     p_d.add_argument("--u", default="", help="reduced word, 1-based comma-separated")
-    p_d2 = sub.add_parser("delta2")
+    p_d2 = sub.add_parser(
+        "delta2",
+        description="delta_P(u, v), the minimal chain degrees from uW_P to vW_P.  The JSON "
+        "cap_hit is set when the chain search, one per v, pruned a label at its cap "
+        "anywhere in the graph; it is not a fact of this pair alone.",
+    )
     common(p_d2, box=True)
     p_d2.add_argument("--cap", type=int, default=10**6, help="enumeration cap")
     p_d2.add_argument("--u", default="")

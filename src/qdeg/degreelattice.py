@@ -94,6 +94,7 @@ def outside_roots(system: RootSystem, parabolic: Parabolic) -> tuple:
 
 def _degree_table(system: RootSystem, parabolic: Parabolic) -> tuple:
     """({alpha: d(alpha)} over R^+, ((alpha, d(alpha).coeffs) outside R_P, lex-descending))."""
+    parabolic.check_rank(system.rank)
     key = ("degrees", parabolic.delta_p)
     table = system.cache.get(key)
     if table is None:
@@ -219,17 +220,26 @@ def induce(system: RootSystem, e: Degree, p: Parabolic) -> Degree:
     return out
 
 
-def minimal_elements(degrees: Iterable[Degree]) -> tuple:
+def minimal_elements(degrees: Iterable) -> tuple:
     """The Pareto-minimal antichain of a finite set of degrees, in lex order.
 
-    One sweep in lex-ascending order, a linear extension of <=: a candidate
-    can only ever be dominated by an already-kept element.
+    The degrees are Degrees or raw coefficient tuples, and are returned as
+    given.  One sweep in lex-ascending order, a linear extension of <=: a
+    candidate can only ever be dominated by an already-kept element.
     """
-    kept: list[Degree] = []
-    for d in sorted(set(degrees), key=lambda d: d.coeffs):
-        if not any(k.leq(d) for k in kept):
+    kept: list = []
+    for d in sorted(set(degrees), key=_coeffs):
+        if not any(_leq(k, d) for k in kept):
             kept.append(d)
     return tuple(kept)
+
+
+def _coeffs(d) -> tuple:
+    return d if isinstance(d, tuple) else d.coeffs
+
+
+def _leq(a, b) -> bool:
+    return coeffs_leq(a, b) if isinstance(a, tuple) else a.leq(b)
 
 
 def degree_box(parabolic: Parabolic, corner: Degree, pad: int = 0):

@@ -6,6 +6,19 @@ search on the adjacency graph of W/W_P with edge weights d(alpha) and
 collects minimal chain degrees.  Their agreement (for v = w_o) is itself a
 theorem and the central cross-check of this package.
 
+The scan box d_X + pad + 1 is grouped by z_d^P once per (parabolic, pad):
+z is computed once per box point, and each class keeps the raw minima of its
+points over the inner box d_X + pad and over the whole box, computed the
+first time some coset lies below its z.  delta_w(m) is then one Bruhat test
+per class and the minima of the hit classes' minima.
+
+The adjacency graph is undirected with equal weights both ways (d(alpha) is
+W_P-invariant), so a chain read backwards is a chain of the same degree.
+delta_uv(u, v) therefore runs one search per v, seeded at the cosets below
+v*, and reads its fronts at the cosets above u: the description suite's
+delta_P(m, w_o) is one search per parabolic.  chain_witness and the pair
+tables keep the forward searches from u, so their witnesses are unchanged.
+
 Inside the chain search a degree label is one Python int (``PackedLabels``).
 Each coefficient has a bit field wide enough for cap + the largest edge
 weight, with a guard bit above it; coefficient 0 sits in the highest field,
@@ -27,6 +40,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from ..cascade import d_x
 from ..curveneighborhood import z
@@ -38,7 +52,12 @@ from ..weylgroup import Parabolic, Weyl, WeylGroup
 
 @dataclass(frozen=True)
 class DegreeFront:
-    """An antichain of degrees together with the algorithm that produced it."""
+    """An antichain of degrees together with the algorithm that produced it.
+
+    cap_hit is a fact of the chain search the front was read from, not of the
+    pair: it is set when that search pruned some label at its cap anywhere in
+    the graph.  Fronts read from one search share it.
+    """
 
     degrees: tuple
     provenance: str  # "scan" (up-set scan) or "chain" (chain search)
@@ -78,34 +97,51 @@ class AdjacencyGraph:
     edges: tuple  # per vertex: tuple of (target index, weight coeffs, root)
 
 
+@dataclass(frozen=True)
+class _ZClass:
+    """The points of a scan box that share one z_d^P, as raw coefficient tuples."""
+
+    z: Weyl  # z_d^P, the minimal representative
+    points: tuple  # lex order
+    inner: tuple  # corner + pad: the scan box without its stability layer
+
+    @cached_property
+    def minima(self) -> tuple:
+        """(minima over the inner box, minima over the whole box), on first use."""
+        inner = minimal_elements(d for d in self.points if coeffs_leq(d, self.inner))
+        return inner, minimal_elements(self.points)
+
+
+def _z_classes(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
+    """The box d_X + pad + 1 grouped by z_d^P, in order of first appearance."""
+    key = ("z-classes", parabolic.delta_p, pad)
+    if key not in group.memo:
+        corner = d_x(group.system, parabolic)
+        classes: dict = {}
+        for d in degree_box(parabolic, corner, pad + 1):
+            classes.setdefault(z(group, parabolic, d).z_min, []).append(d.coeffs)
+        inner = tuple(c + pad for c in corner.coeffs)
+        group.memo[key] = tuple(_ZClass(zd, tuple(ds), inner) for zd, ds in classes.items())
+    return group.memo[key]
+
+
 def delta_w(group: WeylGroup, parabolic: Parabolic, w: Weyl, pad: int = 2) -> DegreeFront:
     """Minimal degrees d with wW_P <= z_d^P W_P (curve-neighborhood definition).
 
     Scans the box d_X + pad and re-checks stability at pad + 1; a front that
     changes under the enlargement is reported as a verification failure.
     """
-    system = group.system
     m = group.coset_min(w, parabolic)
     key = ("delta_w", parabolic.delta_p, m, pad)
     if key in group.memo:
         return group.memo[key]
-    corner = d_x(system, parabolic)
-    hits = [
-        d
-        for d in degree_box(parabolic, corner, pad + 1)
-        if group.bruhat_leq(m, z(group, parabolic, d).z_min)
-    ]
-    inner = [
-        d for d in hits if all(c <= t + pad for c, t in zip(d.coeffs, corner.coeffs))
-    ]
-    stable = minimal_elements(hits)
-    front = minimal_elements(inner)
+    hits = [c.minima for c in _z_classes(group, parabolic, pad) if group.bruhat_leq(m, c.z)]
+    front = minimal_elements(d for inner, _ in hits for d in inner)
+    stable = minimal_elements(d for _, whole in hits for d in whole)
     if front != stable:
         extra = next(d for d in stable if d not in front)
-        raise VerificationError(
-            f"delta_w front unstable at box boundary: degree {extra.coeffs}"
-        )
-    result = DegreeFront(front, "scan")
+        raise VerificationError(f"delta_w front unstable at box boundary: degree {extra}")
+    result = DegreeFront(tuple(Degree(parabolic, d) for d in front), "scan")
     group.memo[key] = result
     return result
 
@@ -293,12 +329,23 @@ def _pareto_search(labels: PackedLabels, seeds) -> _SearchResult:
 
 
 def _search(group: WeylGroup, parabolic: Parabolic, source: int, mode: str, pad: int):
+    """The memoised chain search for coset index `source`.
+
+    Its seeds are, by mode, the cosets above the source ("up"), the source
+    itself ("exact"), or the cosets below its dual, where a chain to it may
+    end ("ends": delta_uv's search, run backwards over the undirected graph).
+    """
     key = ("search", parabolic.delta_p, source, mode, pad)
     if key in group.memo:
         return group.memo[key]
     corner = d_x(group.system, parabolic)
     labels = _labels(group, parabolic, tuple(c + pad for c in corner.coeffs))
-    seeds = coset_order(group, parabolic)[source] if mode == "up" else (source,)
+    if mode == "up":
+        seeds = coset_order(group, parabolic)[source]
+    elif mode == "ends":
+        seeds = _chain_ends(group, parabolic, source)
+    else:
+        seeds = (source,)
     result = _pareto_search(labels, seeds)
     group.memo[key] = result
     return result
@@ -311,12 +358,15 @@ def _front(parabolic: Parabolic, result: _SearchResult, packed) -> DegreeFront:
 
 
 def delta_uv(group: WeylGroup, parabolic: Parabolic, u: Weyl, v: Weyl, pad: int = 2) -> DegreeFront:
-    """Minimal total degrees of chains from uW_P to vW_P (chain definition)."""
+    """Minimal total degrees of chains from uW_P to vW_P (chain definition).
+
+    One search per v, from the cosets below v*, read at the cosets above u.
+    """
     index = adjacency_graph(group, parabolic).index
     ui = index[group.coset_min(u, parabolic)]
-    terminals = _chain_ends(group, parabolic, index[group.coset_min(v, parabolic)])
-    result = _search(group, parabolic, ui, "up", pad)
-    return _front(parabolic, result, (t for y in terminals for t in result.fronts[y]))
+    result = _search(group, parabolic, index[group.coset_min(v, parabolic)], "ends", pad)
+    starts = coset_order(group, parabolic)[ui]
+    return _front(parabolic, result, (t for x in starts for t in result.fronts[x]))
 
 
 def chain_front_exact(group: WeylGroup, parabolic: Parabolic, x: Weyl, y: Weyl, pad: int = 2) -> DegreeFront:

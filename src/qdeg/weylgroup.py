@@ -56,6 +56,11 @@ class Parabolic:
     def is_maximal(self) -> bool:
         return len(self.free) == 1
 
+    def check_rank(self, rank: int) -> None:
+        """Refuse a parabolic of another rank before a memo keyed by Delta_P sees it."""
+        if self.rank != rank:
+            raise DomainError(f"a parabolic of rank {self.rank} in a system of rank {rank}")
+
     def maximal_above(self, beta: int) -> "Parabolic":
         """P_beta: the maximal parabolic omitting the free simple root beta."""
         if beta in self.delta_p:
@@ -235,6 +240,7 @@ class WeylGroup:
 
     def coset_min(self, w: Weyl, parabolic: Parabolic) -> Weyl:
         """The minimal representative in wW_P."""
+        parabolic.check_rank(self.system.rank)
         members = sorted(parabolic.delta_p)
         while True:
             descent = next((j for j in members if self.is_negative(w[j])), None)
@@ -331,6 +337,7 @@ class WeylGroup:
 
         For the Borel subgroup these are the elements of W, the same tuple.
         """
+        parabolic.check_rank(self.system.rank)
         if not parabolic.delta_p:
             return self.elements(cap=cap)
 

@@ -1,7 +1,10 @@
 """Distance fronts, adjacency graphs, witnesses, and exceptional roots."""
 
+import pytest
+
 from qdeg.cascade import d_x
-from qdeg.degreelattice import Degree
+from qdeg.curveneighborhood import z
+from qdeg.degreelattice import Degree, degree_box, minimal_elements
 from qdeg.distance import (
     adjacency_graph,
     chain_front_exact,
@@ -13,7 +16,10 @@ from qdeg.distance import (
     verify_lemma_technical,
     verify_lemma_technical2,
 )
-from qdeg.weylgroup import Parabolic, weyl_group
+from qdeg.distance.core import _chain_ends, _front, _search
+from qdeg.errors import DomainError, VerificationError
+from qdeg.rootsystem import build_root_system
+from qdeg.weylgroup import Parabolic, WeylGroup, weyl_group
 
 from conftest import all_parabolics
 
@@ -31,6 +37,66 @@ def test_delta_w_g2_golden():
     s_ts = g2.reflection(g2.system.highest_short_root)
     assert delta_w(g2, p2, s_ts).degrees == (Degree(p2, (2,)),)
     assert g2.system.coroot(g2.system.highest_short_root)[1] == 3
+
+
+def scan_oracle(group, parabolic, w, pad):
+    """delta_w as a per-point scan: z_d^P and a Bruhat test for every box point."""
+    m = group.coset_min(w, parabolic)
+    corner = d_x(group.system, parabolic)
+    hits = [
+        d
+        for d in degree_box(parabolic, corner, pad + 1)
+        if group.bruhat_leq(m, z(group, parabolic, d).z_min)
+    ]
+    inner = [
+        d for d in hits if all(c <= t + pad for c, t in zip(d.coeffs, corner.coeffs))
+    ]
+    stable = minimal_elements(hits)
+    front = minimal_elements(inner)
+    if front != stable:
+        extra = next(d for d in stable if d not in front)
+        raise VerificationError(
+            f"delta_w front unstable at box boundary: degree {extra.coeffs}"
+        )
+    return front
+
+
+def _outcome(front, *args):
+    try:
+        return front(*args)
+    except VerificationError as exc:
+        return str(exc)
+
+
+def test_delta_w_matches_the_per_point_scan():
+    """Fronts and unstable-box errors agree; pad -1 makes most boxes unstable."""
+    for letter, rank in [("B", 3), ("C", 3), ("G", 2)]:
+        group = weyl_group(letter, rank)
+        for p in all_parabolics(rank):
+            for pad in (-1, 0, 1, 2):
+                for m in group.cosets(p):
+                    got = _outcome(lambda *a: delta_w(*a).degrees, group, p, m, pad)
+                    assert got == _outcome(scan_oracle, group, p, m, pad), (letter, p, pad, m)
+
+
+def test_delta_w_raises_on_an_unstable_box():
+    group = WeylGroup(build_root_system("G", 2))
+    borel = Parabolic(2, frozenset())
+    with pytest.raises(VerificationError, match="unstable at box boundary"):
+        delta_w(group, borel, group.w_o, pad=-1)
+
+
+def test_a_parabolic_of_another_rank_leaves_the_memos_clean():
+    group = WeylGroup(build_root_system("B", 3))
+    with pytest.raises(DomainError):
+        delta_w(group, Parabolic(2, frozenset({0})), group.w_o)
+    p = Parabolic(3, frozenset({0}))
+    assert delta_w(group, p, group.w_o).degrees == (Degree(p, (2, 2)),)
+    assert d_x(group.system, p).coeffs == (2, 2)
+    system = build_root_system("B", 3)
+    with pytest.raises(DomainError):
+        d_x(system, Parabolic(2, frozenset({0})))
+    assert d_x(system, p).coeffs == (2, 2)
 
 
 def test_adjacency_graph_a2():
@@ -132,6 +198,24 @@ def test_delta_uv_against_walk_enumeration():
                 for v in group.cosets(p):
                     brute = brute_chain_front(group, p, u, v, cap)
                     assert delta_uv(group, p, u, v).degrees == brute
+
+
+def test_reversed_chain_search_matches_the_forward_one():
+    """delta_uv searches from v's chain ends; the forward search from u's up-set agrees."""
+    pairs = 0
+    for letter, rank in [("A", 3), ("B", 3), ("C", 3), ("G", 2)]:
+        group = weyl_group(letter, rank)
+        for p in all_parabolics(rank):
+            cosets = group.cosets(p)
+            ends = [_chain_ends(group, p, j) for j in range(len(cosets))]
+            for i, u in enumerate(cosets):
+                forward = _search(group, p, i, "up", 2)
+                for j, v in enumerate(cosets):
+                    packed = (t for y in ends[j] for t in forward.fronts[y])
+                    expected = _front(p, forward, packed).degrees
+                    assert delta_uv(group, p, u, v).degrees == expected, (letter, p, i, j)
+                    pairs += 1
+    assert pairs == 9848
 
 
 def test_chain_witness_roundtrip():

@@ -189,6 +189,27 @@ GOLDEN_DIGESTS = {
         "5d2a8fd7b3012ecc7fca9ab824aa263187a4dfb12ae4654a6e480bdcfc8a2003",
         "1825528d23a41e3645eb9d780cf1fb219dbe3508cf53d6eb0208cd4012f987e3",
     ),
+    # the scan and chain fronts of every coset, on B3 and C3 as well as B2
+    ("description", "B", 3): (
+        "aed735c580a1ec06fa4a1415016d352b0bcd3fe887cf0b11ec011101efd43014",
+        "604b3bb5d81cd494897b828f0f560b3b5f6209bd4d8bbeabdeab69720e96f764",
+        "641ff043cfe29474ca859fc9e584491785114db1e9056f9022de344e709c8de1",
+        "e122e868b48a226728cd1649702143e41047abefdb1b81fef3c69a978c053484",
+        "68fdd22e6c9e5a28e10166766174408cb3dcec72287fec2c8799dc94227333c6",
+        "116c9821110c56a56bbbf6703f3aacd04ce73dff07894a78948c172fa3a6c17a",
+        "89740bb24f6ee820d28f25c97df9d609f512bc67293e45a884b3aabd01921539",
+        "2db024da5061e85e5235cc9c2058c0cd140e82a507138f59cbf6e79edf8fbf3e",
+    ),
+    ("description", "C", 3): (
+        "34d3e30d7f0cbff0c1fb8933d458d13dd29dc7c5dd853d360c91ad5c2e4c9228",
+        "43c1233b734a1fc9e4dbfbd9dba86eb8a8cdc30d117cd47cc2dc720f22813f60",
+        "ece263955fb910fdbf8f84f5f714051c0d039ebc27f62a84528ad8462d9fe091",
+        "fa034dc7f83f6db896d9e68b16dd7a1df0f6f0fde16f89dd287c643788abd671",
+        "e2148f23c45dd9c225129696d5dee314ab440f13d5da1115524e934b092f0bbc",
+        "6c13be68746e521ec6d23c8f74e224ffd6deab2f13e891cc6e3b2d244c1d59ce",
+        "efd21e0f11113c6d7ac1ab29ae0ac6368c814c92ec784af4fd98c4b32d393b6a",
+        "b77e3d78325806285ca5146f93acc2625bb1389aa5bde9ccd36d71e5494c63c9",
+    ),
     ("final-cor", "B", 2): (
         "1cc86c8c51f51b5da836ef0708ed6b5728c4e603a8850e5be0697583974b2985",
         "cea3c48238d7c8250648b702bc75129d49e47d697f0e47a13fadc5638b3cbc96",
