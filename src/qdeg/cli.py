@@ -306,7 +306,7 @@ def _cmd_verify(args) -> int:
         for s in subsets
     ]
     if args.jobs > 1 and len(tasks) > 1:
-        with Pool(args.jobs) as pool:
+        with Pool(min(args.jobs, len(tasks))) as pool:
             reports = pool.map(_run_one_suite, tasks)
     else:
         reports = [_run_one_suite(t) for t in tasks]
@@ -396,6 +396,8 @@ def run(argv) -> int:
         args = build_parser().parse_args(argv)
         if getattr(args, "box", 0) < 0:  # only delta, delta2 and verify take --box
             raise _UsageError(f"--box must be >= 0, got {args.box}")
+        if getattr(args, "jobs", 1) < 1:  # only verify takes --jobs
+            raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
         return _COMMANDS[args.verb](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

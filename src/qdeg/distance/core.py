@@ -30,10 +30,14 @@ order is a linear extension of <=, so a Pareto filter is ``sorted()`` and one
 sweep.  A codec is built once per (parabolic, cap) and kept in
 ``group.memo``; ``Degree`` is created only for the labels that survive.
 
-The coset-pair tables of W/W_P are built here and nowhere else:
-``coset_order`` (the cosets above each coset) and ``coset_duals`` (the index
-of w_o u_j W_P) are memoised per parabolic, and ``_chain_ends`` (the cosets
-y <= w_o u_j W_P, where a chain to u_j W_P may end) is computed on demand.
+The coset-pair tables of W/W_P are built here and nowhere else, from one
+table per parabolic: left[j][i], the index of s_j u_i W_P in group.cosets
+order.  Bruhat down-sets are int bitsets by the lifting property
+(Bjorner-Brenti, GTM 231, 2.2), and ``coset_order`` and ``_chain_ends`` (the
+cosets y <= w_o u_j W_P, where a chain to u_j W_P may end) read their bits.
+``coset_duals`` walks each index along the word of w_o, and the adjacency
+edge (u_i, alpha) walks i along a word of s_beta, as u_i s_alpha = s_beta u_i
+for beta = u_i(alpha).  ``bruhat_leq`` is left to ``delta_w`` and the tests.
 """
 
 from __future__ import annotations
@@ -149,23 +153,88 @@ def delta_w(group: WeylGroup, parabolic: Parabolic, w: Weyl, pad: int = 2) -> De
 # -- adjacency graph and chain search ------------------------------------------
 
 
+@dataclass(frozen=True)
+class _CosetTable:
+    """W/W_P numbered in group.cosets order, with the left action of each s_j."""
+
+    cosets: tuple  # minimal representatives, sorted by (length, word)
+    index: dict
+    left: tuple  # left[j][i]: the index of s_j u_i W_P
+    down: tuple  # down[i]: the bitset of the indices x with u_x W_P <= u_i W_P
+
+
+def _bits(mask: int) -> list:
+    """The indices of the set bits of mask, ascending."""
+    return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
+
+
+def _down_sets(left: tuple) -> tuple:
+    """Bitset down-sets: D(i) = D(k) | s_j D(k) for a left descent k = left[j][i] < i."""
+    n = len(left[0])
+    down = [1]
+    for i in range(1, n):
+        row = next((row for row in left if row[i] < i), None)
+        if row is None:
+            raise InvariantViolationError(f"coset #{i} has no left descent")
+        below = down[row[i]]
+        down.append(below | sum(1 << row[x] for x in _bits(below)))
+    if down[-1] != (1 << n) - 1:
+        raise InvariantViolationError("the top coset's down-set is not every coset")
+    return tuple(down)
+
+
+def _coset_table(group: WeylGroup, parabolic: Parabolic) -> _CosetTable:
+    """The memoised left table and down-sets of W/W_P.
+
+    For u in W^P, s_j u is in W^P or lies in uW_P (Deodhar's lemma), so the
+    left action needs one product per (coset, j) and no coset_min.
+    """
+    key = ("coset-table", parabolic.delta_p)
+    if key not in group.memo:
+        cosets = group.cosets(parabolic)
+        index = {m: i for i, m in enumerate(cosets)}
+        left = tuple(
+            tuple(index.get(group.multiply(s, m), i) for i, m in enumerate(cosets))
+            for s in map(group.simple_reflection, range(group.system.rank))
+        )
+        group.memo[key] = _CosetTable(cosets, index, left, _down_sets(left))
+    return group.memo[key]
+
+
+def _reflection_word(system, beta) -> tuple:
+    """The word j1..jm k jm..j1 of s_beta, from beta = +-s_j1 ... s_jm alpha_k."""
+    if any(c < 0 for c in beta):
+        beta = tuple(-c for c in beta)
+    key = ("reflection-word", beta)
+    if key not in system.cache:
+        path = []
+        root = beta
+        while sum(root) > 1:
+            j = next(j for j in range(system.rank) if system.pair_simple_coroot(root, j) > 0)
+            path.append(j)
+            root = system.reflect_simple(root, j)
+        system.cache[key] = (*path, root.index(1), *reversed(path))
+    return system.cache[key]
+
+
 def adjacency_graph(group: WeylGroup, parabolic: Parabolic) -> AdjacencyGraph:
     """The reflection-translation graph on W/W_P with degree-labeled edges."""
     key = ("adjacency", parabolic.delta_p)
     if key in group.memo:
         return group.memo[key]
     system = group.system
-    cosets = group.cosets(parabolic)
-    index = {m: i for i, m in enumerate(cosets)}
+    table = _coset_table(group, parabolic)
+    left = table.left
     outside = outside_roots(system, parabolic)
     edges = []
-    for m in cosets:
+    for i, m in enumerate(table.cosets):
         seen: dict[int, tuple] = {}
         out = []
         for alpha in outside:
-            target = group.coset_min(group.multiply(m, group.reflection(alpha)), parabolic)
-            j = index[target]
-            if target == m:
+            j = i  # u_i s_alpha W_P = s_beta u_i W_P with beta = u_i(alpha)
+            for s in _reflection_word(system, group.apply(m, alpha)):
+                j = left[s][j]
+            if j == i:
                 continue
             weight = d_of_root(system, parabolic, alpha).coeffs
             if j in seen:
@@ -177,7 +246,7 @@ def adjacency_graph(group: WeylGroup, parabolic: Parabolic) -> AdjacencyGraph:
             seen[j] = weight
             out.append((j, weight, alpha))
         edges.append(tuple(out))
-    graph = AdjacencyGraph(parabolic, cosets, index, tuple(edges))
+    graph = AdjacencyGraph(parabolic, table.cosets, table.index, tuple(edges))
     group.memo[key] = graph
     return graph
 
@@ -185,34 +254,37 @@ def adjacency_graph(group: WeylGroup, parabolic: Parabolic) -> AdjacencyGraph:
 def coset_order(group: WeylGroup, parabolic: Parabolic) -> tuple:
     """For each coset index, the frozenset of indices of cosets above it."""
     key = ("coset_order", parabolic.delta_p)
-    if key in group.memo:
-        return group.memo[key]
-    cosets = group.cosets(parabolic)
-    up = tuple(
-        frozenset(
-            j for j, n in enumerate(cosets) if group.bruhat_leq(m, n)
-        )
-        for m in cosets
-    )
-    group.memo[key] = up
-    return up
+    if key not in group.memo:
+        down = _coset_table(group, parabolic).down
+        up: list = [[] for _ in down]
+        for i, below in enumerate(down):
+            for x in _bits(below):
+                up[x].append(i)
+        group.memo[key] = tuple(map(frozenset, up))
+    return group.memo[key]
 
 
 def coset_duals(group: WeylGroup, parabolic: Parabolic) -> tuple:
     """For each coset index j, the index of the coset w_o u_j W_P."""
     key = ("coset_duals", parabolic.delta_p)
     if key not in group.memo:
-        graph = adjacency_graph(group, parabolic)
-        group.memo[key] = tuple(
-            graph.index[group.coset_min(group.dual(m), parabolic)] for m in graph.cosets
-        )
+        table = _coset_table(group, parabolic)
+        duals = range(len(table.cosets))
+        for j in reversed(group.reduced_word(group.w_o)):
+            duals = [table.left[j][i] for i in duals]
+        if any(duals[k] != i for i, k in enumerate(duals)):
+            raise InvariantViolationError("the dual map on W/W_P is not an involution")
+        top = group.length(group.w_x(parabolic))
+        lengths = [group.length(m) for m in table.cosets]
+        if any(lengths[k] != top - lengths[i] for i, k in enumerate(duals)):
+            raise InvariantViolationError("a dual coset breaks l(w_o u) = l(w_X) - l(u)")
+        group.memo[key] = tuple(duals)
     return group.memo[key]
 
 
 def _chain_ends(group: WeylGroup, parabolic: Parabolic, j: int) -> list:
     """The indices y with u_y W_P <= w_o u_j W_P: where a chain to u_j W_P may end."""
-    dual = coset_duals(group, parabolic)[j]
-    return [y for y, above in enumerate(coset_order(group, parabolic)) if dual in above]
+    return _bits(_coset_table(group, parabolic).down[coset_duals(group, parabolic)[j]])
 
 
 @dataclass(frozen=True)

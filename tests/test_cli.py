@@ -4,7 +4,7 @@ import io
 import json
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 from qdeg.cli import run
 
@@ -190,3 +190,40 @@ def test_configuration_resource_and_domain_errors_still_exit_two(monkeypatch):
         monkeypatch.setitem(suites._SUITES, "planted", _suite_failing_on_p1(exc_type))
         assert run_capture(argv) == (2, "")
         assert run_capture(argv + ["--jobs", "2"]) == (2, "")
+
+
+def test_jobs_below_one_exit_two():
+    argv = ["verify", "--suite", "uniqueness", "--type", "A", "--rank", "2", "--parabolic", "all"]
+    for jobs in ("0", "-1"):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert run_capture(argv + ["--jobs", jobs]) == (2, "")
+        assert f"--jobs must be >= 1, got {jobs}" in err.getvalue()
+
+
+def test_jobs_start_at_most_one_worker_per_parabolic(monkeypatch):
+    """The pool is never larger than the task list; a fake Pool records its size."""
+    from qdeg import cli
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    argv = ["verify", "--suite", "uniqueness", "--type", "B", "--rank", "2", "--json"]
+    code, out = run_capture(argv + ["--parabolic", "all", "--jobs", "100000"])
+    assert code == 0 and started == [4]
+    assert len(json.loads(out)["reports"]) == 4
+    assert run_capture(argv + ["--parabolic", "all", "--jobs", "3"])[0] == 0
+    assert started == [4, 3]

@@ -1,14 +1,18 @@
 """Distance fronts, adjacency graphs, witnesses, and exceptional roots."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdeg.cascade import d_x
 from qdeg.curveneighborhood import z
-from qdeg.degreelattice import Degree, degree_box, minimal_elements
+from qdeg.degreelattice import Degree, d_of_root, degree_box, minimal_elements, outside_roots
 from qdeg.distance import (
     adjacency_graph,
     chain_front_exact,
     chain_witness,
+    coset_order,
     delta_uv,
     delta_w,
     exceptional_roots,
@@ -16,12 +20,13 @@ from qdeg.distance import (
     verify_lemma_technical,
     verify_lemma_technical2,
 )
-from qdeg.distance.core import _chain_ends, _front, _search
-from qdeg.errors import DomainError, VerificationError
+from qdeg.distance.core import _chain_ends, _coset_table, _down_sets, _front, _search, coset_duals
+from qdeg.errors import DomainError, InvariantViolationError, VerificationError
 from qdeg.rootsystem import build_root_system
 from qdeg.weylgroup import Parabolic, WeylGroup, weyl_group
 
 from conftest import all_parabolics
+from test_weylgroup import subword_leq
 
 
 def test_delta_w_trivial():
@@ -319,3 +324,105 @@ def test_exceptional_alt_condition_reported():
         system = group.system
         for alpha in system.positive_roots:
             assert _alt_condition(system, group, alpha) == is_exceptional(system, alpha)
+
+
+# -- the integer coset tables against the matrix algorithms -------------------
+
+TABLE_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("A", 4), ("B", 4), ("D", 4)]
+
+
+def matrix_adjacency_oracle(group, parabolic):
+    """(cosets, edges) built by matrices: u s_alpha and its coset_min for every edge."""
+    system = group.system
+    cosets = group.cosets(parabolic)
+    index = {m: i for i, m in enumerate(cosets)}
+    edges = []
+    for m in cosets:
+        seen = {}
+        out = []
+        for alpha in outside_roots(system, parabolic):
+            target = group.coset_min(group.multiply(m, group.reflection(alpha)), parabolic)
+            if target == m:
+                continue
+            weight = d_of_root(system, parabolic, alpha).coeffs
+            j = index[target]
+            if j in seen:
+                assert seen[j] == weight
+                continue
+            seen[j] = weight
+            out.append((j, weight, alpha))
+        edges.append(tuple(out))
+    return cosets, tuple(edges)
+
+
+@pytest.mark.parametrize("letter,rank", TABLE_SYSTEMS)
+def test_coset_tables_against_descent_recursion(letter, rank):
+    """Bitset down-sets, up-sets, chain ends and duals against bruhat_leq and w_o u."""
+    group = WeylGroup(build_root_system(letter, rank))
+    for p in all_parabolics(rank):
+        table = _coset_table(group, p)
+        cosets = table.cosets
+        assert cosets == group.cosets(p)
+        leq = [[group.bruhat_leq(u, v) for v in cosets] for u in cosets]
+        for i in range(len(cosets)):
+            for j in range(len(cosets)):
+                assert bool(table.down[j] >> i & 1) == leq[i][j], (letter, p, i, j)
+        up = coset_order(group, p)
+        # the same frozensets, built in the same order, iterate the same way
+        assert [list(above) for above in up] == [
+            list(frozenset(j for j, below in enumerate(row) if below)) for row in leq
+        ]
+        duals = coset_duals(group, p)
+        assert duals == tuple(table.index[group.coset_min(group.dual(m), p)] for m in cosets)
+        for j, dual in enumerate(duals):
+            assert _chain_ends(group, p, j) == [y for y in range(len(cosets)) if leq[y][dual]]
+
+
+@pytest.mark.parametrize("letter,rank", TABLE_SYSTEMS + [("F", 4)])
+def test_adjacency_walks_against_matrix_products(letter, rank):
+    group = WeylGroup(build_root_system(letter, rank))
+    for p in all_parabolics(rank):
+        graph = adjacency_graph(group, p)
+        assert (graph.cosets, graph.edges) == matrix_adjacency_oracle(group, p), (letter, p)
+
+
+HYPOTHESIS_SYSTEMS = [
+    ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 3), ("C", 4), ("D", 4), ("G", 2), ("F", 4),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_bitset_membership_against_descent_recursion_and_subwords(data):
+    """A random (type, parabolic, two words); half the time u is a subword of v."""
+    letter, rank = data.draw(st.sampled_from(HYPOTHESIS_SYSTEMS))
+    group = weyl_group(letter, rank)
+    p = Parabolic.from_indices(rank, data.draw(st.sets(st.integers(0, rank - 1))))
+    word_v = data.draw(st.lists(st.integers(0, rank - 1), max_size=24))
+    v = group.from_word(word_v)
+    if data.draw(st.booleans()):
+        word_u = [j for j in word_v if data.draw(st.booleans())]
+    else:
+        word_u = data.draw(st.lists(st.integers(0, rank - 1), max_size=24))
+    u = group.from_word(word_u)
+    table = _coset_table(group, p)
+    mu, mv = group.coset_min(u, p), group.coset_min(v, p)
+    below = bool(table.down[table.index[mv]] >> table.index[mu] & 1)
+    assert below == group.bruhat_leq_coset(u, v, p) == subword_leq(group, mu, mv)
+
+
+def test_table_invariants_raise():
+    with pytest.raises(InvariantViolationError, match="no left descent"):
+        _down_sets(((0, 1),))
+    with pytest.raises(InvariantViolationError, match="top coset"):
+        _down_sets(((1, 0, 2), (2, 1, 0)))
+    cycle = (1, 2, 0, 3, 4, 5)
+    still = tuple(range(6))
+    for left, message in (((cycle, still), "involution"), ((still, still), "l\\(w_X\\)")):
+        group = WeylGroup(build_root_system("A", 2))
+        borel = Parabolic(2, frozenset())
+        table = _coset_table(group, borel)
+        group.memo[("coset-table", borel.delta_p)] = replace(table, left=left)
+        with pytest.raises(InvariantViolationError, match=message):
+            coset_duals(group, borel)

@@ -200,6 +200,26 @@ GOLDEN_DIGESTS = {
         "89740bb24f6ee820d28f25c97df9d609f512bc67293e45a884b3aabd01921539",
         "2db024da5061e85e5235cc9c2058c0cd140e82a507138f59cbf6e79edf8fbf3e",
     ),
+    # every parabolic of B4 (about 1 s), recorded before the coset tables became
+    # bitsets and table walks
+    ("description", "B", 4): (
+        "3766c0dfff0b342a4ddbd1d866df8b9395db44a4945ab02274eba44be14e206c",
+        "50db38832720951fc4097e03174045f5ebe1ba15d869e7d93aa012a60231b256",
+        "61eb7204c1e3a740668a88a1a1cfa6fb51ef0b7c2654619a46630996ea402237",
+        "508686668359c374a3d61e7c570b05951273cd7be219acd6a0c1ff4e9c91f3f3",
+        "059661454c02f6963fe860739a62d46a03a9546d6f57f5957c0b08c2030c1023",
+        "413d40544dcdb53ca0cce3acddc8bd4e8cad9fbcbb8a94e7c8feda1b400e72c6",
+        "222acb5d4b8b9fa10d264e3ad81895357d7f33d5e4835f49777096febd3d8366",
+        "5c69b4ca91e88fcc35a91c8dcabdb774589b10ed8dab51d8108f3947d43acf80",
+        "a1679c68b6276d3351666ca6b8610656b6fe58f9e23302c385fbd008acc84685",
+        "19ce7c10e337152b63d06b54f4398e8e2d5a50f41466ea286d02c4ff3d767549",
+        "589b11525d2adf8609b3759f07941b13b5cea7821b72f8fc7f02457013043031",
+        "a1b7ba05ce7192558948b47c355a6e6913594914628d33f1145e7b95b27e77d5",
+        "966f41d46c0edfdc69fbd65db3696f48071186c7e4ef81b687f33f3cdca4db1e",
+        "a45c69acdf9c59f18c0a9737985d5e13337f4497add9c77cfc06445d40288d28",
+        "3f39110e6361e2648e448815a291da9d9ec30a3ac04d331b15add15586e59de7",
+        "e82823477be5cd2c7c329505ce442cb1ca1074cb5e5dc2663d66a8431fcc0abb",
+    ),
     ("description", "C", 3): (
         "34d3e30d7f0cbff0c1fb8933d458d13dd29dc7c5dd853d360c91ad5c2e4c9228",
         "43c1233b734a1fc9e4dbfbd9dba86eb8a8cdc30d117cd47cc2dc720f22813f60",
@@ -240,6 +260,25 @@ GOLDEN_DIGESTS = {
         "fc87ad401654e9edf185d4054d57914440a7ef89f6e02ad810f8d03788bb309a",
         "8588ca2069b7a4db0a6f5e8e9b15aed62b7e45fca85abbfec8c134df775a8ec2",
     ),
+    # B4 in pairs mode (about 4 s): every pair front of every parabolic
+    ("main", "B", 4): (
+        "fcca5e96a8a6252b3381eb8b9f947217761ad2c6c1dc634d1bff90d203d500c9",
+        "cfea72f655042362050c6465dd000aad611f3de209c5644b4961cf7757ccd9d1",
+        "48bd02429de39acc2b5aefe7f848a8bb036290c7b7663eff51e4ae59917f4016",
+        "8de6e8ed4b2f1053582ce565848f7f85863c0aa209fcc861f1425f5cf60f17e8",
+        "b53dad82710584cc7994671a69db965d1a704c436fd0032c56ca7f772f6a4ecf",
+        "82dc79b15fbaf418287791a072c26c64f193ecfc650ee21d653e2c18048db2f2",
+        "72075b3cf32fdccdff0557aaf11e1febb961723fea675ab26a8776aa5f81dc59",
+        "3241f896fe20e1f241cefe97b620aeade48035cb444376d4e52c2ba535fb5c41",
+        "6c95ad55d87515e12fc905c4d9e9974ad6318df624287acf9097cd1db2b52d59",
+        "817cbae2410034736a0ff3077614e70726e22cd48ab378b7dca28b2217ee7d22",
+        "f6b7e6176f6b65439a41c8e22082fd32224ae36d496c9bad233ef6765436096b",
+        "501a6679b9481aedd2fd89cb6ee9bcc060bea7bd6898cc2389c74608fa196258",
+        "1fcab9ed7d3e0e63cf8d004956acf980661e83d820a43e8560b4c9ab8a99692a",
+        "0e3ac0f71152b4dc0fd3f9561b9ab4c357e10626c4b53a257fa19449f5247356",
+        "efa07e78112d368ebd0cae6a45e54579d91db77e1c008d460b28058bd9d3afef",
+        "87dd1caf84bfe181fc14be550d60154b86a2d28960b1a8290e5a2cdaa747c2ca",
+    ),
     ("orthogonality", "B", 2): (
         "cafdff5206143918647379d95f9676ea1d0927dfc1cb4087bbf965d5b3d39cee",
         "e26a2607e1953d8f4f44495862657d1765f7bf77d4babe091fe3337e0a70faa8",
@@ -277,12 +316,16 @@ GOLDEN_DIGESTS = {
 }
 
 
+#: ``main`` runs in pairs mode, which B2 picks in auto mode as well; box mode
+#: is pinned by BOX_MODE_DIGESTS below.  Only ``main`` reads the mode.
 @pytest.mark.parametrize("name,letter,rank", sorted(GOLDEN_DIGESTS))
 def test_verify_json_matches_golden_digests(name, letter, rank):
     assert set(suite_names()) == {key[0] for key in GOLDEN_DIGESTS}
     got = tuple(
         hashlib.sha256(
-            json.dumps(verify_suite(name, letter, rank, p).to_json(), sort_keys=True).encode()
+            json.dumps(
+                verify_suite(name, letter, rank, p, mode="pairs").to_json(), sort_keys=True
+            ).encode()
         ).hexdigest()
         for p in all_parabolics(rank)
     )
