@@ -2,8 +2,17 @@
 
 z_d^P w_P is the Hecke product of the reflections along any greedy
 decomposition of d, times w_P; the result is independent of the decomposition.
-Everything here is observably pure; z values are memoized per (group,
-parabolic, degree).
+Everything here is observably pure.
+
+``z`` reads z_d^P w_P off its inverse Y(d) = w_P . s_alpha_k . ... . s_alpha_1,
+which the Demazure product gives because it is associative and
+(u . v)^-1 = v^-1 . u^-1.  As alpha_2, ..., alpha_k is the greedy
+decomposition of d - d(alpha_1), Y(0) = w_P and
+Y(d) = Y(d - d(alpha_1)) . s_alpha_1: one Hecke step per degree, along the word
+of one reflection.  Y is memoised per (parabolic, degree) in ``group.memo``
+and folded, in a loop, up from the longest greedy tail already there.  Only
+the degree asked for pays for the inverse and ``coset_min``; its result is
+memoised per (parabolic, degree) as well.
 """
 
 from __future__ import annotations
@@ -35,15 +44,34 @@ class CurveNbhdResult:
 
 def z(group: WeylGroup, parabolic: Parabolic, d: Degree) -> CurveNbhdResult:
     """z_d^P, as its minimal and maximal coset representatives."""
+    if d.parabolic != parabolic:
+        raise DomainError("degree over a different parabolic")
     key = ("z", parabolic.delta_p, d.coeffs)
-    if key not in group.memo:
-        system = group.system
-        w = group.identity
-        for alpha in greedy_decomposition(system, parabolic, d):
-            w = group.hecke_product(w, group.reflection(alpha))
-        z_max = group.hecke_product(w, group.longest_element(parabolic))
-        group.memo[key] = CurveNbhdResult(d, group.coset_min(z_max, parabolic), z_max)
-    return group.memo[key]
+    result = group.memo.get(key)
+    if result is None:
+        z_max = group.inverse(_inverse_chain(group, parabolic, d))
+        result = group.memo[key] = CurveNbhdResult(d, group.coset_min(z_max, parabolic), z_max)
+    return result
+
+
+def _inverse_chain(group: WeylGroup, parabolic: Parabolic, d: Degree) -> Weyl:
+    """Y(d) = (z_d^P w_P)^-1, and Y of every greedy tail of d not yet memoised."""
+    system = group.system
+    memo = group.memo
+    pending = []  # (key of Y(e), alpha_1(e)) for the tails e of d above the first memoised one
+    coeffs = d.coeffs
+    for alpha in greedy_decomposition(system, parabolic, d):
+        key = ("z^-1", parabolic.delta_p, coeffs)
+        y = memo.get(key)
+        if y is not None:
+            break
+        pending.append((key, alpha))
+        coeffs = tuple(a - b for a, b in zip(coeffs, d_of_root(system, parabolic, alpha).coeffs))
+    else:
+        y = group.longest_element(parabolic)
+    for key, alpha in reversed(pending):
+        y = memo[key] = group.hecke_product(y, group.reflection(alpha))
+    return y
 
 
 def curve_neighborhood(

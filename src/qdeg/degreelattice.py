@@ -9,9 +9,15 @@ d(alpha) is read from a table built once per (system, parabolic), on first
 use, and kept in ``system.cache`` under the key ("degrees", Delta_P): one
 frozen Degree per positive root, each coroot computed once, and the roots
 outside R_P in lex-descending order beside their raw d(alpha) tuples.
-``maximal_roots`` is one sweep over that list, so a greedy step compares
-coefficient tuples and computes no coroot.  ``degree_box`` refuses a box of
-more than ENUMERATION_CAP points before it makes a single degree.
+``maximal_roots`` is one sweep over that list, and compares coefficient
+tuples without computing a coroot.
+
+A greedy step d -> (alpha_1, d - d(alpha_1)), alpha_1 the lex-largest
+maximal root of d, is memoised in ``system.cache`` under ("greedy", Delta_P,
+coefficients).  ``greedy_decomposition`` walks d down to 0 over these steps in
+a loop, so each distinct degree costs one ``maximal_roots`` sweep, however
+many decompositions pass through it.  ``degree_box`` refuses a box of more
+than ENUMERATION_CAP points before it makes a single degree.
 """
 
 from __future__ import annotations
@@ -150,18 +156,31 @@ def maximal_roots(system: RootSystem, parabolic: Parabolic, d: Degree) -> tuple:
     return tuple(reversed(kept))
 
 
+def _greedy_step(system: RootSystem, parabolic: Parabolic, coeffs: tuple) -> tuple:
+    """(alpha_1, coefficients of d - d(alpha_1)) for a nonzero d, memoised."""
+    key = ("greedy", parabolic.delta_p, coeffs)
+    step = system.cache.get(key)
+    if step is None:
+        alpha = max(maximal_roots(system, parabolic, Degree(parabolic, coeffs)))
+        d_alpha = _degree_table(system, parabolic)[0][alpha].coeffs
+        step = system.cache[key] = (alpha, tuple(a - b for a, b in zip(coeffs, d_alpha)))
+    return step
+
+
 def greedy_decomposition(system: RootSystem, parabolic: Parabolic, d: Degree) -> tuple:
     """Greedy decomposition of d; ties broken by the lex-largest coefficient vector.
 
     The multiset of entries is independent of the tie-break (checked in the
     property suites), so the choice only pins a deterministic representative.
+    The tail after alpha_1 is the greedy decomposition of d - d(alpha_1).
     """
+    if d.parabolic != parabolic:
+        raise DomainError("degrees over different parabolics")
     out = []
-    while not d.is_zero():
-        candidates = maximal_roots(system, parabolic, d)
-        alpha = max(candidates)
+    coeffs = d.coeffs
+    while any(coeffs):
+        alpha, coeffs = _greedy_step(system, parabolic, coeffs)
         out.append(alpha)
-        d = d - d_of_root(system, parabolic, alpha)
     return tuple(out)
 
 

@@ -1,10 +1,13 @@
 """CLI verbs, exit codes, JSON round-trips, and output determinism."""
 
+import hashlib
 import io
 import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
 
 from qdeg.cli import run
 
@@ -37,6 +40,25 @@ def test_z_verb():
     assert code == 0
     doc = json.loads(out)
     assert doc["z_max"] and doc["z_min"]
+
+
+#: sha256 of `qdeg z ... --json`, recorded before z moved onto the inverse Hecke chain
+Z_DIGESTS = [
+    (("B", "3", "", "2,3,2"), "fb79389e823275f091cc1aa4606fd4925bb0afe567e3852f6d127eae13608283"),
+    # F4/P{1,2,3} at d_X + 2 and E6/P{2,...,6} at d_X
+    (("F", "4", "1,2,3", "4"), "b33095846df5ce6d9ecdca7c450e47d7c8e1ae6949d4a553d82c15eac38657f7"),
+    (("E", "6", "2,3,4,5,6", "2"), "cf6dc2a0f00d20801496f58c1c4ecdfc207c5f51300731fe55e4d69b8a19e969"),
+]
+
+
+@pytest.mark.parametrize("case,digest", Z_DIGESTS)
+def test_z_json_matches_pinned_digests(case, digest):
+    letter, rank, parabolic, degree = case
+    code, out = run_capture(
+        ["z", "--type", letter, "--rank", rank, "--parabolic", parabolic, "--degree", degree, "--json"]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_g2_examples_exit_zero():

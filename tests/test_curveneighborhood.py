@@ -1,7 +1,10 @@
 """z_d^P, curve neighborhoods, and the cosmall classifications."""
 
+import random
+
 import pytest
 
+import qdeg.degreelattice as degreelattice
 from qdeg.cascade import d_x
 from qdeg.curveneighborhood import (
     curve_neighborhood,
@@ -11,11 +14,141 @@ from qdeg.curveneighborhood import (
     z,
     z_lift_check,
 )
-from qdeg.degreelattice import Degree, degree_box, in_r_p
+from qdeg.degreelattice import (
+    Degree,
+    d_of_root,
+    degree_box,
+    greedy_decomposition,
+    in_r_p,
+    maximal_roots,
+)
+from qdeg.distance.core import _z_classes
 from qdeg.errors import DomainError
-from qdeg.weylgroup import Parabolic, weyl_group
+from qdeg.rootsystem import build_root_system
+from qdeg.weylgroup import Parabolic, WeylGroup, weyl_group
 
 from conftest import all_parabolics
+
+
+def fresh_group(letter, rank):
+    """A WeylGroup over a root system of its own, so no memo is shared."""
+    return WeylGroup(build_root_system(letter, rank))
+
+
+def loop_greedy_oracle(system, parabolic, d):
+    """The greedy decomposition as a loop of maximal_roots sweeps, without the step memo."""
+    out = []
+    while not d.is_zero():
+        alpha = max(maximal_roots(system, parabolic, d))
+        out.append(alpha)
+        d = d - d_of_root(system, parabolic, alpha)
+    return tuple(out)
+
+
+def loop_z_oracle(group, parabolic, d):
+    """(greedy, z_min, z_max): the Hecke product of the greedy reflections, then w_P."""
+    greedy = loop_greedy_oracle(group.system, parabolic, d)
+    w = group.identity
+    for alpha in greedy:
+        w = group.hecke_product(w, group.reflection(alpha))
+    z_max = group.hecke_product(w, group.longest_element(parabolic))
+    return greedy, group.coset_min(z_max, parabolic), z_max
+
+
+ORACLE_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("A", 4), ("D", 4), ("B", 4)]
+
+
+def oracle_parabolics(letter, rank):
+    """Every parabolic, but only the maximal ones of F4 and E6."""
+    if letter in ("F", "E"):
+        return [Parabolic(rank, frozenset(range(rank)) - {beta}) for beta in range(rank)]
+    return all_parabolics(rank)
+
+
+@pytest.mark.parametrize("letter,rank", ORACLE_SYSTEMS + [("F", 4), ("E", 6)])
+def test_z_and_greedy_match_the_loop_oracle_in_any_order(letter, rank):
+    """Every degree of the d_X + 2 box, visited in lex, reversed and shuffled order."""
+    shuffle = random.Random(f"{letter}{rank}").shuffle
+    oracle_group = fresh_group(letter, rank)
+    for p in oracle_parabolics(letter, rank):
+        box = list(degree_box(p, d_x(oracle_group.system, p), 2))
+        expected = [loop_z_oracle(oracle_group, p, d) for d in box]
+        shuffled = list(range(len(box)))
+        shuffle(shuffled)
+        for order in (range(len(box)), range(len(box) - 1, -1, -1), shuffled):
+            group = fresh_group(letter, rank)
+            for i in order:
+                result = z(group, p, box[i])
+                got = (greedy_decomposition(group.system, p, box[i]), result.z_min, result.z_max)
+                assert got == expected[i], (p, box[i].coeffs)
+                assert result.degree is box[i]
+
+
+def test_z_and_greedy_answer_on_a_large_g2_degree():
+    """The chains are folded in loops: 1,500 steps raise no RecursionError."""
+    group = fresh_group("G", 2)
+    b = Parabolic(2, frozenset())
+    d = Degree(b, (1500, 1500))
+    result = z(group, b, d)
+    greedy = greedy_decomposition(group.system, b, d)
+    assert len(greedy) == 1500
+    assert (greedy, result.z_min, result.z_max) == loop_z_oracle(fresh_group("G", 2), b, d)
+
+
+def test_a_degree_over_another_parabolic_is_refused():
+    group = fresh_group("B", 3)
+    p = Parabolic.from_indices(3, {0})
+    q = Parabolic.from_indices(3, {1})
+    z(group, p, Degree(p, (1, 0)))
+    with pytest.raises(DomainError):
+        z(group, p, Degree(q, (1, 0)))
+    with pytest.raises(DomainError):
+        greedy_decomposition(group.system, p, Degree.zero(q))
+    with pytest.raises(DomainError):
+        z(group, p, Degree.zero(q))
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_z_classes_make_one_greedy_step_per_box_degree(monkeypatch):
+    group = fresh_group("B", 3)
+    calls = _count_calls(monkeypatch, degreelattice, "maximal_roots")
+    for p in all_parabolics(3):
+        corner = d_x(group.system, p)
+        before = len(calls)
+        _z_classes(group, p, 2)
+        swept = [args[2].coeffs for args in calls[before:]]
+        assert len(swept) == len(set(swept))
+        assert len(swept) <= len(list(degree_box(p, corner, 3)))
+
+
+def test_one_z_pays_one_coset_min_and_one_hecke_step_per_greedy_step(monkeypatch):
+    group = fresh_group("B", 3)
+    b = Parabolic(3, frozenset())
+    d = Degree(b, (2, 3, 2))
+    k = len(loop_greedy_oracle(fresh_group("B", 3).system, b, d))
+    assert k >= 2
+    coset_mins = _count_calls(monkeypatch, group, "coset_min")
+    hecke_steps = _count_calls(monkeypatch, group, "hecke_product")
+    sweeps = _count_calls(monkeypatch, degreelattice, "maximal_roots")
+    z(group, b, d)
+    assert (len(coset_mins), len(hecke_steps), len(sweeps)) == (1, k, k)
+    # each step walks the word of one reflection, from the last greedy root up to the first
+    greedy = greedy_decomposition(group.system, b, d)
+    assert [v for _, v in hecke_steps] == [group.reflection(a) for a in reversed(greedy)]
+    tail = d - d_of_root(group.system, b, greedy[0])
+    z(group, b, tail)
+    assert (len(coset_mins), len(hecke_steps), len(sweeps)) == (2, k, k)
 
 
 def test_z_trivial_and_golden():

@@ -167,6 +167,22 @@ def test_hecke_basics():
     assert b2.hecke_product(w_p, w_p) == w_p
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(
+        [("A", 2), ("A", 3), ("A", 4), ("B", 3), ("B", 4), ("C", 4), ("D", 4), ("F", 4), ("G", 2)]
+    ),
+    words=st.lists(st.lists(st.integers(0, 3), max_size=16), min_size=3, max_size=3),
+)
+def test_hecke_product_is_associative_and_inverts_in_reverse(name, words):
+    """(u.v).w = u.(v.w) and (u.v)^-1 = v^-1 . u^-1: the laws behind z's inverse chain."""
+    group = weyl_group(*name)
+    u, v, w = (group.from_word(j % group.system.rank for j in word) for word in words)
+    hecke, inverse = group.hecke_product, group.inverse
+    assert hecke(hecke(u, v), w) == hecke(u, hecke(v, w))
+    assert inverse(hecke(u, v)) == hecke(inverse(v), inverse(u))
+
+
 def test_hecke_coset_rep_laws_rank3():
     """Max rep <=> w.w_P = w; min rep gives ww_P = w.w_P maximal; all parabolics."""
     from conftest import all_parabolics
