@@ -24,7 +24,7 @@ from .errors import (
     ResourceError,
     VerificationError,
 )
-from .rootsystem import RootSystem, build_root_system
+from .rootsystem import RootSystem, build_root_system, check_type
 from .weylgroup import Parabolic, WeylGroup, weyl_group
 
 SCHEMA = "qdeg/1"
@@ -72,28 +72,30 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_parabolic(system: RootSystem, text: str | None) -> Parabolic:
+# The parsers read only --rank, so a bad option exits before any system is built.
+
+
+def _parse_parabolic(rank: int, text: str | None) -> Parabolic:
     if not text:
-        return Parabolic(system.rank, frozenset())
+        return Parabolic(rank, frozenset())
     try:
         indices = [int(x) - 1 for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise _UsageError(f"bad parabolic spec {text!r}") from exc
-    if any(not 0 <= i < system.rank for i in indices):
+    if any(not 0 <= i < rank for i in indices):
         raise _UsageError(f"parabolic indices out of range in {text!r}")
-    return Parabolic.from_indices(system.rank, indices)
+    return Parabolic.from_indices(rank, indices)
 
 
-def _parse_word(group: WeylGroup, text: str | None):
-    if not text:
-        return group.identity
+def _parse_word(rank: int, text: str | None) -> list:
+    """The 0-based letters of a 1-based word; empty for the identity."""
     try:
-        word = [int(x) - 1 for x in text.split(",") if x.strip()]
+        word = [int(x) - 1 for x in (text or "").split(",") if x.strip()]
     except ValueError as exc:
         raise _UsageError(f"bad word {text!r}") from exc
-    if any(not 0 <= j < group.system.rank for j in word):
+    if any(not 0 <= j < rank for j in word):
         raise _UsageError(f"word letters out of range in {text!r}")
-    return group.from_word(word)
+    return word
 
 
 def _parse_degree(parabolic: Parabolic, text: str) -> Degree:
@@ -169,8 +171,8 @@ def _cmd_cascade(args) -> int:
 
 
 def _cmd_dx(args) -> int:
+    parabolic = _parse_parabolic(args.rank, args.parabolic)
     system = build_root_system(args.type, args.rank)
-    parabolic = _parse_parabolic(system, args.parabolic)
     dx = _d_x(system, parabolic)
     doc = {"schema": SCHEMA, "system": encode_system(system), "d_X": encode_degree(dx)}
     _emit(doc, args.json, [f"d_X = {list(dx.coeffs)} over beta in {[b + 1 for b in parabolic.free]}"])
@@ -178,10 +180,10 @@ def _cmd_dx(args) -> int:
 
 
 def _cmd_z(args) -> int:
+    parabolic = _parse_parabolic(args.rank, args.parabolic)
+    d = _parse_degree(parabolic, args.degree)
     group = weyl_group(args.type, args.rank)
     system = group.system
-    parabolic = _parse_parabolic(system, args.parabolic)
-    d = _parse_degree(parabolic, args.degree)
     result = z(group, parabolic, d)
     doc = {
         "schema": SCHEMA,
@@ -203,9 +205,10 @@ def _cmd_z(args) -> int:
 
 
 def _cmd_delta(args) -> int:
+    parabolic = _parse_parabolic(args.rank, args.parabolic)
+    word_u = _parse_word(args.rank, args.u)
     group = weyl_group(args.type, args.rank)
-    parabolic = _parse_parabolic(group.system, args.parabolic)
-    u = _parse_word(group, args.u)
+    u = group.from_word(word_u)
     front = delta_w(group, parabolic, u, pad=args.box)
     doc = {
         "schema": SCHEMA,
@@ -219,10 +222,10 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_delta2(args) -> int:
+    parabolic = _parse_parabolic(args.rank, args.parabolic)
+    word_u, word_v = _parse_word(args.rank, args.u), _parse_word(args.rank, args.v)
     group = weyl_group(args.type, args.rank)
-    parabolic = _parse_parabolic(group.system, args.parabolic)
-    u = _parse_word(group, args.u)
-    v = _parse_word(group, args.v)
+    u, v = group.from_word(word_u), group.from_word(word_v)
     group.cosets(parabolic, args.cap)  # enforce the enumeration cap up front
     front = delta_uv(group, parabolic, u, v, pad=args.box)
     doc = {
@@ -288,19 +291,18 @@ def _run_one_suite(task) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    system = build_root_system(args.type, args.rank)
+    rank = args.rank
     if args.parabolic == "all":
-        if system.rank > 5:
+        if rank > 5:
             raise _UsageError("iterating every parabolic is guarded to rank <= 5")
         import itertools
 
         subsets = [
-            tuple(c)
-            for r in range(system.rank + 1)
-            for c in itertools.combinations(range(system.rank), r)
+            tuple(c) for r in range(rank + 1) for c in itertools.combinations(range(rank), r)
         ]
     else:
-        subsets = [tuple(sorted(_parse_parabolic(system, args.parabolic).delta_p))]
+        subsets = [tuple(sorted(_parse_parabolic(rank, args.parabolic).delta_p))]
+    system = build_root_system(args.type, rank)
     tasks = [
         (args.suite, system.type_letter, system.rank, s, args.box, args.mode)
         for s in subsets
@@ -398,6 +400,7 @@ def run(argv) -> int:
             raise _UsageError(f"--box must be >= 0, got {args.box}")
         if getattr(args, "jobs", 1) < 1:  # only verify takes --jobs
             raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
+        check_type(args.type, args.rank)  # before any option is read against the rank
         return _COMMANDS[args.verb](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, NewType
 
 from .errors import ConfigurationError, DomainError
@@ -179,12 +180,17 @@ class RootSystem:
             raise DomainError("mismatched systems in pairing")
         return sum(c[j] * self.pair_simple_coroot(x, j) for j in range(self.rank) if c[j])
 
+    @cached_property
+    def gram(self) -> tuple:
+        """The Gram matrix of the simple roots, (alpha_i, alpha_j) = d_j a_ij."""
+        return tuple(tuple(map(mul, row, self.symmetrizer)) for row in self.cartan)
+
     def inner(self, a, b) -> int:
         """The W-invariant form, short roots normalized to squared length 2."""
         total = 0
-        for j in range(self.rank):
-            if b[j]:
-                total += b[j] * self.symmetrizer[j] * self.pair_simple_coroot(a, j)
+        for x, row in zip(a, self.gram):
+            if x:
+                total += x * sum(map(mul, row, b))
         return total
 
     def coroot(self, a) -> CorootVector:
@@ -303,17 +309,23 @@ def _generate_positive_roots(cartan: tuple) -> tuple:
     return tuple(sorted(seen, key=lambda r: (sum(r), r)))
 
 
+def check_type(type_letter: str, rank: int) -> str:
+    """The upper-case type letter of an admissible (type, rank); builds nothing."""
+    letter = str(type_letter).upper()
+    if letter not in ADMISSIBLE or not isinstance(rank, int):
+        raise ConfigurationError(f"unknown type {type_letter!r}")
+    if not ADMISSIBLE[letter](rank):
+        raise ConfigurationError(f"inadmissible rank {rank} for type {letter}")
+    return letter
+
+
 def build_root_system(type_letter: str, rank: int) -> RootSystem:
     """Construct the irreducible root system of the given type and rank.
 
     D_3 is admitted and yields a system isomorphic to A_3 with the D-series
     labeling of its simple roots.
     """
-    letter = str(type_letter).upper()
-    if letter not in ADMISSIBLE or not isinstance(rank, int):
-        raise ConfigurationError(f"unknown type {type_letter!r}")
-    if not ADMISSIBLE[letter](rank):
-        raise ConfigurationError(f"inadmissible rank {rank} for type {letter}")
+    letter = check_type(type_letter, rank)
     cartan = _cartan_matrix(letter, rank)
     positive = _generate_positive_roots(cartan)
     expected = POSITIVE_ROOT_COUNT[letter](rank)

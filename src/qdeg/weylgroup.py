@@ -11,6 +11,10 @@ what changes: u s_j negates row j and subtracts a_ij * row j from each Dynkin
 neighbor row i, and s_j u changes only column j, by <row, alpha_j^vee>.
 Other products apply u to each row of v.  length(w) is the length of the
 reduced word, read off a descent walk that lowers the length by one per step.
+
+Bruhat order is the lifting recursion on a right descent s_j of v (see
+bruhat_leq): each level reads row signs and takes at most two row updates,
+and computes no length, word or inverse.
 """
 
 from __future__ import annotations
@@ -267,27 +271,28 @@ class WeylGroup:
     # -- Bruhat order ------------------------------------------------------------
 
     def bruhat_leq(self, u: Weyl, v: Weyl) -> bool:
-        """Descent recursion; the subword criterion is kept as a test oracle."""
+        """Right-descent lifting recursion; the subword criterion is kept as a test oracle.
+
+        For a right descent s_j of v (row j of v negative), u <= v iff
+        u s_j <= v s_j when s_j is a right descent of u too, and iff
+        u <= v s_j otherwise (the lifting property, Bjorner-Brenti, GTM 231,
+        Prop. 2.2.7).  A level costs the sign tests that find j, one on row j
+        of u, and at most two row updates; v = e ends the recursion.
+        """
         if u == v:
             return True
         key = (u, v)
         cached = self._bruhat.get(key)
         if cached is not None:
             return cached
-        lu, lv = self.length(u), self.length(v)
-        if lu >= lv:
+        j = next((j for j in range(self.system.rank) if self.is_negative(v[j])), None)
+        if j is None:  # v = e, and u != v
             result = False
         else:
-            inv_v = self.inverse(v)
-            s = self._simple[
-                next(j for j in range(self.system.rank) if self.is_negative(inv_v[j]))
-            ]
-            sv = self.multiply(s, v)
-            su = self.multiply(s, u)
-            if self.length(su) < lu:
-                result = self.bruhat_leq(su, sv)
-            else:
-                result = self.bruhat_leq(u, sv)
+            s = self._simple[j]
+            if self.is_negative(u[j]):
+                u = self.multiply(u, s)
+            result = self.bruhat_leq(u, self.multiply(v, s))
         self._bruhat[key] = result
         return result
 

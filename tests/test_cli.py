@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -100,6 +101,21 @@ def test_json_round_trip_roots():
     assert doc["positive_roots"][-1]["coroot"]
 
 
+#: sha256 of `qdeg roots ... --json`, recorded before inner read the Gram matrix
+ROOTS_DIGESTS = [
+    (("C", "8"), "f65c99f6061124f09346dbdfaba07268b70bbc90193f48d7b874a055b1ad6d42"),
+    (("E", "7"), "4d59813f3786adf994581aa9deab0a083ad9b0c4cbe848201ad0230189f5f040"),
+]
+
+
+@pytest.mark.parametrize("case,digest", ROOTS_DIGESTS)
+def test_roots_json_matches_pinned_digests(case, digest):
+    letter, rank = case
+    code, out = run_capture(["roots", "--type", letter, "--rank", rank, "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_delta_json_and_determinism():
     argv = ["delta", "--type", "G", "--rank", "2", "--parabolic", "1", "--u", "2,1,2,1", "--json"]
     code1, out1 = run_capture(argv)
@@ -130,6 +146,44 @@ def test_scan_box_over_the_cap_exits_two_at_once():
         )
         assert done.returncode == 2 and done.stdout == "", argv
         assert "exceeded the cap" in done.stderr
+
+
+def test_options_are_read_against_the_rank_before_the_system_is_built(monkeypatch):
+    """A degree, parabolic or word that does not fit --rank exits 2 before any system is built."""
+    argv = ["z", "--type", "A", "--rank", "200", "--parabolic", "1", "--degree", "1"]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "qdeg.cli", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert time.perf_counter() - start < 10  # A200 has 20,100 positive roots to generate
+    assert done.returncode == 2 and done.stdout == ""
+    assert "degree needs 199 coefficients" in done.stderr
+
+    from qdeg import cli
+
+    def unbuilt(*args):
+        raise AssertionError("a root system was built")
+
+    monkeypatch.setattr(cli, "build_root_system", unbuilt)
+    monkeypatch.setattr(cli, "weyl_group", unbuilt)
+    for verb in (
+        ["z", "--parabolic", "0", "--degree", "1"],
+        ["dx", "--parabolic", "201"],
+        ["delta", "--u", "1,201"],
+        ["delta2", "--v", "x"],
+        ["verify", "--suite", "main", "--parabolic", "all"],
+        ["verify", "--suite", "main", "--parabolic", "1,x"],
+    ):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert run_capture(verb + ["--type", "A", "--rank", "200"]) == (2, ""), verb
+        assert err.getvalue().startswith("usage error:"), verb
+    # an inadmissible rank is still reported first
+    err = io.StringIO()
+    with redirect_stderr(err):
+        argv = ["z", "--type", "E", "--rank", "9", "--parabolic", "12", "--degree", "x"]
+        assert run_capture(argv) == (2, "")
+    assert err.getvalue() == "error: inadmissible rank 9 for type E\n"
 
 
 def test_delta2_verb_and_cap():

@@ -201,3 +201,26 @@ def test_d3_is_a3():
     assert len(d3.positive_roots) == len(a3.positive_roots) == 6
     # D-labeled: node 0 is the center
     assert d3.adjacency[0] == frozenset({1, 2})
+
+
+def pairing_inner(system, a, b) -> int:
+    """(a, b) summed through Cartan pairings: sum_j b_j d_j <a, alpha_j^vee>."""
+    return sum(
+        b[j] * system.symmetrizer[j] * system.pair_simple_coroot(a, j)
+        for j in range(system.rank)
+        if b[j]
+    )
+
+
+@pytest.mark.parametrize(
+    "letter,rank",
+    [("A", 5), ("B", 5), ("C", 8), ("D", 5), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)],
+)
+def test_gram_inner_matches_the_pairing_formula(letter, rank):
+    system = build_root_system(letter, rank)
+    gram = system.gram
+    assert all(gram[i][j] == gram[j][i] for i in range(rank) for j in range(rank))
+    roots = system.positive_roots
+    for a in roots:
+        for b in roots:
+            assert system.inner(a, b) == pairing_inner(system, a, b), (a, b)

@@ -1,5 +1,7 @@
 """Weyl group actions, Bruhat order (vs. the subword oracle), Hecke basics."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,40 @@ def subword_leq(group, u, v):
         s = group.simple_reflection(j)
         reachable |= {group.multiply(x, s) for x in reachable}
     return u in reachable
+
+
+def left_descent_bruhat_oracle(group, u, v):
+    """The left-descent recursion that bruhat_leq ran before, without its memo.
+
+    With s a left descent of v (read off v's inverse), u <= v iff su <= sv
+    when su < u, else iff u <= sv; lengths end it at l(u) >= l(v).  It never
+    branches, so it is written as a loop.
+    """
+    while u != v:
+        lu = group.length(u)
+        if lu >= group.length(v):
+            return False
+        inv_v = group.inverse(v)
+        j = next(j for j in range(group.system.rank) if group.is_negative(inv_v[j]))
+        s = group.simple_reflection(j)
+        su = group.multiply(s, u)
+        if group.length(su) < lu:
+            u = su
+        v = group.multiply(s, v)
+    return True
+
+
+def count_multiplies(group) -> list:
+    """Route the instance's products through a counter; one entry per call."""
+    calls = []
+    product = group.multiply
+
+    def counted(u, v):
+        calls.append(None)
+        return product(u, v)
+
+    group.multiply = counted
+    return calls
 
 
 def general_product(group, u, v):
@@ -139,6 +175,54 @@ def test_bruhat_matches_subword_oracle(letter, rank):
     for u in els:
         for v in els:
             assert group.bruhat_leq(u, v) == subword_leq(group, u, v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from([("D", 5), ("F", 4), ("E", 6), ("E", 7), ("C", 8), ("E", 8)]),
+    words=st.lists(st.lists(st.integers(0, 7), max_size=30), min_size=2, max_size=2),
+    mask=st.lists(st.booleans(), min_size=30, max_size=30),
+)
+def test_bruhat_matches_the_left_descent_and_subword_oracles_on_random_words(name, words, mask):
+    """Groups too large to enumerate: u, v random words, and a subword of v below v."""
+    group = weyl_group(*name)
+    u, v = (group.from_word(j % group.system.rank for j in word) for word in words)
+    below = group.from_word(j for j, keep in zip(group.reduced_word(v), mask) if keep)
+    e = group.identity
+    for x, y in [(u, v), (v, u), (below, v), (v, below), (u, u), (e, v), (v, e), (e, e)]:
+        expected = left_descent_bruhat_oracle(group, x, y)
+        assert group.bruhat_leq(x, y) == expected, (x, y)
+        if group.length(y) <= 10:
+            assert subword_leq(group, x, y) == expected, (x, y)
+    assert group.bruhat_leq(below, v)
+
+
+def test_bruhat_leq_takes_two_products_per_level_and_no_length():
+    """e <= w_o on a fresh E7: at most 2 l(w_o) products, and no length, word or inverse.
+
+    The left-descent recursion needs far more on the same query: it reads a
+    length and an inverse, each a full reduced word, at every level.
+    """
+    bound = 2 * 63
+    group = WeylGroup(build_root_system("E", 7))
+    w_o, e = group.w_o, group.identity
+    calls = count_multiplies(group)
+    assert group.bruhat_leq(e, w_o)
+    assert len(calls) <= bound
+    assert group._length == {e: 0} and group._word == {e: ()} and group._inverse == {e: e}
+    old = WeylGroup(build_root_system("E", 7))
+    w_o = old.w_o
+    calls = count_multiplies(old)
+    assert left_descent_bruhat_oracle(old, e, w_o)
+    assert len(calls) > bound
+
+
+def test_bruhat_leq_recurses_through_e8_longest_element_at_the_default_limit():
+    """Depth l(w_o) = 120 fits the interpreter's default recursion limit."""
+    assert sys.getrecursionlimit() >= 1000
+    group = WeylGroup(build_root_system("E", 8))
+    assert group.bruhat_leq(group.identity, group.w_o)
+    assert not group.bruhat_leq(group.w_o, group.identity)
 
 
 def test_bruhat_basics():
