@@ -4,15 +4,20 @@ z_d^P w_P is the Hecke product of the reflections along any greedy
 decomposition of d, times w_P; the result is independent of the decomposition.
 Everything here is observably pure.
 
-``z`` reads z_d^P w_P off its inverse Y(d) = w_P . s_alpha_k . ... . s_alpha_1,
-which the Demazure product gives because it is associative and
-(u . v)^-1 = v^-1 . u^-1.  As alpha_2, ..., alpha_k is the greedy
-decomposition of d - d(alpha_1), Y(0) = w_P and
+``z`` reads z_d^P w_P = s_alpha_1 . ... . s_alpha_k . w_P off the Demazure
+product Y(d) = w_P . s_alpha_k . ... . s_alpha_1, its inverse, as the product
+is associative and (u . v)^-1 = v^-1 . u^-1.  z_d^P w_P is an involution, so
+Y(d) is z_d^P w_P itself: uW_P lies in Gamma_d(eW_P) iff eW_P lies in
+Gamma_d(uW_P) = u Gamma_d(eW_P) iff u^-1 W_P lies in Gamma_d(eW_P), so
+{u <= z_d^P w_P} is closed under inversion, and so is its longest element
+(Gamma_d(X_w) = X_{w . z_d}: Buch-Mihalcea, J. Differential Geom. 99, 2015).
+As alpha_2, ..., alpha_k is the greedy decomposition of d - d(alpha_1),
+Y(0) = w_P and
 Y(d) = Y(d - d(alpha_1)) . s_alpha_1: one Hecke step per degree, along the word
 of one reflection.  Y is memoised per (parabolic, degree) in ``group.memo``
 and folded, in a loop, up from the longest greedy tail already there.  Only
-the degree asked for pays for the inverse and ``coset_min``; its result is
-memoised per (parabolic, degree) as well.
+the degree asked for pays for ``coset_min``; its result is memoised per
+(parabolic, degree) as well.
 """
 
 from __future__ import annotations
@@ -49,19 +54,19 @@ def z(group: WeylGroup, parabolic: Parabolic, d: Degree) -> CurveNbhdResult:
     key = ("z", parabolic.delta_p, d.coeffs)
     result = group.memo.get(key)
     if result is None:
-        z_max = group.inverse(_inverse_chain(group, parabolic, d))
+        z_max = _hecke_chain(group, parabolic, d)
         result = group.memo[key] = CurveNbhdResult(d, group.coset_min(z_max, parabolic), z_max)
     return result
 
 
-def _inverse_chain(group: WeylGroup, parabolic: Parabolic, d: Degree) -> Weyl:
-    """Y(d) = (z_d^P w_P)^-1, and Y of every greedy tail of d not yet memoised."""
+def _hecke_chain(group: WeylGroup, parabolic: Parabolic, d: Degree) -> Weyl:
+    """Y(d) = z_d^P w_P, and Y of every greedy tail of d not yet memoised."""
     system = group.system
     memo = group.memo
     pending = []  # (key of Y(e), alpha_1(e)) for the tails e of d above the first memoised one
     coeffs = d.coeffs
     for alpha in greedy_decomposition(system, parabolic, d):
-        key = ("z^-1", parabolic.delta_p, coeffs)
+        key = ("hecke-chain", parabolic.delta_p, coeffs)
         y = memo.get(key)
         if y is not None:
             break

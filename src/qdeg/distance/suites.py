@@ -50,7 +50,7 @@ from .core import (
     delta_w,
     delta_uv,
     PackedLabels,
-    _chain_ends,
+    _lower_covers,
     _search,
 )
 
@@ -120,19 +120,38 @@ def _min_tuples(labels: PackedLabels, packed) -> tuple:
 
 
 def _pairs_table(group: WeylGroup, parabolic: Parabolic, pad: int) -> dict:
-    """delta_P(u, v) for every coset pair, as raw coefficient tuples."""
+    """delta_P(u, v) for every coset pair, as raw coefficient tuples.
+
+    Entry (i, j) is minimal over the fronts of the chain search from the
+    cosets above u_i, at the chain ends y <= w_o u_j W_P.  Bruhat order on
+    W^P is graded by length, so down(y) = {y} | the union of down(c) over the
+    cosets c that y covers, and the minimal labels over down(y) are
+    closed[y] = minimal(fronts[y] | closed[c] for each cover c).  Index order
+    puts every cover before y, so each source costs one merge per coset, and
+    entry (i, j) is closed[w_o u_j].  Pairs that read the same labels share
+    one row tuple.
+    """
     key = ("pairs-table", parabolic.delta_p, pad)
     if key in group.memo:
         return group.memo[key]
-    n = len(group.cosets(parabolic))
-    ends = [_chain_ends(group, parabolic, j) for j in range(n)]
+    covers = _lower_covers(group, parabolic)
+    duals = coset_duals(group, parabolic)
     table: dict = {}
-    for i in range(n):
+    for i in range(len(covers)):
         result = _search(group, parabolic, i, "up", pad)
-        fronts = result.fronts
-        for j in range(n):
-            cands = [c for y in ends[j] for c in fronts[y]]
-            table[(i, j)] = _min_tuples(result.labels, cands)
+        labels = result.labels
+        closed: list = []
+        for front, below in zip(result.fronts, covers):
+            merged = set(front)
+            for c in below:
+                merged.update(closed[c])
+            closed.append(tuple(merged) if len(merged) == 1 else tuple(labels.minimal(merged)))
+        rows: dict = {}
+        for j, y in enumerate(duals):
+            row = rows.get(closed[y])
+            if row is None:
+                row = rows[closed[y]] = _min_tuples(labels, closed[y])
+            table[(i, j)] = row
     group.memo[key] = table
     return table
 
@@ -145,11 +164,19 @@ def _empty_fronts(table: dict):
 
 
 def _each_pair_degree(table: dict, ok):
-    """(ok(coeffs), info) for each degree of each pair front; an empty front fails."""
+    """(ok(coeffs), info) for each degree of each pair front; an empty front fails.
+
+    ok must be pure in coeffs (both callers are): it runs once per distinct
+    tuple, and info is formatted only for a failing item.
+    """
     yield from _empty_fronts(table)
+    verdicts: dict = {}
     for (i, j), front in table.items():
         for coeffs in front:
-            yield ok(coeffs), f"u#{i} v#{j} d={coeffs}"
+            good = verdicts.get(coeffs)
+            if good is None:
+                good = verdicts[coeffs] = ok(coeffs)
+            yield good, None if good else f"u#{i} v#{j} d={coeffs}"
 
 
 def _self_front(group: WeylGroup, parabolic: Parabolic, d: Degree, pad: int) -> bool:

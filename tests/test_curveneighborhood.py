@@ -7,6 +7,7 @@ import pytest
 import qdeg.degreelattice as degreelattice
 from qdeg.cascade import d_x
 from qdeg.curveneighborhood import (
+    _hecke_chain,
     curve_neighborhood,
     equalwx_criterion,
     is_cosmall,
@@ -106,6 +107,18 @@ def test_a_degree_over_another_parabolic_is_refused():
         greedy_decomposition(group.system, p, Degree.zero(q))
     with pytest.raises(DomainError):
         z(group, p, Degree.zero(q))
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
+def test_z_max_is_an_involution_read_off_the_hecke_chain(letter, rank):
+    """z_d^P w_P = its inverse, so the Hecke chain Y(d) is z_max, and its inverse gives z_min."""
+    group = fresh_group(letter, rank)
+    for p in all_parabolics(rank):
+        for d in degree_box(p, d_x(group.system, p), 2):
+            result = z(group, p, d)
+            y = _hecke_chain(group, p, d)
+            assert group.inverse(result.z_max) == result.z_max == y, (letter, p, d.coeffs)
+            assert result.z_min == group.coset_min(group.inverse(y), p), (letter, p, d.coeffs)
 
 
 def _count_calls(monkeypatch, owner, name):

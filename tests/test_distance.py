@@ -1,5 +1,6 @@
 """Distance fronts, adjacency graphs, witnesses, and exceptional roots."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qdeg.cascade import d_x
 from qdeg.curveneighborhood import z
-from qdeg.degreelattice import Degree, d_of_root, degree_box, minimal_elements, outside_roots
+from qdeg.degreelattice import Degree, c1, d_of_root, degree_box, minimal_elements, outside_roots
 from qdeg.distance import (
     adjacency_graph,
     chain_front_exact,
@@ -20,7 +21,16 @@ from qdeg.distance import (
     verify_lemma_technical,
     verify_lemma_technical2,
 )
-from qdeg.distance.core import _chain_ends, _coset_table, _down_sets, _front, _search, coset_duals
+from qdeg.distance.core import (
+    _chain_ends,
+    _coset_table,
+    _down_sets,
+    _front,
+    _lower_covers,
+    _search,
+    coset_duals,
+)
+from qdeg.distance.suites import _min_tuples, _pairs_table
 from qdeg.errors import DomainError, InvariantViolationError, VerificationError
 from qdeg.rootsystem import build_root_system
 from qdeg.weylgroup import Parabolic, WeylGroup, weyl_group
@@ -295,9 +305,8 @@ def test_front_coverage_exploration():
     assert Degree(b, (2, 1)) in coverage.gaps
     assert Degree.zero(b) in coverage.achieved
     assert d_x(g2.system, b) in coverage.achieved
-    # non-singleton fronts would be counterexamples to the uniqueness conjecture;
-    # none are asserted, the report just surfaces whatever the search finds
-    assert isinstance(coverage.nonsingleton_pairs, tuple)
+    # on G/B every pair front is one degree (Postnikov 2005)
+    assert coverage.nonsingleton_pairs == ()
 
 
 def test_lemma_technical_b_series_shapes():
@@ -426,3 +435,130 @@ def test_table_invariants_raise():
         group.memo[("coset-table", borel.delta_p)] = replace(table, left=left)
         with pytest.raises(InvariantViolationError, match=message):
             coset_duals(group, borel)
+
+
+def test_lower_cover_invariants_raise():
+    for change, message in (
+        (lambda t: replace(t, cosets=t.cosets[::-1]), "sorted by length"),
+        (lambda t: replace(t, down=tuple(1 << i for i in range(len(t.down)))), "covers nothing"),
+    ):
+        group = WeylGroup(build_root_system("A", 2))
+        borel = Parabolic(2, frozenset())
+        group.memo[("coset-table", borel.delta_p)] = change(_coset_table(group, borel))
+        with pytest.raises(InvariantViolationError, match=message):
+            _lower_covers(group, borel)
+
+
+PAIR_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("G", 2)]
+
+
+def direct_pairs_oracle(group, parabolic, pad):
+    """The pair table as a direct read: minimal labels over every chain end of each pair."""
+    n = len(group.cosets(parabolic))
+    ends = [_chain_ends(group, parabolic, j) for j in range(n)]
+    table = []
+    for i in range(n):
+        result = _search(group, parabolic, i, "up", pad)
+        for j in range(n):
+            packed = [t for y in ends[j] for t in result.fronts[y]]
+            table.append(((i, j), _min_tuples(result.labels, packed)))
+    return table
+
+
+@pytest.mark.parametrize("letter,rank", PAIR_SYSTEMS)
+def test_pairs_table_closure_matches_the_direct_read(letter, rank):
+    """Values and (i, j) order, and the lower covers against bruhat_leq."""
+    group = WeylGroup(build_root_system(letter, rank))
+    for p in all_parabolics(rank):
+        cosets = group.cosets(p)
+        lengths = [group.length(m) for m in cosets]
+        brute = tuple(
+            tuple(
+                x
+                for x, u in enumerate(cosets)
+                if lengths[x] == lengths[y] - 1 and group.bruhat_leq(u, v)
+            )
+            for y, v in enumerate(cosets)
+        )
+        assert _lower_covers(group, p) == brute, (letter, p)
+        assert list(_pairs_table(group, p, 2).items()) == direct_pairs_oracle(group, p, 2)
+
+
+def test_pairs_table_closure_on_perturbed_fronts():
+    """The closure on fronts that are not monotone in Bruhat order.
+
+    The chain search's own fronts already are (the minimum over y' <= y is
+    attained at y), so there the closure merges nothing new; random labels
+    in place of the searched ones make every merge count.
+    """
+    rng = random.Random(11)
+    group = WeylGroup(build_root_system("B", 3))
+    for p in all_parabolics(3):
+        n = len(group.cosets(p))
+        for i in range(n):
+            result = _search(group, p, i, "up", 2)
+            top = result.labels.unpack(result.labels.cap)
+            fronts = [
+                {
+                    result.labels.pack(tuple(rng.randint(0, c) for c in top))
+                    for _ in range(rng.choice((0, 1, 1, 2, 3)))
+                }
+                for _ in range(n)
+            ]
+            group.memo[("search", p.delta_p, i, "up", 2)] = replace(result, fronts=fronts)
+        assert list(_pairs_table(group, p, 2).items()) == direct_pairs_oracle(group, p, 2), p
+
+
+def qbg_pairs_oracle(group, parabolic):
+    """For each pair (i, j), the weights of the shortest paths from u_i to w_o u_j W_P.
+
+    The parabolic quantum Bruhat graph (Postnikov 2005; Lam-Shimozono 2010,
+    section 10) keeps an adjacency edge (u_i, alpha) to u_k as an edge of
+    weight 0 when l(u_k) = l(u_i) + 1, of weight d(alpha) when
+    l(u_k) = l(u_i) + 1 - <c_1, d(alpha)>, and drops it otherwise.  Paths are
+    shortest by edge count; no cap bounds the weights.
+    """
+    graph = adjacency_graph(group, parabolic)
+    lengths = [group.length(m) for m in graph.cosets]
+    chern = c1(group.system, parabolic)
+    zero = (0,) * len(parabolic.free)
+    arcs = []
+    for i, out in enumerate(graph.edges):
+        kept = []
+        for k, weight, _ in out:
+            if lengths[k] == lengths[i] + 1:
+                kept.append((k, zero))
+            elif lengths[k] == lengths[i] + 1 - chern.pair(Degree(parabolic, weight)):
+                kept.append((k, weight))
+        arcs.append(kept)
+    duals = coset_duals(group, parabolic)
+    table = {}
+    for i in range(len(arcs)):
+        weights = {i: {zero}}
+        layer = [i]
+        while layer:
+            found: dict = {}
+            for v in layer:
+                for k, weight in arcs[v]:
+                    if k not in weights:
+                        found.setdefault(k, set()).update(
+                            tuple(a + b for a, b in zip(w, weight)) for w in weights[v]
+                        )
+            weights.update(found)
+            layer = list(found)
+        for j, dual in enumerate(duals):
+            table[(i, j)] = weights[dual]
+    return table
+
+
+@pytest.mark.parametrize("letter,rank", PAIR_SYSTEMS)
+def test_pairs_table_against_the_quantum_bruhat_graph(letter, rank):
+    """The chain table equals the QBG's minimal path weights, and every front is one degree."""
+    group = WeylGroup(build_root_system(letter, rank))
+    for p in all_parabolics(rank):
+        table = _pairs_table(group, p, 2)
+        qbg = qbg_pairs_oracle(group, p)
+        assert table.keys() == qbg.keys()
+        for pair, front in table.items():
+            assert front == tuple(minimal_elements(qbg[pair])), (letter, p, pair)
+            assert len(front) == len(qbg[pair]) == 1, (letter, p, pair)
