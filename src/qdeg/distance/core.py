@@ -33,12 +33,12 @@ sweep.  A codec is built once per (parabolic, cap) and kept in
 The coset tables of W/W_P are built here and nowhere else, from one table
 per parabolic: left[j][i], the index of s_j u_i W_P in group.cosets order.
 Bruhat down-sets are int bitsets by the lifting property (Bjorner-Brenti,
-GTM 231, 2.2), and ``coset_order``, ``_chain_ends`` (the cosets
-y <= w_o u_j W_P, where a chain to u_j W_P may end) and ``_lower_covers``
-read their bits.  Bruhat order on W^P is graded by length, so the lower
-covers of y are its down-set on the one index range of length l(u_y) - 1.
-Pair tables read a closure of the forward fronts over ``_lower_covers``;
-``_chain_ends`` serves only the "ends" search and ``chain_witness``.
+GTM 231, 2.2), and ``coset_order`` and ``_chain_ends`` (the cosets
+y <= w_o u_j W_P, where a chain to u_j W_P may end) read their bits.  Pair
+tables read each forward front at w_o u_j W_P alone, since the fronts of a
+search seeded at an up-set are monotone in Bruhat order (see
+``_pairs_table``); ``_chain_ends`` serves only the "ends" search and
+``chain_witness``.
 ``coset_duals`` walks each index along the word of w_o, and the adjacency
 edge (u_i, alpha) walks i along a word of s_beta, as u_i s_alpha = s_beta u_i
 for beta = u_i(alpha).  ``bruhat_leq`` is left to ``delta_w`` and the tests.
@@ -289,33 +289,6 @@ def coset_duals(group: WeylGroup, parabolic: Parabolic) -> tuple:
 def _chain_ends(group: WeylGroup, parabolic: Parabolic, j: int) -> list:
     """The indices y with u_y W_P <= w_o u_j W_P: where a chain to u_j W_P may end."""
     return _bits(_coset_table(group, parabolic).down[coset_duals(group, parabolic)[j]])
-
-
-def _lower_covers(group: WeylGroup, parabolic: Parabolic) -> tuple:
-    """For each coset index y, the ascending indices c < y with l(u_c) = l(u_y) - 1.
-
-    Bruhat order on W^P is graded by length, so these are the cosets y covers.
-    The cosets are sorted by length, so each length is one index range and a
-    down-set is read only on the range one below.
-    """
-    key = ("covers", parabolic.delta_p)
-    if key not in group.memo:
-        table = _coset_table(group, parabolic)
-        lengths = [group.length(m) for m in table.cosets]
-        if lengths != sorted(lengths):
-            raise InvariantViolationError("the cosets are not sorted by length")
-        start: dict = {}  # length -> the first index of that length
-        for y, level in enumerate(lengths):
-            start.setdefault(level, y)
-        covers = [()]
-        for below, level in zip(table.down[1:], lengths[1:]):
-            lo = start.get(level - 1, start[level])
-            window = (below >> lo) & ((1 << (start[level] - lo)) - 1)
-            covers.append(tuple(lo + c for c in _bits(window)))
-        if not all(covers[1:]):
-            raise InvariantViolationError("a coset above e covers nothing")
-        group.memo[key] = tuple(covers)
-    return group.memo[key]
 
 
 @dataclass(frozen=True)

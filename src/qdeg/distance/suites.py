@@ -38,9 +38,9 @@ from ..degreelattice import (
     restrict,
     induce,
 )
-from ..errors import ConfigurationError, InvariantViolationError
+from ..errors import ConfigurationError, InvariantViolationError, ResourceError
 from ..rootsystem import coeffs_leq, subsystem
-from ..weylgroup import Parabolic, Weyl, WeylGroup, weyl_group
+from ..weylgroup import ENUMERATION_CAP, Parabolic, Weyl, WeylGroup, weyl_group
 from .core import (
     adjacency_graph,
     chain_witness,
@@ -50,7 +50,6 @@ from .core import (
     delta_w,
     delta_uv,
     PackedLabels,
-    _lower_covers,
     _search,
 )
 
@@ -122,35 +121,38 @@ def _min_tuples(labels: PackedLabels, packed) -> tuple:
 def _pairs_table(group: WeylGroup, parabolic: Parabolic, pad: int) -> dict:
     """delta_P(u, v) for every coset pair, as raw coefficient tuples.
 
-    Entry (i, j) is minimal over the fronts of the chain search from the
-    cosets above u_i, at the chain ends y <= w_o u_j W_P.  Bruhat order on
-    W^P is graded by length, so down(y) = {y} | the union of down(c) over the
-    cosets c that y covers, and the minimal labels over down(y) are
-    closed[y] = minimal(fronts[y] | closed[c] for each cover c).  Index order
-    puts every cover before y, so each source costs one merge per coset, and
-    entry (i, j) is closed[w_o u_j].  Pairs that read the same labels share
-    one row tuple.
+    Entry (i, j) is the front at w_o u_j W_P of the chain search seeded at
+    the cosets above u_i.  A chain to u_j W_P may end at any y <= w_o u_j W_P,
+    but no y below gives a smaller degree: the curve neighborhood of a
+    Schubert variety is a Schubert variety (Buch-Mihalcea, Curve
+    neighborhoods of Schubert varieties, J. Differential Geom. 99, 2015), so
+    the cosets reached within degree d from the up-set of u_i form an up-set.
+    The read is exact under the cap as well: if x <= y and l in fronts[x] is
+    at most the cap, some chain reaches y with degree <= l, each prefix of it
+    is at most the cap too, and the search prunes none of them.  Pairs of one
+    source that read the same front share one row tuple.
+
+    A table of more than 4 * ENUMERATION_CAP pairs raises ResourceError
+    before any coset is enumerated.
     """
     key = ("pairs-table", parabolic.delta_p, pad)
     if key in group.memo:
         return group.memo[key]
-    covers = _lower_covers(group, parabolic)
+    n = group.order() // group.order(parabolic.delta_p)
+    if n * n > 4 * ENUMERATION_CAP:
+        raise ResourceError(
+            f"pair table of {n * n} pairs exceeded the cap of {4 * ENUMERATION_CAP}"
+        )
     duals = coset_duals(group, parabolic)
     table: dict = {}
-    for i in range(len(covers)):
+    for i in range(n):
         result = _search(group, parabolic, i, "up", pad)
-        labels = result.labels
-        closed: list = []
-        for front, below in zip(result.fronts, covers):
-            merged = set(front)
-            for c in below:
-                merged.update(closed[c])
-            closed.append(tuple(merged) if len(merged) == 1 else tuple(labels.minimal(merged)))
         rows: dict = {}
         for j, y in enumerate(duals):
-            row = rows.get(closed[y])
+            front = frozenset(result.fronts[y])
+            row = rows.get(front)
             if row is None:
-                row = rows[closed[y]] = _min_tuples(labels, closed[y])
+                row = rows[front] = _min_tuples(result.labels, front)
             table[(i, j)] = row
     group.memo[key] = table
     return table

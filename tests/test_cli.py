@@ -148,6 +148,20 @@ def test_scan_box_over_the_cap_exits_two_at_once():
         assert "exceeded the cap" in done.stderr
 
 
+def test_an_oversized_pair_table_exits_two_at_once():
+    """The E6 Borel's 51,840 ** 2 pair table is refused before any search runs."""
+    for suite in ("main", "delta2"):
+        argv = ["verify", "--suite", suite, "--type", "E", "--rank", "6", "--parabolic", ""]
+        done = subprocess.run(
+            [sys.executable, "-m", "qdeg.cli", *argv, "--mode", "pairs"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 2 and done.stdout == "", suite
+        assert "pair table of 2687385600 pairs exceeded the cap" in done.stderr
+
+
 def test_options_are_read_against_the_rank_before_the_system_is_built(monkeypatch):
     """A degree, parabolic or word that does not fit --rank exits 2 before any system is built."""
     argv = ["z", "--type", "A", "--rank", "200", "--parabolic", "1", "--degree", "1"]

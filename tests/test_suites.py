@@ -3,12 +3,14 @@
 import hashlib
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 
 from qdeg.distance import suite_names, verify_suite
+from qdeg.distance.core import _search, coset_duals
 from qdeg.distance.suites import _suite_delta2, _suite_delta2_props, _suite_final_cor, _suite_main
-from qdeg.errors import ConfigurationError
+from qdeg.errors import ConfigurationError, ResourceError
 from qdeg.rootsystem import build_root_system
 from qdeg.weylgroup import Parabolic, WeylGroup, weyl_group
 
@@ -94,6 +96,35 @@ def test_pair_properties_count_an_empty_front_as_a_failure():
     ):
         assert not check.passed
         assert check.counterexample.endswith("empty front")
+
+
+def test_pair_claims_see_an_overestimated_front():
+    """A front raised to the cap at one pair must fail main and pair-monotone.
+
+    The pair table reads each searched front at w_o u_j W_P as it is, so a
+    front that no minimum over other chain ends repairs reaches the checks.
+    """
+    group = WeylGroup(build_root_system("B", 2))
+    borel = Parabolic(2, frozenset())
+    top = len(group.cosets(borel)) - 1
+    result = _search(group, borel, top, "up", 2)
+    fronts = list(result.fronts)
+    fronts[coset_duals(group, borel)[1]] = {result.labels.cap}
+    group.memo[("search", borel.delta_p, top, "up", 2)] = replace(result, fronts=fronts)
+    (check,) = _suite_main(group, borel, 2, "pairs")
+    assert not check.passed
+    assert check.counterexample == f"u#{top} v#1 d=(4, 3)"
+    props = {c.name: c for c in itertools.islice(_suite_delta2_props(group, borel, 2), 4)}
+    assert not props["pair-monotone"].passed
+    assert props["pair-monotone"].counterexample == f"({top},1) <= ({top},3) d=(1, 1)"
+
+
+def test_an_oversized_pair_table_is_refused_before_enumeration():
+    """The E6 Borel would have 51,840 ** 2 pairs; nothing is enumerated before the refusal."""
+    group = WeylGroup(build_root_system("E", 6))
+    with pytest.raises(ResourceError, match="pair table"):
+        verify_suite("main", "E", 6, Parabolic(6, frozenset()), mode="pairs", group=group)
+    assert not any(key[0] == "elements" for key in group.memo)
 
 
 def test_verify_suite_rejects_a_parabolic_or_group_of_another_system():
@@ -254,6 +285,26 @@ GOLDEN_DIGESTS = {
         "e2e6b029bc5bb55c76aa4cb9e0ab85a49d9243f5ef4c9a1575383e715f15209b",
         "a0db6d93fb34adcccca60684296a78b338b60cf5d20f3961213f070bebc3357e",
     ),
+    # A4 and D4 in pairs mode (about 0.5 s and 1.2 s), every parabolic;
+    # recorded while pair fronts were still closed over lower Bruhat covers
+    ("main", "A", 4): (
+        "4093233c69cda4c0b1a22dd66474b67ae054007cec26047ed457d389098e4051",
+        "4284aa811384022dd32a6e4dcdd2fad9d7986f029a92d35061ecf47b3db56ad3",
+        "975adf47355bda9452e625db4bb0da3e5dbb26a152e2bf4f6676ffe73b9ac2f2",
+        "c07814ea6d87e0832c3116733c7874eb0c8a12a750489cb3d8a673a19cec9ee0",
+        "dbcc3fe74e52228c75f76fa9b66dab83068aeec50a92d11dbb5a178d0d3dcbfb",
+        "78d3dc1022d30af8709d27c754796a0a248e06d1a5156aa388f94b3130fc2668",
+        "65afdb9db0732579383c1139d29f371cf4c8aaa07e6282ca269b0d1c3cdaacc4",
+        "61898c02f197ab3ffb725b78674acaf415284074fa9e5b3233f762711e2e749c",
+        "fd8e3a3a7e3277f9668458336d37f124053067479105aac0070651d86bc8e98d",
+        "6bf3a326449bce7cd3776f484762cf4888793034da71d4c5bc201ca995db786f",
+        "6ce04d6791d9794c5609f63ea0b6f86f066a2e0ef1134e80183d8c0411936519",
+        "31a4a36a13fcba5ed1cc05ac036ec875f69f94807e2257eecd5552852e0024d8",
+        "9be639808068021a9feb546cbd289a2e11d3277dbbd9eb431feb8a28398bed32",
+        "cadbfd775d072b81b92a202a5f472f89eb91fe19940bce391e2dec07aa542351",
+        "909b28eb3dab8599ef809ad3bf09dafecd5ef70fae69e1fb74cec5f85c9411ed",
+        "37a084bce25140b086f73b17a88ae06c043721b45775968fa0f08acf3d8e11a6",
+    ),
     ("main", "B", 2): (
         "ab76d201eea68b1035b7de525187090155cc7d8046854687984a77998293a1ac",
         "0972174b7c6f1b8a802f5363a5b33f44f8158c6f074eda35b3354ddd624f28c0",
@@ -278,6 +329,24 @@ GOLDEN_DIGESTS = {
         "0e3ac0f71152b4dc0fd3f9561b9ab4c357e10626c4b53a257fa19449f5247356",
         "efa07e78112d368ebd0cae6a45e54579d91db77e1c008d460b28058bd9d3afef",
         "87dd1caf84bfe181fc14be550d60154b86a2d28960b1a8290e5a2cdaa747c2ca",
+    ),
+    ("main", "D", 4): (
+        "fe8efbc6765f8405e4e9f0b8c1502f985c046912f8e9ff9d0a0a970ec8ecd3b1",
+        "1b0ad5c918b6f722de8ace4e51fa54f482dfb58d836fc4e30f68f0a994903cac",
+        "6413c243af4dfa7248a12946c099ad16aeae4afb2b8e9f00f62c827a6252ce74",
+        "c6f97f2bf0b339210d2aaf12be416c9df32d789706e0a529993fb362a70a3140",
+        "39d6b6220f9286b0ee21ce82d39515d69d43d40aa94ee5a0f7638f85f303ffd1",
+        "0ee1d29804fa6c062bd0d23e12ac9c822f4408ddac46d17f6c90713ebbc6f408",
+        "4737915910cc29dc5848a64f7f0099d6396afe1e9c820d46c4a9875502005047",
+        "82620fe256a4179b776cc03d206859611cfc724d027104ecd9432b5c502538b3",
+        "9ae9329ee95f1e6c6489f324c595bf4d3c0641e39e0c47ed1dcceb74b2d06960",
+        "96cf9f93d0a11c959934ec2d6f821579649d6b5daa56f15d7b211304449fa2a7",
+        "643aff92abe521668ae0715ce34a821a487c315b97af377e4b3e54a03fd71b55",
+        "bee8fa204c90575c5f9d8ac978a1d6a6110e5c6933ba781dbdd5748d49b64fcd",
+        "baede76701c838e9df3b64ded8c744213e74ad91a3f86e895e6ec7960d5fdaf7",
+        "2cb299f704e1afaefd047ddcfc4b03c276cfe7784f2e4cd5b5f8bc462d3863d6",
+        "da0866cd0b011ed5e97a9b56e4ab9955c9f515a07a7f0e696829c1477e2ba2ed",
+        "a14dcf395342b20ccfb3714c7bb92fd7217a55da9ca5c2db6f304279a7bd3c9f",
     ),
     ("orthogonality", "B", 2): (
         "cafdff5206143918647379d95f9676ea1d0927dfc1cb4087bbf965d5b3d39cee",
