@@ -1,4 +1,4 @@
-"""The distance function delta_P by two independent algorithms.
+"""The distance function delta_P by three independent algorithms.
 
 delta_w scans the up-set {d : wW_P <= z_d^P W_P} over a box and keeps the
 Pareto-minimal degrees.  delta_uv runs a multi-objective label-correcting
@@ -16,8 +16,8 @@ The adjacency graph is undirected with equal weights both ways (d(alpha) is
 W_P-invariant), so a chain read backwards is a chain of the same degree.
 delta_uv(u, v) therefore runs one search per v, seeded at the cosets below
 v*, and reads its fronts at the cosets above u: the description suite's
-delta_P(m, w_o) is one search per parabolic.  chain_witness and the pair
-tables keep the forward searches from u, so their witnesses are unchanged.
+delta_P(m, w_o) is one search per parabolic.  chain_witness keeps the
+forward searches from u, so its witnesses are unchanged.
 
 Inside the chain search a degree label is one Python int (``PackedLabels``).
 Each coefficient has a bit field wide enough for cap + the largest edge
@@ -34,14 +34,24 @@ The coset tables of W/W_P are built here and nowhere else, from one table
 per parabolic: left[j][i], the index of s_j u_i W_P in group.cosets order.
 Bruhat down-sets are int bitsets by the lifting property (Bjorner-Brenti,
 GTM 231, 2.2), and ``coset_order`` and ``_chain_ends`` (the cosets
-y <= w_o u_j W_P, where a chain to u_j W_P may end) read their bits.  Pair
-tables read each forward front at w_o u_j W_P alone, since the fronts of a
-search seeded at an up-set are monotone in Bruhat order (see
-``_pairs_table``); ``_chain_ends`` serves only the "ends" search and
-``chain_witness``.
+y <= w_o u_j W_P, where a chain to u_j W_P may end) read their bits.
+``_chain_ends`` serves only the "ends" search and ``chain_witness``.
 ``coset_duals`` walks each index along the word of w_o, and the adjacency
 edge (u_i, alpha) walks i along a word of s_beta, as u_i s_alpha = s_beta u_i
 for beta = u_i(alpha).  ``bruhat_leq`` is left to ``delta_w`` and the tests.
+
+Pair tables come from a third algorithm, the parabolic quantum Bruhat graph
+(Postnikov, Proc. AMS 133, 2005; Lam-Shimozono, Acta Math. 204, 2010,
+section 10): the adjacency edge (u_i, alpha) -> u_k is an arc of weight 0
+when l(u_k) = l(u_i) + 1, of weight d(alpha) when
+l(u_k) = l(u_i) + 1 - <c_1, d(alpha)>, and no arc otherwise, and the minimal
+degree of a pair is the weight of a shortest path by edge count.
+``qbg_rows`` runs one BFS per source on packed weights, with the chain
+search's codec, and drops any sum over the cap d_X + pad, so a label never
+wraps into a neighbouring field and a pair that needs more reads an empty
+front.  ``_pairs_table`` checks the point-class row against the chain search
+seeded at the cosets above it, read at w_o u_j W_P: the fronts of a search
+seeded at an up-set are monotone in Bruhat order (Buch-Mihalcea 2015).
 """
 
 from __future__ import annotations
@@ -52,7 +62,7 @@ from functools import cached_property
 
 from ..cascade import d_x
 from ..curveneighborhood import z
-from ..degreelattice import Degree, d_of_root, degree_box, minimal_elements, outside_roots
+from ..degreelattice import Degree, c1, d_of_root, degree_box, minimal_elements, outside_roots
 from ..errors import DomainError, InvariantViolationError, VerificationError
 from ..rootsystem import coeffs_leq
 from ..weylgroup import Parabolic, Weyl, WeylGroup
@@ -349,7 +359,9 @@ class PackedLabels:
         return kept
 
 
-def _labels(group: WeylGroup, parabolic: Parabolic, cap: tuple) -> PackedLabels:
+def _labels(group: WeylGroup, parabolic: Parabolic, pad: int) -> PackedLabels:
+    """The codec for labels <= d_X + pad, shared by the chain search and the QBG."""
+    cap = tuple(c + pad for c in d_x(group.system, parabolic).coeffs)
     key = ("labels", parabolic.delta_p, cap)
     if key not in group.memo:
         group.memo[key] = PackedLabels.build(cap, adjacency_graph(group, parabolic).edges)
@@ -414,8 +426,7 @@ def _search(group: WeylGroup, parabolic: Parabolic, source: int, mode: str, pad:
     key = ("search", parabolic.delta_p, source, mode, pad)
     if key in group.memo:
         return group.memo[key]
-    corner = d_x(group.system, parabolic)
-    labels = _labels(group, parabolic, tuple(c + pad for c in corner.coeffs))
+    labels = _labels(group, parabolic, pad)
     if mode == "up":
         seeds = coset_order(group, parabolic)[source]
     elif mode == "ends":
@@ -425,6 +436,68 @@ def _search(group: WeylGroup, parabolic: Parabolic, source: int, mode: str, pad:
     result = _pareto_search(labels, seeds)
     group.memo[key] = result
     return result
+
+
+def _qbg_arcs(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
+    """The parabolic QBG's arcs, per vertex (target index, packed weight), memoised.
+
+    The adjacency edge (u_i, alpha) -> u_k is an arc of weight 0 when
+    l(u_k) = l(u_i) + 1, of weight d(alpha) when
+    l(u_k) = l(u_i) + 1 - <c_1, d(alpha)>, and no arc otherwise.
+    """
+    key = ("qbg-arcs", parabolic.delta_p, pad)
+    if key not in group.memo:
+        graph = adjacency_graph(group, parabolic)
+        packed = _labels(group, parabolic, pad).edges
+        lengths = [group.length(m) for m in graph.cosets]
+        chern = c1(group.system, parabolic).coeffs
+        arcs = []
+        for i, out in enumerate(graph.edges):
+            kept = []
+            for (k, weight, _), (_, t, _) in zip(out, packed[i]):
+                rise = lengths[k] - lengths[i] - 1
+                if rise == 0:
+                    kept.append((k, 0))
+                elif rise == -sum(a * b for a, b in zip(chern, weight)):
+                    kept.append((k, t))
+            arcs.append(tuple(kept))
+        group.memo[key] = tuple(arcs)
+    return group.memo[key]
+
+
+def qbg_rows(group: WeylGroup, parabolic: Parabolic, pad: int):
+    """For each source coset index in turn, its packed shortest-path weights to every coset.
+
+    One BFS by edge count per source on the parabolic QBG (``_qbg_arcs``).
+    A vertex's weight set is fixed, as a frozenset, at the first layer that
+    reaches it.  A sum over the cap d_X + pad is dropped, never packed, so a
+    vertex whose shortest paths all weigh more gets the empty set.
+    """
+    labels = _labels(group, parabolic, pad)
+    guard = labels.guard
+    cap = labels.cap | guard
+    arcs = _qbg_arcs(group, parabolic, pad)
+    n = len(arcs)
+    for source in range(n):
+        weights: list = [None] * n
+        weights[source] = frozenset((0,))
+        layer = [source]
+        while layer:
+            found: dict = {}
+            for v in layer:
+                sums = weights[v]
+                for k, w in arcs[v]:
+                    if weights[k] is None:
+                        reached = found.get(k)
+                        if reached is None:
+                            reached = found[k] = set()
+                        for t in sums:
+                            if (cap - t - w) & guard == guard:
+                                reached.add(t + w)
+            for k, s in found.items():
+                weights[k] = frozenset(s)
+            layer = list(found)
+        yield [frozenset() if w is None else w for w in weights]
 
 
 def _front(parabolic: Parabolic, result: _SearchResult, packed) -> DegreeFront:

@@ -50,6 +50,7 @@ from .core import (
     delta_w,
     delta_uv,
     PackedLabels,
+    qbg_rows,
     _search,
 )
 
@@ -121,16 +122,24 @@ def _min_tuples(labels: PackedLabels, packed) -> tuple:
 def _pairs_table(group: WeylGroup, parabolic: Parabolic, pad: int) -> dict:
     """delta_P(u, v) for every coset pair, as raw coefficient tuples.
 
-    Entry (i, j) is the front at w_o u_j W_P of the chain search seeded at
-    the cosets above u_i.  A chain to u_j W_P may end at any y <= w_o u_j W_P,
-    but no y below gives a smaller degree: the curve neighborhood of a
-    Schubert variety is a Schubert variety (Buch-Mihalcea, Curve
-    neighborhoods of Schubert varieties, J. Differential Geom. 99, 2015), so
-    the cosets reached within degree d from the up-set of u_i form an up-set.
-    The read is exact under the cap as well: if x <= y and l in fronts[x] is
-    at most the cap, some chain reaches y with degree <= l, each prefix of it
-    is at most the cap too, and the search prunes none of them.  Pairs of one
+    Entry (i, j) is the set of minima of the shortest-path weights from u_i
+    to w_o u_j W_P in the parabolic quantum Bruhat graph (``qbg_rows``): a
+    shortest path by edge count has the minimal degree (Postnikov, Quantum
+    Bruhat graph and Schubert polynomials, Proc. AMS 133, 2005, on G/B;
+    Lam-Shimozono, Quantum cohomology of G/P and homology of affine
+    Grassmannian, Acta Math. 204, 2010, section 10, on G/P).  A weight over
+    the cap d_X + pad is dropped, so a pair whose shortest paths all weigh
+    more reads an empty front, which every pair check fails.  Pairs of one
     source that read the same front share one row tuple.
+
+    The row of the top coset (the point class) is checked against the chain
+    search seeded at the cosets above it, read at w_o u_j W_P; any pair where
+    the two differ raises InvariantViolationError.  The chain read is exact:
+    the curve neighborhood of a Schubert variety is a Schubert variety
+    (Buch-Mihalcea, Curve neighborhoods of Schubert varieties, J.
+    Differential Geom. 99, 2015), so the cosets reached within degree d from
+    an up-set form an up-set, and a chain of degree at most the cap has every
+    prefix at most the cap, so the search prunes none of it.
 
     A table of more than 4 * ENUMERATION_CAP pairs raises ResourceError
     before any coset is enumerated.
@@ -144,16 +153,20 @@ def _pairs_table(group: WeylGroup, parabolic: Parabolic, pad: int) -> dict:
             f"pair table of {n * n} pairs exceeded the cap of {4 * ENUMERATION_CAP}"
         )
     duals = coset_duals(group, parabolic)
+    chain = _search(group, parabolic, n - 1, "up", pad)
+    labels = chain.labels
     table: dict = {}
-    for i in range(n):
-        result = _search(group, parabolic, i, "up", pad)
+    for i, weights in enumerate(qbg_rows(group, parabolic, pad)):
         rows: dict = {}
         for j, y in enumerate(duals):
-            front = frozenset(result.fronts[y])
+            front = weights[y]
             row = rows.get(front)
             if row is None:
-                row = rows[front] = _min_tuples(result.labels, front)
+                row = rows[front] = _min_tuples(labels, front)
             table[(i, j)] = row
+    for j, y in enumerate(duals):
+        if _min_tuples(labels, chain.fronts[y]) != table[(n - 1, j)]:
+            raise InvariantViolationError(f"chain and QBG fronts differ at u#{n - 1} v#{j}")
     group.memo[key] = table
     return table
 

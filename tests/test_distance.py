@@ -20,13 +20,16 @@ from qdeg.distance import (
     verify_lemma_technical,
     verify_lemma_technical2,
 )
+from qdeg.distance import core
 from qdeg.distance.core import (
     _chain_ends,
     _coset_table,
     _down_sets,
     _front,
+    _labels,
     _search,
     coset_duals,
+    qbg_rows,
 )
 from qdeg.distance.suites import _min_tuples, _pairs_table
 from qdeg.errors import DomainError, InvariantViolationError, VerificationError
@@ -451,9 +454,9 @@ def direct_pairs_oracle(group, parabolic, pad):
     return table
 
 
-@pytest.mark.parametrize("letter,rank", PAIR_SYSTEMS)
+@pytest.mark.parametrize("letter,rank", PAIR_SYSTEMS + [("D", 4)])
 def test_pairs_table_matches_the_direct_read(letter, rank):
-    """Values and (i, j) order against the read over every chain end."""
+    """The QBG table in value and (i, j) order against the chain read over every chain end."""
     group = WeylGroup(build_root_system(letter, rank))
     for p in all_parabolics(rank):
         assert list(_pairs_table(group, p, 2).items()) == direct_pairs_oracle(group, p, 2)
@@ -541,3 +544,31 @@ def test_pairs_table_against_the_quantum_bruhat_graph(letter, rank):
         for pair, front in table.items():
             assert front == tuple(minimal_elements(qbg[pair])), (letter, p, pair)
             assert len(front) == len(qbg[pair]) == 1, (letter, p, pair)
+
+
+@pytest.mark.parametrize("letter,rank", PAIR_SYSTEMS + [("D", 4)])
+def test_qbg_rows_match_the_tuple_oracle(letter, rank):
+    """The packed, capped BFS of the package against the tuple, uncapped one, at every coset."""
+    group = WeylGroup(build_root_system(letter, rank))
+    for p in all_parabolics(rank):
+        labels = _labels(group, p, 2)
+        duals = coset_duals(group, p)
+        qbg = qbg_pairs_oracle(group, p)
+        for i, row in enumerate(qbg_rows(group, p, 2)):
+            for j, y in enumerate(duals):
+                assert {labels.unpack(t) for t in row[y]} == qbg[(i, j)], (letter, p, i, j)
+
+
+def test_pairs_table_runs_one_chain_search_per_parabolic(monkeypatch):
+    """Only the point-class row is searched by chains, for the cross-check."""
+    calls = []
+    search = core._pareto_search
+    monkeypatch.setattr(core, "_pareto_search", lambda *a: calls.append(a) or search(*a))
+    group = WeylGroup(build_root_system("B", 3))
+    parabolics = list(all_parabolics(3))
+    for p in parabolics:
+        _pairs_table(group, p, 2)
+    assert len(calls) == len(parabolics)
+    assert [key for key in group.memo if key[0] == "search"] == [
+        ("search", p.delta_p, len(group.cosets(p)) - 1, "up", 2) for p in parabolics
+    ]

@@ -8,9 +8,15 @@ from dataclasses import replace
 import pytest
 
 from qdeg.distance import suite_names, verify_suite
-from qdeg.distance.core import _search, coset_duals
-from qdeg.distance.suites import _suite_delta2, _suite_delta2_props, _suite_final_cor, _suite_main
-from qdeg.errors import ConfigurationError, ResourceError
+from qdeg.distance.core import _labels, _search, coset_duals
+from qdeg.distance.suites import (
+    _pairs_table,
+    _suite_delta2,
+    _suite_delta2_props,
+    _suite_final_cor,
+    _suite_main,
+)
+from qdeg.errors import ConfigurationError, InvariantViolationError, ResourceError
 from qdeg.rootsystem import build_root_system
 from qdeg.weylgroup import Parabolic, WeylGroup, weyl_group
 
@@ -101,9 +107,27 @@ def test_pair_properties_count_an_empty_front_as_a_failure():
 def test_pair_claims_see_an_overestimated_front():
     """A front raised to the cap at one pair must fail main and pair-monotone.
 
-    The pair table reads each searched front at w_o u_j W_P as it is, so a
-    front that no minimum over other chain ends repairs reaches the checks.
+    The claims read the memoised pair table as it is, so the capped front is
+    put into the table itself: a corrupted chain search is caught earlier, by
+    the table's own cross-check (next test).
     """
+    group = WeylGroup(build_root_system("B", 2))
+    borel = Parabolic(2, frozenset())
+    top = len(group.cosets(borel)) - 1
+    table = _pairs_table(group, borel, 2)
+    labels = _labels(group, borel, 2)
+    key = ("pairs-table", borel.delta_p, 2)
+    group.memo[key] = {**table, (top, 1): (labels.unpack(labels.cap),)}
+    (check,) = _suite_main(group, borel, 2, "pairs")
+    assert not check.passed
+    assert check.counterexample == f"u#{top} v#1 d=(4, 3)"
+    props = {c.name: c for c in itertools.islice(_suite_delta2_props(group, borel, 2), 4)}
+    assert not props["pair-monotone"].passed
+    assert props["pair-monotone"].counterexample == f"({top},1) <= ({top},3) d=(1, 1)"
+
+
+def test_an_overestimated_chain_front_trips_the_pair_table_cross_check():
+    """The point-class row is searched by chains too; a corrupted search must not pass."""
     group = WeylGroup(build_root_system("B", 2))
     borel = Parabolic(2, frozenset())
     top = len(group.cosets(borel)) - 1
@@ -111,12 +135,19 @@ def test_pair_claims_see_an_overestimated_front():
     fronts = list(result.fronts)
     fronts[coset_duals(group, borel)[1]] = {result.labels.cap}
     group.memo[("search", borel.delta_p, top, "up", 2)] = replace(result, fronts=fronts)
-    (check,) = _suite_main(group, borel, 2, "pairs")
+    with pytest.raises(InvariantViolationError, match=f"u#{top} v#1$"):
+        _pairs_table(group, borel, 2)
+
+
+def test_a_cap_below_dx_empties_the_point_front_and_fails_main():
+    """At pad -1 the packed cap is d_X - 1: the (pt, pt) front is empty, never wrapped."""
+    group = WeylGroup(build_root_system("G", 2))
+    borel = Parabolic(2, frozenset())
+    top = len(group.cosets(borel)) - 1
+    (check,) = _suite_main(group, borel, -1, "pairs")
+    assert _pairs_table(group, borel, -1)[(top, top)] == ()
     assert not check.passed
-    assert check.counterexample == f"u#{top} v#1 d=(4, 3)"
-    props = {c.name: c for c in itertools.islice(_suite_delta2_props(group, borel, 2), 4)}
-    assert not props["pair-monotone"].passed
-    assert props["pair-monotone"].counterexample == f"({top},1) <= ({top},3) d=(1, 1)"
+    assert check.counterexample.endswith(" empty front")
 
 
 def test_an_oversized_pair_table_is_refused_before_enumeration():
