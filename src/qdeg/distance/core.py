@@ -30,15 +30,21 @@ order is a linear extension of <=, so a Pareto filter is ``sorted()`` and one
 sweep.  A codec is built once per (parabolic, cap) and kept in
 ``group.memo``; ``Degree`` is created only for the labels that survive.
 
-The coset tables of W/W_P are built here and nowhere else, from one table
-per parabolic: left[j][i], the index of s_j u_i W_P in group.cosets order.
-Bruhat down-sets are int bitsets by the lifting property (Bjorner-Brenti,
-GTM 231, 2.2), and ``coset_order`` and ``_chain_ends`` (the cosets
+The coset structures of W/W_P rest on one table per parabolic, which the
+BFS of group.cosets records (``WeylGroup.numbered_cosets``): left[j][i], the
+index of s_j u_i W_P in group.cosets order, and l(u_i), the BFS depth.
+Nothing here multiplies.  Every coset u_i W_P but eW_P gets one left
+descent, the least j with k = left[j][i] < i (so u_i = s_j u_k), and the
+down-sets and the adjacency edges both recur along it.  Bruhat down-sets
+are int bitsets by the lifting property (Bjorner-Brenti, GTM 231, 2.2),
+D(i) = D(k) | s_j D(k), and ``coset_order`` and ``_chain_ends`` (the cosets
 y <= w_o u_j W_P, where a chain to u_j W_P may end) read their bits.
 ``_chain_ends`` serves only the "ends" search and ``chain_witness``.
-``coset_duals`` walks each index along the word of w_o, and the adjacency
-edge (u_i, alpha) walks i along a word of s_beta, as u_i s_alpha = s_beta u_i
-for beta = u_i(alpha).  ``bruhat_leq`` is left to ``delta_w`` and the tests.
+``coset_duals`` walks each index along the word of w_o.  Only eW_P walks
+the word of each s_alpha for its adjacency edges; the edges of u_i W_P are
+left[j] of those of u_k W_P, as u_i s_alpha W_P = s_j (u_k s_alpha W_P)
+(the proof is in ``adjacency_graph``).  ``bruhat_leq`` is left to
+``delta_w`` and the tests.
 
 Pair tables come from a third algorithm, the parabolic quantum Bruhat graph
 (Postnikov, Proc. AMS 133, 2005; Lam-Shimozono, Acta Math. 204, 2010,
@@ -174,6 +180,8 @@ class _CosetTable:
     cosets: tuple  # minimal representatives, sorted by (length, word)
     index: dict
     left: tuple  # left[j][i]: the index of s_j u_i W_P
+    lengths: tuple  # lengths[i]: l(u_i)
+    descents: tuple  # descents[i]: the least j with left[j][i] < i (None at eW_P)
     down: tuple  # down[i]: the bitset of the indices x with u_x W_P <= u_i W_P
 
 
@@ -182,14 +190,23 @@ def _bits(mask: int) -> list:
     return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
 
 
-def _down_sets(left: tuple) -> tuple:
-    """Bitset down-sets: D(i) = D(k) | s_j D(k) for a left descent k = left[j][i] < i."""
+def _left_descents(left: tuple) -> tuple:
+    """For each coset index i > 0, the least j with k = left[j][i] < i: u_i = s_j u_k."""
+    out = [None]
+    for i in range(1, len(left[0])):
+        j = next((j for j, row in enumerate(left) if row[i] < i), None)
+        if j is None:
+            raise InvariantViolationError(f"coset #{i} has no left descent")
+        out.append(j)
+    return tuple(out)
+
+
+def _down_sets(left: tuple, descents: tuple) -> tuple:
+    """Bitset down-sets: D(i) = D(k) | s_j D(k) for the left descent k = left[j][i] < i."""
     n = len(left[0])
     down = [1]
     for i in range(1, n):
-        row = next((row for row in left if row[i] < i), None)
-        if row is None:
-            raise InvariantViolationError(f"coset #{i} has no left descent")
+        row = left[descents[i]]
         below = down[row[i]]
         down.append(below | sum(1 << row[x] for x in _bits(below)))
     if down[-1] != (1 << n) - 1:
@@ -198,20 +215,23 @@ def _down_sets(left: tuple) -> tuple:
 
 
 def _coset_table(group: WeylGroup, parabolic: Parabolic) -> _CosetTable:
-    """The memoised left table and down-sets of W/W_P.
+    """The memoised left table, lengths, left descents and down-sets of W/W_P.
 
-    For u in W^P, s_j u is in W^P or lies in uW_P (Deodhar's lemma), so the
-    left action needs one product per (coset, j) and no coset_min.
+    The table and the lengths are the ones group.cosets recorded; nothing
+    here multiplies.
     """
     key = ("coset-table", parabolic.delta_p)
     if key not in group.memo:
-        cosets = group.cosets(parabolic)
-        index = {m: i for i, m in enumerate(cosets)}
-        left = tuple(
-            tuple(index.get(group.multiply(s, m), i) for i, m in enumerate(cosets))
-            for s in map(group.simple_reflection, range(group.system.rank))
+        cosets, left, lengths = group.numbered_cosets(parabolic)
+        descents = _left_descents(left)
+        group.memo[key] = _CosetTable(
+            cosets,
+            {m: i for i, m in enumerate(cosets)},
+            left,
+            lengths,
+            descents,
+            _down_sets(left, descents),
         )
-        group.memo[key] = _CosetTable(cosets, index, left, _down_sets(left))
     return group.memo[key]
 
 
@@ -232,34 +252,50 @@ def _reflection_word(system, beta) -> tuple:
 
 
 def adjacency_graph(group: WeylGroup, parabolic: Parabolic) -> AdjacencyGraph:
-    """The reflection-translation graph on W/W_P with degree-labeled edges."""
+    """The reflection-translation graph on W/W_P with degree-labeled edges.
+
+    The edges of u_i W_P are (k, d(alpha), alpha) for the roots alpha
+    outside R_P in order, u_k W_P = u_i s_alpha W_P, the first root to each
+    target kept.  Only eW_P walks the roots: s_alpha W_P is the walk of
+    index 0 along the word of s_alpha.  No root fixes eW_P, as s_alpha is
+    not in W_P, and two roots with one target must have one d(alpha); both
+    raise InvariantViolationError.
+
+    Every other coset maps the edges of its left descent u_i = s_j u_k,
+    k = left[j][i] < i: its targets are left[j] of u_k's.  For every root,
+    u_i s_alpha W_P = s_j (u_k s_alpha W_P), and left[j] is a bijection of
+    W/W_P taking u_k W_P to u_i W_P.  So alpha fixes u_i W_P iff it fixes
+    u_k W_P, and two roots share a target from u_i W_P iff they share one
+    from u_k W_P.  By induction on i, every coset skips no root and keeps
+    the roots eW_P keeps, in the same order and with the same weights: the
+    edges are those of the walk from each coset along the word of
+    s_beta, beta = u_i(alpha), as u_i s_alpha = s_beta u_i.
+    """
     key = ("adjacency", parabolic.delta_p)
     if key in group.memo:
         return group.memo[key]
     system = group.system
     table = _coset_table(group, parabolic)
     left = table.left
-    outside = outside_roots(system, parabolic)
-    edges = []
-    for i, m in enumerate(table.cosets):
-        seen: dict[int, tuple] = {}
-        out = []
-        for alpha in outside:
-            j = i  # u_i s_alpha W_P = s_beta u_i W_P with beta = u_i(alpha)
-            for s in _reflection_word(system, group.apply(m, alpha)):
-                j = left[s][j]
-            if j == i:
-                continue
-            weight = d_of_root(system, parabolic, alpha).coeffs
-            if j in seen:
-                if seen[j] != weight:
-                    raise InvariantViolationError(
-                        "two adjacency labels with different degrees"
-                    )
-                continue
-            seen[j] = weight
-            out.append((j, weight, alpha))
-        edges.append(tuple(out))
+    seen: dict[int, tuple] = {}
+    base = []
+    for alpha in outside_roots(system, parabolic):
+        k = 0
+        for s in _reflection_word(system, alpha):
+            k = left[s][k]
+        if k == 0:
+            raise InvariantViolationError(f"the outside root {alpha} fixes eW_P")
+        weight = d_of_root(system, parabolic, alpha).coeffs
+        if k in seen:
+            if seen[k] != weight:
+                raise InvariantViolationError("two adjacency labels with different degrees")
+            continue
+        seen[k] = weight
+        base.append((k, weight, alpha))
+    edges = [tuple(base)]
+    for i in range(1, len(table.cosets)):
+        row = left[table.descents[i]]
+        edges.append(tuple([(row[t], weight, alpha) for t, weight, alpha in edges[row[i]]]))
     graph = AdjacencyGraph(parabolic, table.cosets, table.index, tuple(edges))
     group.memo[key] = graph
     return graph
@@ -289,7 +325,7 @@ def coset_duals(group: WeylGroup, parabolic: Parabolic) -> tuple:
         if any(duals[k] != i for i, k in enumerate(duals)):
             raise InvariantViolationError("the dual map on W/W_P is not an involution")
         top = group.length(group.w_x(parabolic))
-        lengths = [group.length(m) for m in table.cosets]
+        lengths = table.lengths
         if any(lengths[k] != top - lengths[i] for i, k in enumerate(duals)):
             raise InvariantViolationError("a dual coset breaks l(w_o u) = l(w_X) - l(u)")
         group.memo[key] = tuple(duals)
@@ -449,7 +485,7 @@ def _qbg_arcs(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
     if key not in group.memo:
         graph = adjacency_graph(group, parabolic)
         packed = _labels(group, parabolic, pad).edges
-        lengths = [group.length(m) for m in graph.cosets]
+        lengths = _coset_table(group, parabolic).lengths
         chern = c1(group.system, parabolic).coeffs
         arcs = []
         for i, out in enumerate(graph.edges):

@@ -329,35 +329,47 @@ class WeylGroup:
     def elements(self, parabolic: Parabolic | None = None, cap: int = ENUMERATION_CAP) -> tuple:
         """All of W, or of W_P when a parabolic is given, sorted by (length, word)."""
         subset = frozenset(range(self.system.rank)) if parabolic is None else parabolic.delta_p
-        gens = [self._simple[j] for j in sorted(subset)]
         return self._enumerated(
-            ("elements", subset),
-            lambda w: (self.multiply(w, s) for s in gens),
-            cap,
-            lambda: self.order(subset),
+            ("elements", subset), sorted(subset), frozenset(), cap, lambda: self.order(subset)
         )
 
     def cosets(self, parabolic: Parabolic, cap: int = ENUMERATION_CAP) -> tuple:
         """All cosets of W/W_P as minimal representatives, each exactly once.
 
         For the Borel subgroup these are the elements of W, the same tuple.
+        The BFS takes u W_P to s_j u W_P with no coset_min, by Deodhar's
+        lemma: for u in W^P, s_j u lies in W^P unless u(alpha_k) = alpha_j
+        for some k in Delta_P, and then s_j u = u s_k lies in uW_P.  (For
+        k in Delta_P, (s_j u)(alpha_k) = s_j(u(alpha_k)) is negative only
+        when u(alpha_k) = alpha_j, as s_j permutes R^+ \\ {alpha_j}, and
+        then u s_k u^-1 = s_j.)  So a step is one row comparison per k, and
+        a product only when it leaves the coset.  The BFS records its table
+        as it goes: ``numbered_cosets`` returns it.
         """
         parabolic.check_rank(self.system.rank)
         if not parabolic.delta_p:
             return self.elements(cap=cap)
-
-        def neighbors(m):
-            return (
-                self.coset_min(self.multiply(self._simple[j], m), parabolic)
-                for j in range(self.system.rank)
-            )
-
         return self._enumerated(
             ("cosets", parabolic.delta_p),
-            neighbors,
+            range(self.system.rank),
+            parabolic.delta_p,
             cap,
             lambda: self.order() // self.order(parabolic.delta_p),
         )
+
+    def numbered_cosets(self, parabolic: Parabolic) -> tuple:
+        """(cosets, left, lengths): cosets(parabolic) and the table its BFS recorded.
+
+        left[j][i] is the index of s_j u_i W_P and lengths[i] is l(u_i), the
+        BFS depth of u_i W_P: the suffixes of a reduced word of u in W^P lie
+        in W^P, so u is reached in l(u) steps, and no step changes the
+        length of a minimal representative by more than one.
+        """
+        cosets = self.cosets(parabolic)
+        key = ("cosets", parabolic.delta_p) if parabolic.delta_p else (
+            "elements", frozenset(range(self.system.rank))
+        )
+        return (cosets, *self.memo[("left", key)])
 
     def order(self, subset: Iterable | None = None) -> int:
         """|W_J| for the simple roots J (all of Delta by default), in closed form.
@@ -375,8 +387,16 @@ class WeylGroup:
             out *= (k + 1) ** (n - heights[k + 1])
         return out
 
-    def _enumerated(self, key, neighbors, cap, size) -> tuple:
-        """The closure of the identity under neighbors, by BFS, sorted by (length, word).
+    def _enumerated(self, key, letters, stabilizer, cap, size) -> tuple:
+        """The closure of eW_P under u W_P -> s_j u W_P, j in letters, sorted by (length, word).
+
+        u runs over minimal representatives; Delta_P is ``stabilizer`` (see
+        cosets).  The BFS numbers each coset on first sight and records, for
+        the r-th letter j, the number of s_j u W_P; s_j is an involution on
+        cosets, so each product fills both ends of its step, and a step that
+        stays in uW_P costs no product.  The sorted table is memoised as
+        ("left", key): rows in the order of the letters, and each length,
+        the BFS depth, checked against the length of the sorted word.
 
         Memoised under a key without the cap: only a complete enumeration is
         stored, and the cap is checked against its size on every call.  On a
@@ -387,23 +407,45 @@ class WeylGroup:
             expected = size()
             if expected > cap:
                 raise ResourceError(f"enumeration of {expected} exceeded the cap of {cap}")
-            seen = {self.identity}
-            frontier = [self.identity]
-            while frontier:
-                fresh = []
-                for x in frontier:
-                    for y in neighbors(x):
-                        if y not in seen:
-                            seen.add(y)
-                            fresh.append(y)
-                frontier = fresh
-            if len(seen) != expected:
+            units = [self.identity[j] for j in letters]  # alpha_j in the root basis
+            found = {self.identity: 0}
+            order = [self.identity]
+            depth = [0]
+            steps = [[None] * len(letters)]
+            for x_pos, x in enumerate(order):  # order grows behind the loop: a BFS
+                row = steps[x_pos]
+                fixed = {x[k] for k in stabilizer}  # u(alpha_k), k in Delta_P
+                for r, j in enumerate(letters):
+                    if row[r] is not None:
+                        continue
+                    if units[r] in fixed:
+                        row[r] = x_pos
+                        continue
+                    y = self.multiply(self._simple[j], x)
+                    y_pos = found.get(y)
+                    if y_pos is None:
+                        y_pos = found[y] = len(order)
+                        order.append(y)
+                        depth.append(depth[x_pos] + 1)
+                        steps.append([None] * len(letters))
+                    row[r] = y_pos
+                    steps[y_pos][r] = x_pos
+            if len(order) != expected:
                 raise InvariantViolationError(
-                    f"enumerated {len(seen)} elements, the closed form gives {expected}"
+                    f"enumerated {len(order)} elements, the closed form gives {expected}"
                 )
-            self.memo[key] = tuple(
-                sorted(seen, key=lambda w: (self.length(w), self.reduced_word(w)))
+            words = [self.reduced_word(x) for x in order]
+            if any(len(word) != d for word, d in zip(words, depth)):
+                raise InvariantViolationError("a BFS depth differs from the length of its coset")
+            ranked = sorted(range(len(order)), key=lambda p: (depth[p], words[p]))
+            number = [0] * len(order)
+            for i, p in enumerate(ranked):
+                number[p] = i
+            self.memo[("left", key)] = (
+                tuple(tuple(number[steps[p][r]] for p in ranked) for r in range(len(letters))),
+                tuple(depth[p] for p in ranked),
             )
+            self.memo[key] = tuple(order[p] for p in ranked)
         out = self.memo[key]
         if len(out) > cap:
             raise ResourceError(f"enumeration exceeded the cap of {cap}")

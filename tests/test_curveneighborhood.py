@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qdeg.degreelattice as degreelattice
 from qdeg.cascade import d_x
@@ -17,6 +18,7 @@ from qdeg.curveneighborhood import (
 )
 from qdeg.degreelattice import (
     Degree,
+    all_greedy_decompositions,
     d_of_root,
     degree_box,
     greedy_decomposition,
@@ -119,6 +121,38 @@ def test_z_max_is_an_involution_read_off_the_hecke_chain(letter, rank):
             y = _hecke_chain(group, p, d)
             assert group.inverse(result.z_max) == result.z_max == y, (letter, p, d.coeffs)
             assert result.z_min == group.coset_min(group.inverse(y), p), (letter, p, d.coeffs)
+
+
+RANK_4_SYSTEMS = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 3), ("C", 4), ("D", 4), ("G", 2), ("F", 4),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_every_greedy_decomposition_gives_z_max(data):
+    """w_P . s_alpha_k . ... . s_alpha_1 is z_max for every tie-break of the greedy walk.
+
+    A random type of rank <= 4, parabolic and degree of the d_X + 2 box.  The
+    products are folded along shared tails, one Hecke step per new tail.
+    """
+    letter, rank = data.draw(st.sampled_from(RANK_4_SYSTEMS))
+    group = weyl_group(letter, rank)
+    p = Parabolic.from_indices(rank, data.draw(st.sets(st.integers(0, rank - 1))))
+    d = Degree(p, tuple(data.draw(st.integers(0, c + 2)) for c in d_x(group.system, p).coeffs))
+    folded = {(): group.longest_element(p)}
+
+    def fold(decomposition):
+        y = folded.get(decomposition)
+        if y is None:
+            y = group.hecke_product(fold(decomposition[1:]), group.reflection(decomposition[0]))
+            folded[decomposition] = y
+        return y
+
+    z_max = z(group, p, d).z_max
+    for decomposition in all_greedy_decompositions(group.system, p, d):
+        assert fold(decomposition) == z_max, (letter, p, d.coeffs, decomposition)
 
 
 def _count_calls(monkeypatch, owner, name):

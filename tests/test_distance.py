@@ -24,7 +24,6 @@ from qdeg.distance import core
 from qdeg.distance.core import (
     _chain_ends,
     _coset_table,
-    _down_sets,
     _front,
     _labels,
     _search,
@@ -37,6 +36,7 @@ from qdeg.rootsystem import build_root_system, coeffs_leq
 from qdeg.weylgroup import Parabolic, WeylGroup, weyl_group
 
 from conftest import all_parabolics
+from test_curveneighborhood import _count_calls
 from test_weylgroup import subword_leq
 
 
@@ -422,20 +422,87 @@ def test_bitset_membership_against_descent_recursion_and_subwords(data):
     assert below == group.bruhat_leq_coset(u, v, p) == subword_leq(group, mu, mv)
 
 
+def corrupt_recorded(group, parabolic, left, lengths):
+    """Replace the left table and lengths that group.cosets(parabolic) recorded."""
+    _, *recorded = group.numbered_cosets(parabolic)
+    key = next(k for k, v in group.memo.items() if v == tuple(recorded))
+    group.memo[key] = (left, lengths)
+
+
+def left_table_oracle(group, parabolic):
+    """left[j][i] by one product per (coset, j): s_j u_i is a minimal representative or
+    lies in u_i W_P (Deodhar's lemma), so a product not in the index stays at i."""
+    cosets = group.cosets(parabolic)
+    index = {m: i for i, m in enumerate(cosets)}
+    return tuple(
+        tuple(index.get(group.multiply(s, m), i) for i, m in enumerate(cosets))
+        for s in map(group.simple_reflection, range(group.system.rank))
+    )
+
+
+@pytest.mark.parametrize("letter,rank", TABLE_SYSTEMS + [("F", 4)])
+def test_recorded_left_table_against_products(letter, rank):
+    """The table the coset BFS records, and its depths, against products and lengths."""
+    group = WeylGroup(build_root_system(letter, rank))
+    for p in all_parabolics(rank):
+        table = _coset_table(group, p)
+        assert table.left == left_table_oracle(group, p), (letter, p)
+        assert table.lengths == tuple(group.length(m) for m in table.cosets), (letter, p)
+
+
+def test_coset_tables_and_edges_make_no_products(monkeypatch):
+    """After the enumeration, no table or edge multiplies a matrix or applies one to a root."""
+    group = WeylGroup(build_root_system("B", 3))
+    parabolics = all_parabolics(3)
+    coset_mins = _count_calls(monkeypatch, group, "coset_min")
+    for p in parabolics:
+        group.cosets(p)
+    assert coset_mins == []
+    products = _count_calls(monkeypatch, group, "multiply")
+    actions = _count_calls(monkeypatch, group, "apply")
+    for p in parabolics:
+        _coset_table(group, p)
+        adjacency_graph(group, p)
+    assert (products, actions) == ([], [])
+
+
 def test_table_invariants_raise():
-    with pytest.raises(InvariantViolationError, match="no left descent"):
-        _down_sets(((0, 1),))
+    """Corrupted recorded tables: no left descent, a short top down-set, a dual map
+    that is no involution or breaks lengths."""
+    a1 = WeylGroup(build_root_system("A", 1))
+    borel1 = Parabolic(1, frozenset())
+    corrupt_recorded(a1, borel1, ((0, 1),), (0, 1))
+    with pytest.raises(InvariantViolationError, match="coset #1 has no left descent"):
+        _coset_table(a1, borel1)
+    group = WeylGroup(build_root_system("A", 2))
+    p = Parabolic(2, frozenset({0}))
+    corrupt_recorded(group, p, ((1, 0, 2), (2, 1, 0)), (0, 1, 2))
     with pytest.raises(InvariantViolationError, match="top coset"):
-        _down_sets(((1, 0, 2), (2, 1, 0)))
-    cycle = (1, 2, 0, 3, 4, 5)
-    still = tuple(range(6))
-    for left, message in (((cycle, still), "involution"), ((still, still), "l\\(w_X\\)")):
+        _coset_table(group, p)
+    borel = Parabolic(2, frozenset())
+    s2 = (2, 4, 0, 5, 1, 3)  # the true row of s_2; s_1's is (1, 0, 3, 2, 5, 4)
+    # s_1's row with entries 0, 2 or 4, 5 swapped keeps a descent at every coset
+    for s1, message in (((3, 0, 1, 2, 5, 4), "involution"), ((1, 0, 3, 2, 4, 5), "l\\(w_X\\)")):
         group = WeylGroup(build_root_system("A", 2))
-        borel = Parabolic(2, frozenset())
-        table = _coset_table(group, borel)
-        group.memo[("coset-table", borel.delta_p)] = replace(table, left=left)
+        _, left, lengths = group.numbered_cosets(borel)
+        assert (left, lengths) == (((1, 0, 3, 2, 5, 4), s2), (0, 1, 1, 2, 2, 3))
+        corrupt_recorded(group, borel, (s1, s2), (0, 1, 1, 2, 2, 3))
         with pytest.raises(InvariantViolationError, match=message):
             coset_duals(group, borel)
+
+
+def test_adjacency_invariants_at_the_identity_coset_raise():
+    """A root that fixes eW_P, or two roots with one target and two degrees, in a doctored table."""
+    borel = Parabolic(2, frozenset())
+    for doctor, message in (
+        (lambda left: (tuple(range(6)), left[1]), "fixes eW_P"),
+        (lambda left: (left[0], left[0]), "different degrees"),
+    ):
+        group = WeylGroup(build_root_system("A", 2))
+        table = _coset_table(group, borel)
+        group.memo[("coset-table", borel.delta_p)] = replace(table, left=doctor(table.left))
+        with pytest.raises(InvariantViolationError, match=message):
+            adjacency_graph(group, borel)
 
 
 PAIR_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("G", 2)]
