@@ -14,7 +14,23 @@ Gamma_d(uW_P) = u Gamma_d(eW_P) iff u^-1 W_P lies in Gamma_d(eW_P), so
 As alpha_2, ..., alpha_k is the greedy decomposition of d - d(alpha_1),
 Y(0) = w_P and
 Y(d) = Y(d - d(alpha_1)) . s_alpha_1: one Hecke step per degree, along the word
-of one reflection.  Y is memoised per (parabolic, degree) in ``group.memo``
+of one reflection.
+
+That step is ``hecke_word`` along ``system.reflection_word(alpha_1)``, the
+palindrome j1..jm k jm..j1 with beta_0 = alpha_1, j_r the least j with
+<beta_{r-1}, alpha_j^vee> > 0, beta_r = s_{j_r} beta_{r-1}, and beta_m = alpha_k;
+no matrix of s_alpha_1 is built.  The word is reduced: if beta > 0 is not
+simple and <beta, alpha_j^vee> > 0, then <alpha_j, beta^vee> > 0 too, and
+s_beta(alpha_j) = alpha_j - <alpha_j, beta^vee> beta is negative, as it is a
+root with a negative coefficient at some i != j in the support of beta.  So
+s_j is a right descent of s_beta, and a left one, s_beta being an involution.
+s_j s_beta(alpha_j) = -alpha_j - <alpha_j, beta^vee> s_j beta is negative as
+well (s_j beta > 0, as s_j permutes R^+ minus alpha_j), so s_j is a right
+descent of s_j s_beta, and l(s_{s_j beta}) = l(s_j s_beta s_j) = l(s_beta) - 2.
+By induction from l(s_alpha_k) = 1, the 2m + 1 letters spell s_alpha_1 with
+l(s_alpha_1) = 2m + 1, and a Hecke walk along a reduced word of v is u . v.
+
+Y is memoised per (parabolic, degree) in ``group.memo``
 and folded, in a loop, up from the longest greedy tail already there.  Only
 the degree asked for pays for ``coset_min``; its result is memoised per
 (parabolic, degree) as well.
@@ -75,7 +91,7 @@ def _hecke_chain(group: WeylGroup, parabolic: Parabolic, d: Degree) -> Weyl:
     else:
         y = group.longest_element(parabolic)
     for key, alpha in reversed(pending):
-        y = memo[key] = group.hecke_product(y, group.reflection(alpha))
+        y = memo[key] = group.hecke_word(y, system.reflection_word(alpha))
     return y
 
 

@@ -6,11 +6,12 @@ the coroot lattice modulo Z Delta_P^vee.  The partial order is coefficientwise
 of it, so ``maximal_roots`` and ``minimal_elements`` are each one sorted sweep.
 
 d(alpha) is read from a table built once per (system, parabolic), on first
-use, and kept in ``system.cache`` under the key ("degrees", Delta_P): one
-frozen Degree per positive root, each coroot computed once, and the roots
-outside R_P in lex-descending order beside their raw d(alpha) tuples.
-``maximal_roots`` is one sweep over that list, and compares coefficient
-tuples without computing a coroot.
+use, and kept in ``system.cache`` under the key ("degrees", Delta_P): the
+raw d(alpha) tuple of every positive root, one coroot each, and the roots
+with nonzero d(alpha), which are the roots outside R_P, in lex-descending
+order beside them.  A frozen Degree is made the first time ``d_of_root``
+asks for a root's, and memoised in the table.  ``maximal_roots`` is one
+sweep over the list, and compares coefficient tuples inline.
 
 A greedy step d -> (alpha_1, d - d(alpha_1)), alpha_1 the lex-largest
 maximal root of d, is memoised in ``system.cache`` under ("greedy", Delta_P,
@@ -25,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import le
 from typing import Iterable
 
 from .errors import DomainError, ResourceError
@@ -99,28 +101,33 @@ def outside_roots(system: RootSystem, parabolic: Parabolic) -> tuple:
 
 
 def _degree_table(system: RootSystem, parabolic: Parabolic) -> tuple:
-    """({alpha: d(alpha)} over R^+, ((alpha, d(alpha).coeffs) outside R_P, lex-descending))."""
+    """({alpha: d(alpha) coefficients} over R^+, ((alpha, d(alpha)) with d(alpha) != 0,
+    lex-descending), {alpha: Degree} filled by d_of_root)."""
     parabolic.check_rank(system.rank)
     key = ("degrees", parabolic.delta_p)
     table = system.cache.get(key)
     if table is None:
         free = parabolic.free
-        degrees = {}
+        raw = {}
         for alpha in system.positive_roots:
             cov = system.coroot(alpha)
-            degrees[alpha] = Degree(parabolic, tuple(cov[i] for i in free))
-        outside = sorted(
-            ((a, degrees[a].coeffs) for a in outside_roots(system, parabolic)), reverse=True
-        )
-        table = system.cache[key] = (degrees, tuple(outside))
+            raw[alpha] = tuple([cov[i] for i in free])
+        # c_i > 0 iff the coroot's i-th coefficient is: the roots outside R_P
+        outside = sorted(((a, d) for a, d in raw.items() if any(d)), reverse=True)
+        table = system.cache[key] = (raw, tuple(outside), {})
     return table
 
 
 def d_of_root(system: RootSystem, parabolic: Parabolic, alpha) -> Degree:
     """d(alpha): the image of alpha^vee in H_2(G/P); zero iff alpha in R_P^+."""
-    degree = _degree_table(system, parabolic)[0].get(tuple(alpha))
+    raw, _, degrees = _degree_table(system, parabolic)
+    alpha = tuple(alpha)
+    degree = degrees.get(alpha)
     if degree is None:
-        raise DomainError(f"{alpha} is not a positive root")
+        coeffs = raw.get(alpha)
+        if coeffs is None:
+            raise DomainError(f"{alpha} is not a positive root")
+        degree = degrees[alpha] = Degree(parabolic, coeffs)
     return degree
 
 
@@ -151,7 +158,7 @@ def maximal_roots(system: RootSystem, parabolic: Parabolic, d: Degree) -> tuple:
     bound = d.coeffs
     kept: list = []
     for alpha, d_alpha in _degree_table(system, parabolic)[1]:
-        if coeffs_leq(d_alpha, bound) and not any(coeffs_leq(alpha, b) for b in kept):
+        if all(map(le, d_alpha, bound)) and not any(all(map(le, alpha, b)) for b in kept):
             kept.append(alpha)
     return tuple(reversed(kept))
 
@@ -162,7 +169,7 @@ def _greedy_step(system: RootSystem, parabolic: Parabolic, coeffs: tuple) -> tup
     step = system.cache.get(key)
     if step is None:
         alpha = max(maximal_roots(system, parabolic, Degree(parabolic, coeffs)))
-        d_alpha = _degree_table(system, parabolic)[0][alpha].coeffs
+        d_alpha = _degree_table(system, parabolic)[0][alpha]
         step = system.cache[key] = (alpha, tuple(a - b for a, b in zip(coeffs, d_alpha)))
     return step
 

@@ -41,7 +41,8 @@ D(i) = D(k) | s_j D(k), and ``coset_order`` and ``_chain_ends`` (the cosets
 y <= w_o u_j W_P, where a chain to u_j W_P may end) read their bits.
 ``_chain_ends`` serves only the "ends" search and ``chain_witness``.
 ``coset_duals`` walks each index along the word of w_o.  Only eW_P walks
-the word of each s_alpha for its adjacency edges; the edges of u_i W_P are
+the word of each s_alpha (``RootSystem.reflection_word``, the word ``z``
+takes its Hecke steps along) for its adjacency edges; the edges of u_i W_P are
 left[j] of those of u_k W_P, as u_i s_alpha W_P = s_j (u_k s_alpha W_P)
 (the proof is in ``adjacency_graph``).  ``bruhat_leq`` is left to
 ``delta_w`` and the tests.
@@ -235,22 +236,6 @@ def _coset_table(group: WeylGroup, parabolic: Parabolic) -> _CosetTable:
     return group.memo[key]
 
 
-def _reflection_word(system, beta) -> tuple:
-    """The word j1..jm k jm..j1 of s_beta, from beta = +-s_j1 ... s_jm alpha_k."""
-    if any(c < 0 for c in beta):
-        beta = tuple(-c for c in beta)
-    key = ("reflection-word", beta)
-    if key not in system.cache:
-        path = []
-        root = beta
-        while sum(root) > 1:
-            j = next(j for j in range(system.rank) if system.pair_simple_coroot(root, j) > 0)
-            path.append(j)
-            root = system.reflect_simple(root, j)
-        system.cache[key] = (*path, root.index(1), *reversed(path))
-    return system.cache[key]
-
-
 def adjacency_graph(group: WeylGroup, parabolic: Parabolic) -> AdjacencyGraph:
     """The reflection-translation graph on W/W_P with degree-labeled edges.
 
@@ -281,7 +266,7 @@ def adjacency_graph(group: WeylGroup, parabolic: Parabolic) -> AdjacencyGraph:
     base = []
     for alpha in outside_roots(system, parabolic):
         k = 0
-        for s in _reflection_word(system, alpha):
+        for s in system.reflection_word(alpha):
             k = left[s][k]
         if k == 0:
             raise InvariantViolationError(f"the outside root {alpha} fixes eW_P")

@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import mul
 from typing import Iterable, NewType
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, InvariantViolationError
 
 Root = NewType("Root", tuple)
 CorootVector = NewType("CorootVector", tuple)
@@ -185,6 +186,12 @@ class RootSystem:
         """The Gram matrix of the simple roots, (alpha_i, alpha_j) = d_j a_ij."""
         return tuple(tuple(map(mul, row, self.symmetrizer)) for row in self.cartan)
 
+    @cached_property
+    def symmetrizes(self) -> bool:
+        """d_i a_ij = d_j a_ji for all i, j: the Gram matrix is symmetric."""
+        gram = self.gram
+        return all(gram[i][j] == gram[j][i] for i in range(self.rank) for j in range(i))
+
     def inner(self, a, b) -> int:
         """The W-invariant form, short roots normalized to squared length 2."""
         total = 0
@@ -194,16 +201,50 @@ class RootSystem:
         return total
 
     def coroot(self, a) -> CorootVector:
-        """alpha^vee = 2*alpha/(alpha, alpha) in the simple-coroot basis."""
-        a = self.check_root(a)
-        sq = self.inner(a, a)
-        coeffs = []
-        for i, c in enumerate(a):
-            num = 2 * c * self.symmetrizer[i]
-            if num % sq:
-                raise DomainError(f"non-integral coroot for {a}")
-            coeffs.append(num // sq)
-        return tuple(coeffs)
+        """alpha^vee = 2*alpha/(alpha, alpha) in the simple-coroot basis, by one gcd.
+
+        alpha_i = d_i alpha_i^vee, so alpha = sum c_i d_i alpha_i^vee and
+        alpha^vee = sum (c_i d_i / g) alpha_i^vee with g = (alpha, alpha)/2.
+        alpha^vee is W-conjugate to a simple coroot, and W acts on the
+        coroot lattice by integer matrices with integer inverses, so
+        alpha^vee is primitive there: its coefficients have gcd 1.  Hence
+        g = gcd(c_i d_i), and no Gram product is needed.  The argument needs
+        d_i a_ij = d_j a_ji (``symmetrizes``, read once per system), and g,
+        the half squared length of a root, must then be one of the d_i;
+        either failing raises InvariantViolationError.
+        """
+        scaled = tuple(map(mul, self.check_root(a), self.symmetrizer))
+        g = gcd(*scaled)
+        if g not in self.symmetrizer or not self.symmetrizes:
+            raise InvariantViolationError(
+                f"the symmetrizer {self.symmetrizer} does not fit the Cartan matrix"
+                f" (gcd {g} for {tuple(a)})"
+            )
+        return tuple([x // g for x in scaled])
+
+    def reflection_word(self, beta) -> tuple:
+        """The reduced word j1..jm k jm..j1 of s_beta, from beta = +-s_j1 ... s_jm alpha_k.
+
+        j1 is the least j with <beta, alpha_j^vee> > 0 for beta > 0, and the
+        rest is the word of s_j1(beta), a root of lower height; then
+        s_beta = s_j1 s_{s_j1 beta} s_j1, and l(s_{s_j1 beta}) = l(s_beta) - 2
+        (the proof is in curveneighborhood), so the word is reduced.
+        Memoised in ``cache`` per positive root.
+        """
+        beta = tuple(beta)
+        if any(c < 0 for c in beta):
+            beta = tuple(-c for c in beta)
+        key = ("reflection-word", beta)
+        word = self.cache.get(key)
+        if word is None:
+            root = self.check_root(beta)
+            path = []
+            while sum(root) > 1:
+                j = next(j for j in range(self.rank) if self.pair_simple_coroot(root, j) > 0)
+                path.append(j)
+                root = self.reflect_simple(root, j)
+            word = self.cache[key] = (*path, root.index(1), *reversed(path))
+        return word
 
     def reflect_simple(self, a, j: int):
         """s_j(a) = a - <a, alpha_j^vee> alpha_j."""

@@ -143,19 +143,14 @@ class WeylGroup:
         return self._simple[j]
 
     def reflection(self, alpha) -> Weyl:
-        """The reflection along any root alpha."""
+        """The reflection along any root alpha: row i is alpha_i - <alpha_i, alpha^vee> alpha."""
         alpha = self.system.check_root(alpha)
         if alpha not in self._reflection:
             cov = self.system.coroot(alpha)
             rows = []
-            for i in range(self.system.rank):
-                p = self.system.pair(self.system.simple_roots[i], cov)
-                rows.append(
-                    tuple(
-                        (1 if i == j else 0) - p * alpha[j]
-                        for j in range(self.system.rank)
-                    )
-                )
+            for i, row in enumerate(self.system.cartan):
+                p = sum(map(mul, row, cov))  # <alpha_i, alpha^vee> = sum_j a_ij c_j
+                rows.append(tuple((1 if i == j else 0) - p * a for j, a in enumerate(alpha)))
             self._reflection[alpha] = tuple(rows)
         return self._reflection[alpha]
 
@@ -303,8 +298,15 @@ class WeylGroup:
     # -- Hecke monoid --------------------------------------------------------------
 
     def hecke_product(self, u: Weyl, v: Weyl) -> Weyl:
-        """u . v: along v's reduced word, u . s_j = u s_j if that is longer, else u."""
-        for j in self.reduced_word(v):
+        """u . v, along the reduced word of v."""
+        return self.hecke_word(u, self.reduced_word(v))
+
+    def hecke_word(self, u: Weyl, word) -> Weyl:
+        """u . s_j1 . ... . s_jm, with u . s_j = u s_j if that is longer, else u.
+
+        For a reduced word this is u . v, v the element the word spells.
+        """
+        for j in word:
             if not self.is_negative(u[j]):
                 u = self.multiply(u, self._simple[j])
         return u

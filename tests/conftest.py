@@ -17,3 +17,14 @@ def all_parabolics(rank):
         for n in range(rank + 1)
         for c in itertools.combinations(range(rank), n)
     ]
+
+
+def gram_coroot(system, a):
+    """alpha^vee = 2 alpha / (alpha, alpha) through the Gram form, checked integral (test oracle)."""
+    square = system.inner(a, a)
+    out = []
+    for c, d in zip(a, system.symmetrizer):
+        q, r = divmod(2 * c * d, square)
+        assert r == 0, (a, square)
+        out.append(q)
+    return tuple(out)

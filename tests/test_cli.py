@@ -3,14 +3,32 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import qdeg
 from qdeg.cli import run
+
+#: the directory this qdeg is imported from, for child interpreters
+QDEG_PATH = str(Path(qdeg.__file__).resolve().parents[1])
+
+
+def run_process(argv):
+    """`python -m qdeg.cli argv` in a child interpreter that imports this qdeg."""
+    path = os.pathsep.join(filter(None, [QDEG_PATH, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "qdeg.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def run_capture(argv):
@@ -141,9 +159,7 @@ def test_scan_box_over_the_cap_exits_two_at_once():
     """A --box whose scan box has more than ENUMERATION_CAP points is refused before the scan."""
     for verb in (["delta"], ["verify", "--suite", "uniqueness"]):
         argv = verb + ["--type", "B", "--rank", "3", "--box", "100000"]
-        done = subprocess.run(
-            [sys.executable, "-m", "qdeg.cli", *argv], capture_output=True, text=True, timeout=60
-        )
+        done = run_process(argv)
         assert done.returncode == 2 and done.stdout == "", argv
         assert "exceeded the cap" in done.stderr
 
@@ -152,12 +168,7 @@ def test_an_oversized_pair_table_exits_two_at_once():
     """The E6 Borel's 51,840 ** 2 pair table is refused before any search runs."""
     for suite in ("main", "delta2"):
         argv = ["verify", "--suite", suite, "--type", "E", "--rank", "6", "--parabolic", ""]
-        done = subprocess.run(
-            [sys.executable, "-m", "qdeg.cli", *argv, "--mode", "pairs"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        done = run_process([*argv, "--mode", "pairs"])
         assert done.returncode == 2 and done.stdout == "", suite
         assert "pair table of 2687385600 pairs exceeded the cap" in done.stderr
 
@@ -166,9 +177,7 @@ def test_options_are_read_against_the_rank_before_the_system_is_built(monkeypatc
     """A degree, parabolic or word that does not fit --rank exits 2 before any system is built."""
     argv = ["z", "--type", "A", "--rank", "200", "--parabolic", "1", "--degree", "1"]
     start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-m", "qdeg.cli", *argv], capture_output=True, text=True, timeout=60
-    )
+    done = run_process(argv)
     assert time.perf_counter() - start < 10  # A200 has 20,100 positive roots to generate
     assert done.returncode == 2 and done.stdout == ""
     assert "degree needs 199 coefficients" in done.stderr

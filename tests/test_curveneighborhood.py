@@ -186,16 +186,23 @@ def test_one_z_pays_one_coset_min_and_one_hecke_step_per_greedy_step(monkeypatch
     k = len(loop_greedy_oracle(fresh_group("B", 3).system, b, d))
     assert k >= 2
     coset_mins = _count_calls(monkeypatch, group, "coset_min")
-    hecke_steps = _count_calls(monkeypatch, group, "hecke_product")
+    hecke_steps = _count_calls(monkeypatch, group, "hecke_word")
+    reflections = _count_calls(monkeypatch, group, "reflection")
     sweeps = _count_calls(monkeypatch, degreelattice, "maximal_roots")
+
+    def counts():
+        return len(coset_mins), len(hecke_steps), len(reflections), len(sweeps)
+
     z(group, b, d)
-    assert (len(coset_mins), len(hecke_steps), len(sweeps)) == (1, k, k)
-    # each step walks the word of one reflection, from the last greedy root up to the first
+    assert counts() == (1, k, 0, k)
+    # each step walks the reduced word of one reflection, from the last greedy root
+    # up to the first, and no matrix of a reflection is built
     greedy = greedy_decomposition(group.system, b, d)
-    assert [v for _, v in hecke_steps] == [group.reflection(a) for a in reversed(greedy)]
+    reflection_word = group.system.reflection_word
+    assert [word for _, word in hecke_steps] == [reflection_word(a) for a in reversed(greedy)]
     tail = d - d_of_root(group.system, b, greedy[0])
     z(group, b, tail)
-    assert (len(coset_mins), len(hecke_steps), len(sweeps)) == (2, k, k)
+    assert counts() == (2, k, 0, k)
 
 
 def test_z_trivial_and_golden():

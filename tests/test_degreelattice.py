@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qdeg.cascade import d_x, vec_add
 from qdeg.degreelattice import (
     Degree,
+    _degree_table,
     all_greedy_decompositions,
     alpha_of_connected,
     c1,
@@ -27,14 +28,14 @@ from qdeg.errors import DomainError, ResourceError
 from qdeg.rootsystem import build_root_system
 from qdeg.weylgroup import Parabolic
 
-from conftest import all_parabolics
+from conftest import all_parabolics, gram_coroot
 
 E_SYSTEMS = {rank: build_root_system("E", rank) for rank in (6, 7, 8)}
 
 
 def coroot_degree(system, parabolic, a):
-    """d(alpha) straight from the coroot, bypassing the per-parabolic table."""
-    cov = system.coroot(a)
+    """d(alpha) from the Gram-form coroot, bypassing the per-parabolic table and coroot."""
+    cov = gram_coroot(system, a)
     return tuple(cov[i] for i in parabolic.free)
 
 
@@ -122,6 +123,25 @@ def test_degree_table_is_built_once_on_first_use():
     assert d_of_root(g2, Parabolic.from_indices(2, set()), g2.highest_root) is theta
     with pytest.raises(DomainError):
         maximal_roots(g2, b, Degree.zero(Parabolic.from_indices(2, {0})))
+
+
+def test_degree_table_makes_a_degree_only_when_d_of_root_asks(monkeypatch):
+    b3 = build_root_system("B", 3)
+    made = []
+    post_init = Degree.__post_init__
+
+    def counted(self):
+        made.append(self.coeffs)
+        post_init(self)
+
+    monkeypatch.setattr(Degree, "__post_init__", counted)
+    tables = [_degree_table(b3, p) for p in all_parabolics(3)]
+    assert made == [] and all(degrees == {} for _, _, degrees in tables)
+    p = Parabolic.from_indices(3, {1})
+    theta = b3.highest_root
+    assert d_of_root(b3, p, theta) is d_of_root(b3, p, theta)
+    assert made == [coroot_degree(b3, p, theta)]
+    assert list(_degree_table(b3, p)[2]) == [theta]
 
 
 def test_c1():

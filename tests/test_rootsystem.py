@@ -1,12 +1,15 @@
 """Root system construction, coroots, pairings, and sub-root-systems."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
 
-from qdeg.errors import ConfigurationError, DomainError
+from qdeg.errors import ConfigurationError, DomainError, InvariantViolationError
 from qdeg.rootsystem import POSITIVE_ROOT_COUNT, build_root_system, coeffs_leq, subsystem
+
+from conftest import gram_coroot
 
 
 def all_admissible(max_rank=8):
@@ -100,6 +103,37 @@ def test_coroots():
             assert system.coroot(beta) == tuple(1 if j == i else 0 for j in range(rank))
     with pytest.raises(DomainError):
         g2.coroot((1, 2))
+
+
+@pytest.mark.parametrize("letter,rank", all_admissible())
+def test_coroot_by_gcd_matches_the_gram_formula_on_every_root(letter, rank):
+    system = build_root_system(letter, rank)
+    for a in system.positive_roots:
+        for root in (a, tuple(-c for c in a)):
+            assert system.coroot(root) == gram_coroot(system, root), root
+
+
+@pytest.mark.parametrize(
+    "letter,rank,doctored",
+    [
+        ("B", 2, (4, 1)),
+        ("G", 2, (1, 4)),
+        ("F", 4, (4, 4, 1, 1)),  # a gcd of 2, which is no d_i
+        ("F", 4, (2, 2, 1, 2)),  # every gcd is a d_i, but 14 of 24 coroots would be wrong
+        ("F", 4, (1, 2, 1, 1)),
+    ],
+)
+def test_a_doctored_symmetrizer_raises(letter, rank, doctored):
+    true = build_root_system(letter, rank)
+    system = dataclasses.replace(true, symmetrizer=doctored)
+    assert not system.symmetrizes
+    with pytest.raises(InvariantViolationError, match="does not fit the Cartan matrix"):
+        system.coroot(system.highest_root)
+    # the gcd is scale-free: a rescaled symmetrizer is still one
+    rescaled = dataclasses.replace(true, symmetrizer=tuple(3 * d for d in true.symmetrizer))
+    assert [rescaled.coroot(a) for a in true.positive_roots] == [
+        true.coroot(a) for a in true.positive_roots
+    ]
 
 
 def test_pairings():

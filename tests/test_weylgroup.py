@@ -5,9 +5,11 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdeg.errors import InvariantViolationError, ResourceError
+from qdeg.errors import DomainError, InvariantViolationError, ResourceError
 from qdeg.rootsystem import build_root_system
 from qdeg.weylgroup import Parabolic, WeylGroup, weyl_group
+
+from conftest import gram_coroot
 
 
 def subword_leq(group, u, v):
@@ -249,6 +251,31 @@ def test_hecke_basics():
     for w in b2.elements():
         assert b2.hecke_product(w, b2.identity) == w
     assert b2.hecke_product(w_p, w_p) == w_p
+
+
+@pytest.mark.parametrize(
+    "letter,rank", [("A", 4), ("B", 4), ("C", 4), ("D", 5), ("F", 4), ("E", 6), ("G", 2)]
+)
+def test_reflection_word_is_a_reduced_word_of_the_reflection(letter, rank):
+    group = WeylGroup(build_root_system(letter, rank))
+    system = group.system
+    w_p = group.longest_element(range(1, rank))
+    for a in system.positive_roots:
+        for root in (a, tuple(-c for c in a)):
+            word = system.reflection_word(root)
+            s = group.reflection(root)
+            # s(alpha_i) = alpha_i - <alpha_i, alpha^vee> alpha, by the pairing
+            cov = gram_coroot(system, root)
+            assert s == tuple(
+                tuple(e - system.pair(simple, cov) * c for e, c in zip(simple, root))
+                for simple in system.simple_roots
+            )
+            assert group.from_word(word) == s
+            assert len(word) == group.length(s)
+            for y in (group.identity, w_p, group.w_o):
+                assert group.hecke_word(y, word) == group.hecke_product(y, s)
+    with pytest.raises(DomainError):
+        system.reflection_word((2,) + (0,) * (rank - 1))  # 2 alpha_1 is no root
 
 
 @settings(max_examples=80, deadline=None)
