@@ -19,7 +19,7 @@ of one reflection.
 That step is ``hecke_word`` along ``system.reflection_word(alpha_1)``, the
 palindrome j1..jm k jm..j1 with beta_0 = alpha_1, j_r the least j with
 <beta_{r-1}, alpha_j^vee> > 0, beta_r = s_{j_r} beta_{r-1}, and beta_m = alpha_k;
-no matrix of s_alpha_1 is built.  The word is reduced: if beta > 0 is not
+the element s_alpha_1 is never built.  The word is reduced: if beta > 0 is not
 simple and <beta, alpha_j^vee> > 0, then <alpha_j, beta^vee> > 0 too, and
 s_beta(alpha_j) = alpha_j - <alpha_j, beta^vee> beta is negative, as it is a
 root with a negative coefficient at some i != j in the support of beta.  So

@@ -335,17 +335,21 @@ class PackedLabels:
 
     @classmethod
     def build(cls, cap: tuple, edges: tuple) -> "PackedLabels":
-        """The codec for labels <= cap on a graph with these (target, coeffs, root) edges."""
-        heaviest = max((c for out in edges for _, w, _ in out for c in w), default=0)
+        """The codec for labels <= cap on a graph with these (target, coeffs, root) edges.
+
+        Every coset's edges carry the weights of eW_P's, so each distinct
+        weight is packed once.
+        """
+        weights = {w for out in edges for _, w, _ in out}
+        heaviest = max((c for w in weights for c in w), default=0)
         width = (max(cap, default=0) + heaviest).bit_length() + 1
         guard = sum(1 << (width * i + width - 1) for i in range(len(cap)))
         labels = cls(len(cap), width, guard, 0, ())
+        packed = {w: labels.pack(w) for w in weights}
         return replace(
             labels,
             cap=labels.pack(cap),
-            edges=tuple(
-                tuple((j, labels.pack(w), alpha) for j, w, alpha in out) for out in edges
-            ),
+            edges=tuple(tuple((j, packed[w], alpha) for j, w, alpha in out) for out in edges),
         )
 
     def pack(self, coeffs) -> int:

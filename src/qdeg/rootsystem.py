@@ -175,12 +175,6 @@ class RootSystem:
         """<x, alpha_j^vee> for x written in the simple-root basis."""
         return sum(x[i] * self.cartan[i][j] for i in range(self.rank))
 
-    def pair(self, x, c) -> int:
-        """<x, c> for a root x and a coroot vector c (both coefficient tuples)."""
-        if len(x) != self.rank or len(c) != self.rank:
-            raise DomainError("mismatched systems in pairing")
-        return sum(c[j] * self.pair_simple_coroot(x, j) for j in range(self.rank) if c[j])
-
     @cached_property
     def gram(self) -> tuple:
         """The Gram matrix of the simple roots, (alpha_i, alpha_j) = d_j a_ij."""

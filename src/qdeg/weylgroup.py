@@ -1,20 +1,33 @@
 """Weyl group elements, Bruhat order, parabolic cosets, and the Hecke monoid.
 
-An element is canonically a rank x rank integer matrix, stored as a tuple of
-rows where row i is the image of the i-th simple root in the root basis.
-Equality of elements is equality of actions, which makes every operation
-independent of reduced-word choices.  All operations are pure; caches are
-per-WeylGroup dictionaries keyed by the immutable element tuples.
+An element w is stored as one weight, x_w = w^-1(rho), written in the basis
+of the fundamental weights omega_j: a tuple of rank integers, with the
+identity rho = (1, ..., 1) (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+GTM 231, section 4).  With a_ij = <alpha_i, alpha_j^vee> (``system.cartan``),
+alpha_i = sum_j a_ij omega_j is row i of the Cartan matrix.  The kernel rests
+on these facts:
 
-``multiply`` builds a product with a simple reflection by rewriting only
-what changes: u s_j negates row j and subtracts a_ij * row j from each Dynkin
-neighbor row i, and s_j u changes only column j, by <row, alpha_j^vee>.
-Other products apply u to each row of v.  length(w) is the length of the
-reduced word, read off a descent walk that lowers the length by one per step.
+- w -> x_w is injective.  rho is regular, <rho, beta^vee> = ht(beta^vee) > 0
+  for every positive coroot, and a weight off every wall has a trivial
+  stabilizer in W (Humphreys, Reflection Groups and Coxeter Groups, 1.12).
+  So x_u = x_v gives v u^-1 rho = rho and u = v; equality and hashing of the
+  tuples are equality of elements.
+- (x_w)_j = <w^-1 rho, alpha_j^vee> = <rho, w(alpha_j^vee)> by W-invariance.
+  w(alpha_j^vee) is a coroot of the sign of w(alpha_j), so coordinate j is
+  negative exactly when w(alpha_j) < 0, i.e. when s_j is a right descent of
+  w (GTM 231, 4.4.6).  It is never 0; a 0 met by a step raises
+  InvariantViolationError, as the tuple is no x_w.
+- x_{w s_j} = s_j(x_w) = x_w - (x_w)_j alpha_j: one rank-length update by
+  a multiple of row j, with no neighbour rows.  ``multiply`` keeps each
+  multiple it has used.  A general product x_{uv} folds u along
+  ``reduced_word(v)``, one right step per letter.
+- s_alpha is an involution, so x_{s_alpha} = s_alpha(rho)
+  = rho - <rho, alpha^vee> alpha, and <rho, alpha^vee> is the sum of the
+  coefficients of the coroot.
 
-Bruhat order is the lifting recursion on a right descent s_j of v (see
-bruhat_leq): each level reads row signs and takes at most two row updates,
-and computes no length, word or inverse.
+Lengths, words and inverses come from the descent walk of ``reduced_word``;
+Bruhat order is the lifting recursion on a right descent of v
+(``bruhat_leq``).  Each level reads signs and takes at most two steps.
 """
 
 from __future__ import annotations
@@ -22,7 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul, neg
+from operator import sub
 from typing import Iterable
 
 from .errors import DomainError, InvariantViolationError, ResourceError
@@ -31,7 +44,7 @@ from .rootsystem import RootSystem
 #: default enumeration cap (elements or cosets)
 ENUMERATION_CAP = 10**6
 
-Weyl = tuple  # tuple of row tuples
+Weyl = tuple  # x_w = w^-1(rho) in fundamental-weight coordinates
 
 
 @dataclass(frozen=True)
@@ -91,21 +104,10 @@ class WeylGroup:
 
     def __init__(self, system: RootSystem):
         self.system = system
-        rank = system.rank
-        self.identity: Weyl = tuple(
-            tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)
-        )
-        self._simple = tuple(
-            tuple(system.reflect_simple(system.simple_roots[i], j) for i in range(rank))
-            for j in range(rank)
-        )
-        cartan = system.cartan
+        self.identity: Weyl = (1,) * system.rank  # rho
+        self._simple = tuple(tuple(1 - a for a in row) for row in system.cartan)
         self._simple_index = {s: j for j, s in enumerate(self._simple)}
-        # u s_j changes row j and each Dynkin neighbor row i, by a_ij * row j
-        self._neighbor_rows = tuple(
-            tuple((i, cartan[i][j]) for i in sorted(system.adjacency[j])) for j in range(rank)
-        )
-        self._cartan_columns = tuple(zip(*cartan))  # <x, alpha_j^vee> = x . column j
+        self._multiples: tuple = tuple({} for _ in system.cartan)  # [j][c]: c alpha_j
         self._length: dict = {self.identity: 0}
         self._inverse: dict = {self.identity: self.identity}
         self._word: dict = {self.identity: ()}
@@ -116,26 +118,15 @@ class WeylGroup:
 
     # -- basic action ----------------------------------------------------------
 
-    def apply(self, w: Weyl, coeffs) -> tuple:
-        """Image of a root-basis vector under w."""
-        rank = self.system.rank
-        out = [0] * rank
-        for i, c in enumerate(coeffs):
-            if c:
-                row = w[i]
-                for j in range(rank):
-                    out[j] += c * row[j]
-        return tuple(out)
-
-    @staticmethod
-    def is_negative(coeffs) -> bool:
-        """True for the image of a root lying in R^-; roots never mix signs."""
-        for c in coeffs:
-            if c < 0:
-                return True
-            if c > 0:
-                return False
-        raise DomainError("zero vector is not a root")
+    def _reflect(self, x: tuple, j: int) -> tuple:
+        """s_j(x) = x - x_j alpha_j for a weight x with x_j != 0."""
+        c = x[j]
+        step = self._multiples[j].get(c)
+        if step is None:
+            if not c:
+                raise InvariantViolationError(f"{x} has coordinate {j + 1} equal to 0")
+            step = self._multiples[j][c] = tuple(c * a for a in self.system.cartan[j])
+        return tuple(map(sub, x, step))
 
     def simple_reflection(self, j: int) -> Weyl:
         if not 0 <= j < self.system.rank:
@@ -143,34 +134,24 @@ class WeylGroup:
         return self._simple[j]
 
     def reflection(self, alpha) -> Weyl:
-        """The reflection along any root alpha: row i is alpha_i - <alpha_i, alpha^vee> alpha."""
+        """s_alpha for any root alpha: rho - <rho, alpha^vee> alpha."""
         alpha = self.system.check_root(alpha)
         if alpha not in self._reflection:
-            cov = self.system.coroot(alpha)
-            rows = []
-            for i, row in enumerate(self.system.cartan):
-                p = sum(map(mul, row, cov))  # <alpha_i, alpha^vee> = sum_j a_ij c_j
-                rows.append(tuple((1 if i == j else 0) - p * a for j, a in enumerate(alpha)))
-            self._reflection[alpha] = tuple(rows)
+            system = self.system
+            p = sum(system.coroot(alpha))  # <rho, alpha^vee>
+            self._reflection[alpha] = tuple(
+                1 - p * system.pair_simple_coroot(alpha, i) for i in range(system.rank)
+            )
         return self._reflection[alpha]
 
     def multiply(self, u: Weyl, v: Weyl) -> Weyl:
-        """(u v)(x) = u(v(x)), with a cheap update when a factor is simple."""
+        """uv: one right step when v is a simple reflection, else u folded along v's word."""
         j = self._simple_index.get(v)
         if j is not None:
-            rows = list(u)
-            row_j = u[j]
-            rows[j] = tuple(map(neg, row_j))
-            for i, a in self._neighbor_rows[j]:
-                rows[i] = tuple([x - a * y for x, y in zip(u[i], row_j)])
-            return tuple(rows)
-        j = self._simple_index.get(u)
-        if j is not None:
-            column = self._cartan_columns[j]
-            return tuple(
-                r[:j] + (r[j] - sum(map(mul, r, column)),) + r[j + 1:] for r in v
-            )
-        return tuple(self.apply(u, v[i]) for i in range(self.system.rank))
+            return self._reflect(u, j)
+        for j in self.reduced_word(v):
+            u = self._reflect(u, j)
+        return u
 
     def product(self, ws) -> Weyl:
         out = self.identity
@@ -190,24 +171,20 @@ class WeylGroup:
         if w not in self._word:
             word = []
             x = w
-            letters = range(self.system.rank)
             while True:
-                j = next((j for j in letters if self.is_negative(x[j])), None)
+                j = next((j for j, c in enumerate(x) if c < 0), None)
                 if j is None:
                     break
                 word.append(j)
                 x = self.multiply(x, self._simple[j])
             if x != self.identity:
-                raise DomainError("descent extraction did not terminate at identity")
+                raise InvariantViolationError(f"{w} is not the image of rho under W")
             self._word[w] = tuple(reversed(word))
         return self._word[w]
 
     def inverse(self, w: Weyl) -> Weyl:
         if w not in self._inverse:
-            out = self.identity
-            for j in reversed(self.reduced_word(w)):
-                out = self.multiply(out, self._simple[j])
-            self._inverse[w] = out
+            self._inverse[w] = self.from_word(reversed(self.reduced_word(w)))
         return self._inverse[w]
 
     def from_word(self, word: Iterable) -> Weyl:
@@ -226,7 +203,7 @@ class WeylGroup:
         if s not in self._longest:
             w = self.identity
             while True:
-                ascent = next((j for j in sorted(s) if not self.is_negative(w[j])), None)
+                ascent = next((j for j in sorted(s) if w[j] > 0), None)
                 if ascent is None:
                     break
                 w = self.multiply(w, self._simple[ascent])
@@ -242,7 +219,7 @@ class WeylGroup:
         parabolic.check_rank(self.system.rank)
         members = sorted(parabolic.delta_p)
         while True:
-            descent = next((j for j in members if self.is_negative(w[j])), None)
+            descent = next((j for j in members if w[j] < 0), None)
             if descent is None:
                 return w
             w = self.multiply(w, self._simple[descent])
@@ -268,11 +245,11 @@ class WeylGroup:
     def bruhat_leq(self, u: Weyl, v: Weyl) -> bool:
         """Right-descent lifting recursion; the subword criterion is kept as a test oracle.
 
-        For a right descent s_j of v (row j of v negative), u <= v iff
+        For a right descent s_j of v (coordinate j of v negative), u <= v iff
         u s_j <= v s_j when s_j is a right descent of u too, and iff
         u <= v s_j otherwise (the lifting property, Bjorner-Brenti, GTM 231,
-        Prop. 2.2.7).  A level costs the sign tests that find j, one on row j
-        of u, and at most two row updates; v = e ends the recursion.
+        Prop. 2.2.7).  A level costs the sign tests that find j, one of u,
+        and at most two steps; v = e ends the recursion.
         """
         if u == v:
             return True
@@ -280,12 +257,12 @@ class WeylGroup:
         cached = self._bruhat.get(key)
         if cached is not None:
             return cached
-        j = next((j for j in range(self.system.rank) if self.is_negative(v[j])), None)
+        j = next((j for j, c in enumerate(v) if c < 0), None)
         if j is None:  # v = e, and u != v
             result = False
         else:
             s = self._simple[j]
-            if self.is_negative(u[j]):
+            if u[j] < 0:
                 u = self.multiply(u, s)
             result = self.bruhat_leq(u, self.multiply(v, s))
         self._bruhat[key] = result
@@ -307,7 +284,7 @@ class WeylGroup:
         For a reduced word this is u . v, v the element the word spells.
         """
         for j in word:
-            if not self.is_negative(u[j]):
+            if u[j] > 0:
                 u = self.multiply(u, self._simple[j])
         return u
 
@@ -339,14 +316,16 @@ class WeylGroup:
         """All cosets of W/W_P as minimal representatives, each exactly once.
 
         For the Borel subgroup these are the elements of W, the same tuple.
-        The BFS takes u W_P to s_j u W_P with no coset_min, by Deodhar's
-        lemma: for u in W^P, s_j u lies in W^P unless u(alpha_k) = alpha_j
-        for some k in Delta_P, and then s_j u = u s_k lies in uW_P.  (For
-        k in Delta_P, (s_j u)(alpha_k) = s_j(u(alpha_k)) is negative only
-        when u(alpha_k) = alpha_j, as s_j permutes R^+ \\ {alpha_j}, and
-        then u s_k u^-1 = s_j.)  So a step is one row comparison per k, and
-        a product only when it leaves the coset.  The BFS records its table
-        as it goes: ``numbered_cosets`` returns it.
+        The BFS keys uW_P by the weight u(rho_P), rho_P = the sum of the
+        omega_k over k not in Delta_P.  rho_P is dominant and lies on the
+        walls of Delta_P alone, so its stabilizer is W_P (Humphreys, 1.12)
+        and u(rho_P) determines uW_P.  s_j u W_P is keyed by s_j(u(rho_P)),
+        the update of a right step, and s_j fixes uW_P, i.e. u^-1 s_j u lies
+        in W_P, iff s_j fixes u(rho_P): iff coordinate j is 0.  Otherwise
+        s_j u is again a minimal representative (Deodhar's lemma: for u in
+        W^P, s_j u is in W^P or s_j u = u s_k with k in Delta_P), so no
+        coset_min is needed.  The BFS records its table as it goes:
+        ``numbered_cosets`` returns it.
         """
         parabolic.check_rank(self.system.rank)
         if not parabolic.delta_p:
@@ -393,10 +372,11 @@ class WeylGroup:
         """The closure of eW_P under u W_P -> s_j u W_P, j in letters, sorted by (length, word).
 
         u runs over minimal representatives; Delta_P is ``stabilizer`` (see
-        cosets).  The BFS numbers each coset on first sight and records, for
-        the r-th letter j, the number of s_j u W_P; s_j is an involution on
-        cosets, so each product fills both ends of its step, and a step that
-        stays in uW_P costs no product.  The sorted table is memoised as
+        cosets).  The BFS numbers each coset on first sight of its weight
+        u(rho_P) and records, for the r-th letter j, the number of
+        s_j u W_P; s_j is an involution on cosets, so each step fills both
+        ends.  The element s_j u, one product, is built only for a coset
+        found for the first time.  The sorted table is memoised as
         ("left", key): rows in the order of the letters, and each length,
         the BFS depth, checked against the length of the sorted word.
 
@@ -409,25 +389,27 @@ class WeylGroup:
             expected = size()
             if expected > cap:
                 raise ResourceError(f"enumeration of {expected} exceeded the cap of {cap}")
-            units = [self.identity[j] for j in letters]  # alpha_j in the root basis
-            found = {self.identity: 0}
+            rho_p = tuple(0 if k in stabilizer else 1 for k in range(self.system.rank))
+            found = {rho_p: 0}
+            weights = [rho_p]  # u(rho_P) per coset
             order = [self.identity]
             depth = [0]
             steps = [[None] * len(letters)]
             for x_pos, x in enumerate(order):  # order grows behind the loop: a BFS
                 row = steps[x_pos]
-                fixed = {x[k] for k in stabilizer}  # u(alpha_k), k in Delta_P
+                weight = weights[x_pos]
                 for r, j in enumerate(letters):
                     if row[r] is not None:
                         continue
-                    if units[r] in fixed:
+                    if not weight[j]:  # s_j fixes uW_P
                         row[r] = x_pos
                         continue
-                    y = self.multiply(self._simple[j], x)
+                    y = self._reflect(weight, j)
                     y_pos = found.get(y)
                     if y_pos is None:
                         y_pos = found[y] = len(order)
-                        order.append(y)
+                        weights.append(y)
+                        order.append(self.multiply(self._simple[j], x))
                         depth.append(depth[x_pos] + 1)
                         steps.append([None] * len(letters))
                     row[r] = y_pos

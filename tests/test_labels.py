@@ -143,3 +143,19 @@ def test_a_degree_above_the_cap_has_no_chain_and_aliases_nothing():
     over = Degree(p, tuple(c + 3 for c in d_x(group.system, p).coeffs))
     with pytest.raises(VerificationError):
         chain_witness(group, p, w_o, w_o, over)
+
+
+def test_build_packs_each_distinct_weight_once(monkeypatch):
+    """Every coset repeats eW_P's edge weights: each distinct one is packed, and checked, once."""
+    p = Parabolic(3, frozenset())
+    edges = adjacency_graph(weyl_group("B", 3), p).edges
+    weights = {w for out in edges for _, w, _ in out}
+    calls = []
+    pack = PackedLabels.pack
+    monkeypatch.setattr(PackedLabels, "pack", lambda self, c: calls.append(c) or pack(self, c))
+    labels = PackedLabels.build((5, 5, 5), edges)
+    assert len(calls) == len(weights) + 1 and set(calls) == weights | {(5, 5, 5)}
+    unpacked = tuple(tuple((j, labels.unpack(t), a) for j, t, a in out) for out in labels.edges)
+    assert unpacked == edges
+    with pytest.raises(DomainError):
+        PackedLabels.build((1,), (((0, (-1,), None),), ((0, (-1,), None),)))

@@ -1,6 +1,16 @@
-"""Weyl group actions, Bruhat order (vs. the subword oracle), Hecke basics."""
+"""Weyl group actions, Bruhat order (vs. the subword oracle), Hecke basics.
 
+The package stores w as the weight w^-1(rho).  ``MatrixKernel`` keeps the
+representation it replaced as an oracle: w as the matrix of the images of
+the simple roots.  Every element of the small groups, and random words in
+the large ones, must give the same words, lengths, products, coset
+representatives, Bruhat relations, Hecke products and coset tables in both.
+"""
+
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +19,163 @@ from qdeg.errors import DomainError, InvariantViolationError, ResourceError
 from qdeg.rootsystem import build_root_system
 from qdeg.weylgroup import Parabolic, WeylGroup, weyl_group
 
-from conftest import gram_coroot
+from conftest import all_parabolics, gram_coroot, pair
+
+
+def is_negative(coeffs) -> bool:
+    """True for a negative root; roots never mix signs."""
+    return min(coeffs) < 0
+
+
+def act(group, w, beta) -> tuple:
+    """w(beta) for beta in the root basis, one simple reflection per letter of w's word."""
+    for j in reversed(group.reduced_word(w)):
+        beta = group.system.reflect_simple(beta, j)
+    return tuple(beta)
+
+
+class MatrixKernel:
+    """Weyl elements as rank x rank matrices: row i is w(alpha_i) in the root basis.
+
+    u s_j negates row j and subtracts a_ij * row j from each Dynkin
+    neighbour row i; s_j u changes only column j, by <row, alpha_j^vee>; a
+    general product applies u to each row of v.  s_j is a right descent of
+    w iff row j is negative, and the length is the inversion count.
+    """
+
+    def __init__(self, system):
+        self.system = system
+        rank = system.rank
+        self.identity = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+        self.simple = tuple(
+            tuple(tuple(system.reflect_simple(a, j)) for a in system.simple_roots)
+            for j in range(rank)
+        )
+        self.neighbor_rows = tuple(
+            tuple((i, system.cartan[i][j]) for i in sorted(system.adjacency[j]))
+            for j in range(rank)
+        )
+        self.cartan_columns = tuple(zip(*system.cartan))
+
+    def apply(self, w, coeffs) -> tuple:
+        out = [0] * self.system.rank
+        for c, row in zip(coeffs, w):
+            for j, x in enumerate(row):
+                out[j] += c * x
+        return tuple(out)
+
+    def general_product(self, u, v):
+        return tuple(self.apply(u, row) for row in v)
+
+    def times_simple(self, u, j):
+        """u s_j by the row update."""
+        rows = list(u)
+        rows[j] = tuple(-x for x in u[j])
+        for i, a in self.neighbor_rows[j]:
+            rows[i] = tuple(x - a * y for x, y in zip(u[i], u[j]))
+        return tuple(rows)
+
+    def simple_times(self, j, u):
+        """s_j u by the column update."""
+        column = self.cartan_columns[j]
+        return tuple(
+            r[:j] + (r[j] - sum(x * c for x, c in zip(r, column)),) + r[j + 1:] for r in u
+        )
+
+    def from_word(self, word):
+        w = self.identity
+        for j in word:
+            w = self.times_simple(w, j)
+        return w
+
+    def descent(self, w, letters):
+        return next((j for j in letters if is_negative(w[j])), None)
+
+    def reduced_word(self, w) -> tuple:
+        word = []
+        while (j := self.descent(w, range(self.system.rank))) is not None:
+            word.append(j)
+            w = self.times_simple(w, j)
+        assert w == self.identity
+        return tuple(reversed(word))
+
+    def length(self, w) -> int:
+        return sum(1 for a in self.system.positive_roots if is_negative(self.apply(w, a)))
+
+    def inverse(self, w):
+        return self.from_word(reversed(self.reduced_word(w)))
+
+    def coset_min(self, w, parabolic):
+        while (j := self.descent(w, sorted(parabolic.delta_p))) is not None:
+            w = self.times_simple(w, j)
+        return w
+
+    def longest_element(self, subset):
+        w = self.identity
+        while (j := next((j for j in sorted(subset) if not is_negative(w[j])), None)) is not None:
+            w = self.times_simple(w, j)
+        return w
+
+    def bruhat_leq(self, u, v) -> bool:
+        """The lifting recursion on a right descent of v, as a loop (it never branches)."""
+        while u != v:
+            j = self.descent(v, range(self.system.rank))
+            if j is None:
+                return False
+            if is_negative(u[j]):
+                u = self.times_simple(u, j)
+            v = self.times_simple(v, j)
+        return True
+
+    def hecke_word(self, u, word):
+        for j in word:
+            if not is_negative(u[j]):
+                u = self.times_simple(u, j)
+        return u
+
+    def numbered_cosets(self, parabolic) -> tuple:
+        """(cosets, left, lengths) by a BFS with Deodhar's row comparison, sorted by (length, word).
+
+        s_j u W_P = u W_P for u in W^P iff u(alpha_k) = alpha_j for some k in Delta_P.
+        """
+        rank = self.system.rank
+        found = {self.identity: 0}
+        order, depth, steps = [self.identity], [0], [[None] * rank]
+        for x_pos, x in enumerate(order):
+            fixed = {x[k] for k in parabolic.delta_p}
+            for j in range(rank):
+                if steps[x_pos][j] is not None:
+                    continue
+                if self.identity[j] in fixed:
+                    steps[x_pos][j] = x_pos
+                    continue
+                y = self.simple_times(j, x)
+                if y not in found:
+                    found[y] = len(order)
+                    order.append(y)
+                    depth.append(depth[x_pos] + 1)
+                    steps.append([None] * rank)
+                steps[x_pos][j] = found[y]
+                steps[found[y]][j] = x_pos
+        ranked = sorted(range(len(order)), key=lambda p: (depth[p], self.reduced_word(order[p])))
+        number = {p: i for i, p in enumerate(ranked)}
+        left = tuple(tuple(number[steps[p][j]] for p in ranked) for j in range(rank))
+        return tuple(order[p] for p in ranked), left, tuple(depth[p] for p in ranked)
+
+
+_ORACLES: dict = {}
+
+
+def oracle_of(group) -> MatrixKernel:
+    key = (group.system.type_letter, group.system.rank)
+    if key not in _ORACLES:
+        _ORACLES[key] = MatrixKernel(group.system)
+    return _ORACLES[key]
+
+
+def as_matrix(group, w):
+    """The oracle's element spelled by the package's word of w."""
+    return oracle_of(group).from_word(group.reduced_word(w))
 
 
 def subword_leq(group, u, v):
@@ -24,16 +190,16 @@ def subword_leq(group, u, v):
 def left_descent_bruhat_oracle(group, u, v):
     """The left-descent recursion that bruhat_leq ran before, without its memo.
 
-    With s a left descent of v (read off v's inverse), u <= v iff su <= sv
-    when su < u, else iff u <= sv; lengths end it at l(u) >= l(v).  It never
-    branches, so it is written as a loop.
+    With s a left descent of v (a right descent of v's inverse), u <= v iff
+    su <= sv when su < u, else iff u <= sv; lengths end it at l(u) >= l(v).
+    It never branches, so it is written as a loop.
     """
     while u != v:
         lu = group.length(u)
         if lu >= group.length(v):
             return False
         inv_v = group.inverse(v)
-        j = next(j for j in range(group.system.rank) if group.is_negative(inv_v[j]))
+        j = next(j for j, c in enumerate(inv_v) if c < 0)
         s = group.simple_reflection(j)
         su = group.multiply(s, u)
         if group.length(su) < lu:
@@ -55,21 +221,20 @@ def count_multiplies(group) -> list:
     return calls
 
 
-def general_product(group, u, v):
-    """u v computed column by column with apply, bypassing multiply."""
-    return tuple(group.apply(u, row) for row in v)
-
-
-def inversion_count(group, w):
-    return sum(1 for a in group.system.positive_roots if group.is_negative(group.apply(w, a)))
-
-
 def check_kernel(group, w):
+    """Products with each s_j on both sides, and the length, against the matrix kernel."""
+    oracle = oracle_of(group)
+    m = as_matrix(group, w)
+    assert oracle.reduced_word(m) == group.reduced_word(w)
     for j in range(group.system.rank):
         s = group.simple_reflection(j)
-        assert group.multiply(w, s) == general_product(group, w, s)
-        assert group.multiply(s, w) == general_product(group, s, w)
-    assert group.length(w) == inversion_count(group, w)
+        assert as_matrix(group, group.multiply(w, s)) == oracle.times_simple(m, j) == (
+            oracle.general_product(m, oracle.simple[j])
+        )
+        assert as_matrix(group, group.multiply(s, w)) == oracle.simple_times(j, m) == (
+            oracle.general_product(oracle.simple[j], m)
+        )
+    assert group.length(w) == oracle.length(m)
 
 
 @pytest.mark.parametrize(
@@ -89,13 +254,107 @@ def test_simple_factor_products_and_length_on_every_element(letter, rank):
 def test_simple_factor_products_and_length_on_random_words(name, word):
     """Groups too large to enumerate: elements drawn as random words."""
     group = weyl_group(*name)
+    oracle = oracle_of(group)
     word = [j % group.system.rank for j in word]
-    w = group.identity
-    for j in word:
-        w = general_product(group, w, group.simple_reflection(j))
+    w = group.from_word(word)
+    assert as_matrix(group, w) == oracle.from_word(word)
     check_kernel(group, w)
     v = group.from_word(reversed(word[: len(word) // 2]))
-    assert group.multiply(w, v) == general_product(group, w, v)
+    assert as_matrix(group, group.multiply(w, v)) == oracle.general_product(
+        as_matrix(group, w), as_matrix(group, v)
+    )
+
+
+def check_against_oracle(group, w, others, parabolics):
+    """Inverse, products, coset_min, bruhat_leq and hecke_word of w against the matrix kernel."""
+    oracle = oracle_of(group)
+    m = as_matrix(group, w)
+    assert group.from_word(oracle.reduced_word(m)) == w
+    assert as_matrix(group, group.inverse(w)) == oracle.inverse(m)
+    for p in parabolics:
+        assert as_matrix(group, group.coset_min(w, p)) == oracle.coset_min(m, p)
+    words = [group.reduced_word(w), group.reduced_word(group.w_o)]
+    for v in others:
+        n = as_matrix(group, v)
+        assert as_matrix(group, group.multiply(w, v)) == oracle.general_product(m, n)
+        assert group.bruhat_leq(w, v) == oracle.bruhat_leq(m, n)
+        assert group.bruhat_leq(v, w) == oracle.bruhat_leq(n, m)
+        words.append(group.reduced_word(v))
+    for word in words:
+        assert as_matrix(group, group.hecke_word(w, word)) == oracle.hecke_word(m, word)
+
+
+EVERY_ELEMENT_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)]
+
+
+@pytest.mark.parametrize("letter,rank", EVERY_ELEMENT_SYSTEMS)
+def test_kernel_matches_the_matrix_oracle_on_every_element(letter, rank):
+    """Every element against 12 others spread over W, on every parabolic."""
+    group = WeylGroup(build_root_system(letter, rank))
+    oracle = oracle_of(group)
+    elements = group.elements()
+    others = elements[:: max(1, len(elements) // 12)]
+    parabolics = all_parabolics(rank)
+    for w in elements:
+        check_against_oracle(group, w, others, parabolics)
+    for p in parabolics:
+        assert as_matrix(group, group.longest_element(p)) == oracle.longest_element(p.delta_p)
+
+
+@pytest.mark.parametrize("letter,rank", EVERY_ELEMENT_SYSTEMS)
+def test_numbered_cosets_match_the_matrix_oracle(letter, rank):
+    """The weight-keyed BFS records the Deodhar BFS's cosets, left table and lengths."""
+    group = WeylGroup(build_root_system(letter, rank))
+    oracle = oracle_of(group)
+    for p in all_parabolics(rank):
+        cosets, left, lengths = group.numbered_cosets(p)
+        expected = oracle.numbered_cosets(p)
+        assert (tuple(as_matrix(group, m) for m in cosets), left, lengths) == expected, p
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_kernel_matches_the_matrix_oracle_on_random_words(data):
+    """Groups too large to check element by element: F4, E6 and C8 words, a parabolic."""
+    group = weyl_group(*data.draw(st.sampled_from([("F", 4), ("E", 6), ("C", 8)])))
+    rank = group.system.rank
+    words = st.lists(st.integers(0, rank - 1), max_size=30)
+    w, v = group.from_word(data.draw(words)), group.from_word(data.draw(words))
+    p = Parabolic.from_indices(rank, data.draw(st.sets(st.integers(0, rank - 1))))
+    check_against_oracle(group, w, [v, group.identity, group.w_o], [p])
+    assert as_matrix(group, group.longest_element(p)) == oracle_of(group).longest_element(
+        p.delta_p
+    )
+
+
+def test_a_zero_coordinate_raises():
+    """A tuple with a 0 is no element: a step on it, or its word, raises."""
+    group = WeylGroup(build_root_system("A", 3))
+    doctored = (1, 0, 1)
+    with pytest.raises(InvariantViolationError):
+        group.multiply(doctored, group.simple_reflection(1))
+    with pytest.raises(InvariantViolationError):
+        group.reduced_word(doctored)
+
+
+def test_the_zero_coordinate_check_survives_optimization():
+    """python -O strips asserts; the check is no assert."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "from qdeg.errors import InvariantViolationError\n"
+        "from qdeg.rootsystem import build_root_system\n"
+        "from qdeg.weylgroup import WeylGroup\n"
+        "g = WeylGroup(build_root_system('A', 3))\n"
+        "try:\n"
+        "    g.multiply((1, 0, 1), g.simple_reflection(1))\n"
+        "except InvariantViolationError:\n"
+        "    print('raised')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "raised", out.stderr
 
 
 def test_coset_max_rep_checks_lengths_without_assert():
@@ -111,7 +370,7 @@ def test_simple_reflections():
     group = weyl_group("B", 2)
     for j in range(2):
         s = group.simple_reflection(j)
-        assert group.apply(s, group.system.simple_roots[j]) == tuple(
+        assert act(group, s, group.system.simple_roots[j]) == tuple(
             -c for c in group.system.simple_roots[j]
         )
         assert group.multiply(s, s) == group.identity
@@ -125,7 +384,7 @@ def test_length_of_theta_reflection_a2():
     theta = group.system.highest_root
     w = group.reflection(theta)
     # inversion count, spelled out independently of length()
-    inversions = [a for a in group.system.positive_roots if group.is_negative(group.apply(w, a))]
+    inversions = [a for a in group.system.positive_roots if is_negative(act(group, w, a))]
     assert len(inversions) == 3 == group.length(w)
     assert len(group.reduced_word(w)) == 3
 
@@ -147,7 +406,7 @@ def test_identity_and_longest():
     assert group.longest_element(frozenset({0})) == group.simple_reflection(0)
     a2 = weyl_group("A", 2)
     for a in a2.system.positive_roots:
-        assert a2.is_negative(a2.apply(a2.w_o, a))
+        assert is_negative(act(a2, a2.w_o, a))
     for g in (group, a2):
         assert g.multiply(g.w_o, g.w_o) == g.identity
 
@@ -266,10 +525,9 @@ def test_reflection_word_is_a_reduced_word_of_the_reflection(letter, rank):
             s = group.reflection(root)
             # s(alpha_i) = alpha_i - <alpha_i, alpha^vee> alpha, by the pairing
             cov = gram_coroot(system, root)
-            assert s == tuple(
-                tuple(e - system.pair(simple, cov) * c for e, c in zip(simple, root))
-                for simple in system.simple_roots
-            )
+            for simple in system.simple_roots:
+                expected = tuple(e - pair(system, simple, cov) * c for e, c in zip(simple, root))
+                assert act(group, s, simple) == expected
             assert group.from_word(word) == s
             assert len(word) == group.length(s)
             for y in (group.identity, w_p, group.w_o):
