@@ -185,15 +185,3 @@ def alpha_beta_phi(system: RootSystem, phi, beta: int):
     for i in interval:
         out[i] = 1
     return system.check_root(tuple(out))
-
-
-def reduction_identity_holds(system: RootSystem, beta: int) -> bool:
-    """Type-A reduction: d_{G/B} = alpha^vee + d_{G(theta-beta)/B(theta-beta)}."""
-    theta = system.highest_root
-    alpha = alpha_beta_phi(system, theta, beta)
-    rest = tuple(x - y for x, y in zip(theta, system.simple_roots[beta]))
-    if any(rest):
-        tail = coroot_sum(system, system.support(rest))
-    else:
-        tail = (0,) * system.rank  # n = 1: the convention d = 0
-    return coroot_sum(system) == vec_add(system.coroot(alpha), tail)

@@ -31,9 +31,9 @@ By induction from l(s_alpha_k) = 1, the 2m + 1 letters spell s_alpha_1 with
 l(s_alpha_1) = 2m + 1, and a Hecke walk along a reduced word of v is u . v.
 
 Y is memoised per (parabolic, degree) in ``group.memo``
-and folded, in a loop, up from the longest greedy tail already there.  Only
-the degree asked for pays for ``coset_min``; its result is memoised per
-(parabolic, degree) as well.
+and folded, in a loop, up from the longest greedy tail already there.
+z_min = ``coset_min(z_max)`` depends on (parabolic, z_max) alone and is
+memoised under that key, so a scan box pays one ``coset_min`` per z-class.
 """
 
 from __future__ import annotations
@@ -71,7 +71,11 @@ def z(group: WeylGroup, parabolic: Parabolic, d: Degree) -> CurveNbhdResult:
     result = group.memo.get(key)
     if result is None:
         z_max = _hecke_chain(group, parabolic, d)
-        result = group.memo[key] = CurveNbhdResult(d, group.coset_min(z_max, parabolic), z_max)
+        min_key = ("z-min", parabolic.delta_p, z_max)
+        z_min = group.memo.get(min_key)
+        if z_min is None:
+            z_min = group.memo[min_key] = group.coset_min(z_max, parabolic)
+        result = group.memo[key] = CurveNbhdResult(d, z_min, z_max)
     return result
 
 

@@ -7,18 +7,19 @@ of it, so ``maximal_roots`` and ``minimal_elements`` are each one sorted sweep.
 
 d(alpha) is read from a table built once per (system, parabolic), on first
 use, and kept in ``system.cache`` under the key ("degrees", Delta_P): the
-raw d(alpha) tuple of every positive root, one coroot each, and the roots
+raw d(alpha) tuple of every positive root, one coroot each, the roots
 with nonzero d(alpha), which are the roots outside R_P, in lex-descending
-order beside them.  A frozen Degree is made the first time ``d_of_root``
-asks for a root's, and memoised in the table.  ``maximal_roots`` is one
-sweep over the list, and compares coefficient tuples inline.
+order beside them, and top, the coefficientwise maximum of the d(alpha).  A
+frozen Degree is made the first time ``d_of_root`` asks for a root's, and
+memoised in the table.  ``maximal_roots`` costs one sweep over the list per
+distinct clamped degree min(d, top); the proofs are in its docstring.
 
 A greedy step d -> (alpha_1, d - d(alpha_1)), alpha_1 the lex-largest
 maximal root of d, is memoised in ``system.cache`` under ("greedy", Delta_P,
 coefficients).  ``greedy_decomposition`` walks d down to 0 over these steps in
-a loop, so each distinct degree costs one ``maximal_roots`` sweep, however
-many decompositions pass through it.  ``degree_box`` refuses a box of more
-than ENUMERATION_CAP points before it makes a single degree.
+a loop.  Each step lowers sum(d) by at least 1, so a degree with sum(d) over
+ENUMERATION_CAP is refused before the walk, as ``degree_box`` refuses a box
+of more than ENUMERATION_CAP points before it makes a single degree.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def outside_roots(system: RootSystem, parabolic: Parabolic) -> tuple:
 
 def _degree_table(system: RootSystem, parabolic: Parabolic) -> tuple:
     """({alpha: d(alpha) coefficients} over R^+, ((alpha, d(alpha)) with d(alpha) != 0,
-    lex-descending), {alpha: Degree} filled by d_of_root)."""
+    lex-descending), {alpha: Degree} filled by d_of_root, top)."""
     parabolic.check_rank(system.rank)
     key = ("degrees", parabolic.delta_p)
     table = system.cache.get(key)
@@ -114,13 +115,14 @@ def _degree_table(system: RootSystem, parabolic: Parabolic) -> tuple:
             raw[alpha] = tuple([cov[i] for i in free])
         # c_i > 0 iff the coroot's i-th coefficient is: the roots outside R_P
         outside = sorted(((a, d) for a, d in raw.items() if any(d)), reverse=True)
-        table = system.cache[key] = (raw, tuple(outside), {})
+        top = max(raw.values())  # coefficientwise maximal too: see maximal_roots
+        table = system.cache[key] = (raw, tuple(outside), {}, top)
     return table
 
 
 def d_of_root(system: RootSystem, parabolic: Parabolic, alpha) -> Degree:
     """d(alpha): the image of alpha^vee in H_2(G/P); zero iff alpha in R_P^+."""
-    raw, _, degrees = _degree_table(system, parabolic)
+    raw, _, degrees, _ = _degree_table(system, parabolic)
     alpha = tuple(alpha)
     degree = degrees.get(alpha)
     if degree is None:
@@ -151,16 +153,25 @@ def maximal_roots(system: RootSystem, parabolic: Parabolic, d: Degree) -> tuple:
     """Maximal elements of {alpha in R^+ \\ R_P^+ : d(alpha) <= d}, sorted.
 
     One sweep in lex-descending order: a root can lie below only lex-larger
-    roots, and below a dropped one only through a kept one above it.
+    roots, and below a dropped one only through a kept one above it.  As
+    d(alpha) <= top for all alpha, d(alpha) <= d iff d(alpha) <= min(d, top),
+    the key of its memo.  top is the lex-largest d(alpha): the coroots form
+    the irreducible root system R^vee on the simple coroots, whose highest
+    root lies above every coroot coefficientwise.
     """
     if d.parabolic != parabolic:
         raise DomainError("degrees over different parabolics")
-    bound = d.coeffs
-    kept: list = []
-    for alpha, d_alpha in _degree_table(system, parabolic)[1]:
-        if all(map(le, d_alpha, bound)) and not any(all(map(le, alpha, b)) for b in kept):
-            kept.append(alpha)
-    return tuple(reversed(kept))
+    _, outside, _, top = _degree_table(system, parabolic)
+    bound = tuple(map(min, d.coeffs, top))
+    key = ("maximal-roots", parabolic.delta_p, bound)
+    roots = system.cache.get(key)
+    if roots is None:
+        kept: list = []
+        for alpha, d_alpha in outside:
+            if all(map(le, d_alpha, bound)) and not any(all(map(le, alpha, b)) for b in kept):
+                kept.append(alpha)
+        roots = system.cache[key] = tuple(reversed(kept))
+    return roots
 
 
 def _greedy_step(system: RootSystem, parabolic: Parabolic, coeffs: tuple) -> tuple:
@@ -183,6 +194,8 @@ def greedy_decomposition(system: RootSystem, parabolic: Parabolic, d: Degree) ->
     """
     if d.parabolic != parabolic:
         raise DomainError("degrees over different parabolics")
+    if sum(d.coeffs) > ENUMERATION_CAP:
+        raise ResourceError(f"greedy walk of {d.coeffs} exceeded the cap of {ENUMERATION_CAP} steps")
     out = []
     coeffs = d.coeffs
     while any(coeffs):
@@ -214,17 +227,6 @@ def extended_support(system: RootSystem, parabolic: Parabolic, d: Degree) -> fro
     for alpha in greedy_decomposition(system, parabolic, d):
         out |= system.support(alpha)
     return out
-
-
-def is_connected_degree(system: RootSystem, parabolic: Parabolic, d: Degree) -> bool:
-    return system.is_connected(extended_support(system, parabolic, d))
-
-
-def alpha_of_connected(system: RootSystem, parabolic: Parabolic, d: Degree):
-    """The first greedy entry of a connected degree, independent of tie-breaks."""
-    if d.is_zero() or not is_connected_degree(system, parabolic, d):
-        raise DomainError("degree is not a nonzero connected degree")
-    return greedy_decomposition(system, parabolic, d)[0]
 
 
 def restrict(d: Degree, q: Parabolic) -> Degree:

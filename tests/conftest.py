@@ -2,6 +2,9 @@ import itertools
 
 import pytest
 
+from qdeg.cascade import alpha_beta_phi, coroot_sum, vec_add
+from qdeg.degreelattice import extended_support, greedy_decomposition
+from qdeg.errors import DomainError
 from qdeg.weylgroup import Parabolic, weyl_group
 
 
@@ -33,3 +36,27 @@ def gram_coroot(system, a):
 def pair(system, x, c):
     """<x, c> for a root x and a coroot vector c, both coefficient tuples (test oracle)."""
     return sum(cj * system.pair_simple_coroot(x, j) for j, cj in enumerate(c) if cj)
+
+
+def reduction_identity_holds(system, beta):
+    """Type-A reduction: d_{G/B} = alpha^vee + d_{G(theta-beta)/B(theta-beta)} (test oracle)."""
+    theta = system.highest_root
+    alpha = alpha_beta_phi(system, theta, beta)
+    rest = tuple(x - y for x, y in zip(theta, system.simple_roots[beta]))
+    if any(rest):
+        tail = coroot_sum(system, system.support(rest))
+    else:
+        tail = (0,) * system.rank  # n = 1: the convention d = 0
+    return coroot_sum(system) == vec_add(system.coroot(alpha), tail)
+
+
+def is_connected_degree(system, parabolic, d):
+    """The union of the supports of the greedy entries of d is connected (test oracle)."""
+    return system.is_connected(extended_support(system, parabolic, d))
+
+
+def alpha_of_connected(system, parabolic, d):
+    """The first greedy entry of a connected degree, independent of tie-breaks (test oracle)."""
+    if d.is_zero() or not is_connected_degree(system, parabolic, d):
+        raise DomainError("degree is not a nonzero connected degree")
+    return greedy_decomposition(system, parabolic, d)[0]

@@ -10,7 +10,6 @@ from qdeg.cascade import (
     d_gpbeta,
     d_x,
     delta_circ,
-    reduction_identity_holds,
     w_o_of,
 )
 from qdeg.degreelattice import Degree, greedy_decomposition
@@ -18,7 +17,7 @@ from qdeg.distance import delta_w, exceptional_roots, verify_suite
 from qdeg.rootsystem import build_root_system
 from qdeg.weylgroup import Parabolic, weyl_group
 
-from conftest import all_parabolics
+from conftest import all_parabolics, reduction_identity_holds
 
 
 def _report(criterion, text):

@@ -15,7 +15,6 @@ from qdeg.cascade import (
     delta_circ,
     is_locally_high,
     is_strongly_orthogonal,
-    reduction_identity_holds,
     w_o_of,
 )
 from qdeg.degreelattice import Degree, greedy_decomposition
@@ -23,7 +22,7 @@ from qdeg.errors import DomainError, InvariantViolationError
 from qdeg.rootsystem import build_root_system
 from qdeg.weylgroup import Parabolic, weyl_group
 
-from conftest import all_parabolics
+from conftest import all_parabolics, reduction_identity_holds
 from test_rootsystem import all_admissible
 
 

@@ -173,6 +173,20 @@ def test_an_oversized_pair_table_exits_two_at_once():
         assert "pair table of 2687385600 pairs exceeded the cap" in done.stderr
 
 
+def test_a_degree_past_the_greedy_cap_exits_two_before_any_step():
+    """sum(d) bounds the greedy entries, so a huge degree is refused before the walk starts."""
+    group = qdeg.weyl_group("B", 3)
+    cache, memo = dict(group.system.cache), dict(group.memo)
+    err = io.StringIO()
+    start = time.perf_counter()
+    with redirect_stderr(err):
+        code, out = run_capture(["z", "--type", "B", "--rank", "3", "--degree", "99999999,0,0"])
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert "greedy walk of (99999999, 0, 0) exceeded the cap" in err.getvalue()
+    assert group.system.cache == cache and group.memo == memo
+
+
 def test_options_are_read_against_the_rank_before_the_system_is_built(monkeypatch):
     """A degree, parabolic or word that does not fit --rank exits 2 before any system is built."""
     argv = ["z", "--type", "A", "--rank", "200", "--parabolic", "1", "--degree", "1"]

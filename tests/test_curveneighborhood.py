@@ -179,6 +179,35 @@ def test_z_classes_make_one_greedy_step_per_box_degree(monkeypatch):
         assert len(swept) <= len(list(degree_box(p, corner, 3)))
 
 
+class _CountingCache(dict):
+    """A system cache that records every key it stores."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+def test_z_classes_sweep_once_per_clamped_bound_and_pay_one_coset_min_per_class(monkeypatch):
+    """On a fresh B3, every parabolic's scan box d_X + 3: 40 sweeps, 43 coset_mins."""
+    group = fresh_group("B", 3)
+    cache = group.system.__dict__["cache"] = _CountingCache()
+    calls = _count_calls(monkeypatch, degreelattice, "maximal_roots")
+    coset_mins = _count_calls(monkeypatch, group, "coset_min")
+    classes = sum(len(_z_classes(group, p, 2)) for p in all_parabolics(3))
+    sweeps = [key for key in cache.stored if key[0] == "maximal-roots"]
+    bounds = {
+        (p.delta_p, tuple(map(min, d.coeffs, degreelattice._degree_table(system, p)[3])))
+        for system, p, d in calls
+    }
+    assert len(sweeps) == len(set(sweeps)) == len(bounds) == 40
+    assert len(calls) > len(bounds)
+    assert len(coset_mins) == classes == 43
+
+
 def test_one_z_pays_one_coset_min_and_one_hecke_step_per_greedy_step(monkeypatch):
     group = fresh_group("B", 3)
     b = Parabolic(3, frozenset())

@@ -1,5 +1,6 @@
 """Degrees, c_1, greedy decompositions, supports, restriction and induction."""
 
+from itertools import product
 from math import prod
 
 import pytest
@@ -10,7 +11,6 @@ from qdeg.degreelattice import (
     Degree,
     _degree_table,
     all_greedy_decompositions,
-    alpha_of_connected,
     c1,
     d_of_root,
     degree_box,
@@ -18,7 +18,6 @@ from qdeg.degreelattice import (
     greedy_decomposition,
     in_r_p,
     induce,
-    is_connected_degree,
     maximal_roots,
     minimal_elements,
     naive_support,
@@ -28,7 +27,7 @@ from qdeg.errors import DomainError, ResourceError
 from qdeg.rootsystem import build_root_system
 from qdeg.weylgroup import Parabolic
 
-from conftest import all_parabolics, gram_coroot
+from conftest import all_parabolics, alpha_of_connected, gram_coroot, is_connected_degree
 
 E_SYSTEMS = {rank: build_root_system("E", rank) for rank in (6, 7, 8)}
 
@@ -87,11 +86,22 @@ def test_d_of_root():
     "letter,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
 )
 def test_degree_layer_matches_the_oracles_on_the_dx_box(letter, rank):
+    """d(alpha), and maximal_roots (memoised on min(d, top)) and the greedy walk past top.
+
+    On a fresh system: the scan box d_X + 3 (d_X + 1 on F4), then every degree
+    whose i-th coefficient is top_i - 1, top_i, top_i + 1 or top_i + 4.
+    """
     system = build_root_system(letter, rank)
     for p in all_parabolics(rank):
         for a in system.positive_roots:
             assert d_of_root(system, p, a).coeffs == coroot_degree(system, p, a)
-        for d in degree_box(p, d_x(system, p), 1):
+        outside = [coroot_degree(system, p, a) for a in system.positive_roots
+                   if not in_r_p(system, p, a)]
+        top = tuple(map(max, zip(*outside)))
+        assert _degree_table(system, p)[3] == top
+        around = product(*({max(t - 1, 0), t, t + 1, t + 4} for t in top))
+        box = degree_box(p, d_x(system, p), 1 if letter == "F" else 3)
+        for d in [*box, *(Degree(p, c) for c in around)]:
             check_against_oracles(system, p, d)
 
 
@@ -102,7 +112,7 @@ def test_degree_layer_matches_the_oracles_on_e_types(data):
     rank = system.rank
     p = Parabolic.from_indices(rank, data.draw(st.sets(st.integers(0, rank - 1))))
     corner = d_x(system, p).coeffs
-    d = Degree(p, tuple(data.draw(st.integers(0, c + 1)) for c in corner))
+    d = Degree(p, tuple(data.draw(st.integers(0, c + 3)) for c in corner))
     check_against_oracles(system, p, d)
 
 
@@ -136,7 +146,7 @@ def test_degree_table_makes_a_degree_only_when_d_of_root_asks(monkeypatch):
 
     monkeypatch.setattr(Degree, "__post_init__", counted)
     tables = [_degree_table(b3, p) for p in all_parabolics(3)]
-    assert made == [] and all(degrees == {} for _, _, degrees in tables)
+    assert made == [] and all(degrees == {} for _, _, degrees, _ in tables)
     p = Parabolic.from_indices(3, {1})
     theta = b3.highest_root
     assert d_of_root(b3, p, theta) is d_of_root(b3, p, theta)
