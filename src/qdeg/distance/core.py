@@ -9,8 +9,12 @@ theorem and the central cross-check of this package.
 The scan box d_X + pad + 1 is grouped by z_d^P once per (parabolic, pad):
 z is computed once per box point, and each class keeps the raw minima of its
 points over the inner box d_X + pad and over the whole box, computed the
-first time some coset lies below its z.  delta_w(m) is then one Bruhat test
-per class and the minima of the hit classes' minima.
+first time some coset lies below its z.  delta_w(m) is then the set of
+classes whose z lies above m, and one front per distinct set: the minima of
+its classes' minima.  When the group has already enumerated W/W_P, a class
+is hit iff the bit of m is set in the down-set of its z on the coset table
+below; otherwise it is one Bruhat test per class, so a single query such as
+w_o builds no table.
 
 The adjacency graph is undirected with equal weights both ways (d(alpha) is
 W_P-invariant), so a chain read backwards is a chain of the same degree.
@@ -44,8 +48,8 @@ y <= w_o u_j W_P, where a chain to u_j W_P may end) read their bits.
 the word of each s_alpha (``RootSystem.reflection_word``, the word ``z``
 takes its Hecke steps along) for its adjacency edges; the edges of u_i W_P are
 left[j] of those of u_k W_P, as u_i s_alpha W_P = s_j (u_k s_alpha W_P)
-(the proof is in ``adjacency_graph``).  ``bruhat_leq`` is left to
-``delta_w`` and the tests.
+(the proof is in ``adjacency_graph``).  ``bruhat_leq`` is left to the
+tests and to ``delta_w`` on a group that has not enumerated W/W_P.
 
 Pair tables come from a third algorithm, the parabolic quantum Bruhat graph
 (Postnikov, Proc. AMS 133, 2005; Lam-Shimozono, Acta Math. 204, 2010,
@@ -155,20 +159,60 @@ def delta_w(group: WeylGroup, parabolic: Parabolic, w: Weyl, pad: int = 2) -> De
 
     Scans the box d_X + pad and re-checks stability at pad + 1; a front that
     changes under the enlargement is reported as a verification failure.
+
+    A z-class is hit when wW_P <= z W_P.  When this group has already
+    enumerated W/W_P, each hit is one bit of the coset table: the class's
+    down-set mask (``_class_masks``) at the index of wW_P.  Otherwise it is
+    one ``bruhat_leq`` test per class; delta_w never enumerates W/W_P
+    itself, as a single query (the uniqueness suite's w_o) costs less by
+    recursion than a whole table, and past ENUMERATION_CAP (E7, E8) the
+    recursion is the only path.  Both paths stay because each is the faster
+    one on its own side of an observable choice, and the tests check both
+    against a per-point scan.  Either way the front is built once per hit
+    set (``_scan_front``).
     """
     m = group.coset_min(w, parabolic)
     key = ("delta_w", parabolic.delta_p, m, pad)
     if key in group.memo:
         return group.memo[key]
-    hits = [c.minima for c in _z_classes(group, parabolic, pad) if group.bruhat_leq(m, c.z)]
-    front = minimal_elements(d for inner, _ in hits for d in inner)
-    stable = minimal_elements(d for _, whole in hits for d in whole)
-    if front != stable:
-        extra = next(d for d in stable if d not in front)
-        raise VerificationError(f"delta_w front unstable at box boundary: degree {extra}")
-    result = DegreeFront(tuple(Degree(parabolic, d) for d in front), "scan")
-    group.memo[key] = result
+    if group.enumerated(parabolic):
+        bit = 1 << _coset_table(group, parabolic).index[m]
+        hit = tuple(i for i, mask in enumerate(_class_masks(group, parabolic, pad)) if mask & bit)
+    else:
+        classes = _z_classes(group, parabolic, pad)
+        hit = tuple(i for i, c in enumerate(classes) if group.bruhat_leq(m, c.z))
+    result = group.memo[key] = _scan_front(group, parabolic, pad, hit)
     return result
+
+
+def _class_masks(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
+    """Per z-class of the scan box, the bitset of the cosets below its z, memoised."""
+    key = ("class-masks", parabolic.delta_p, pad)
+    if key not in group.memo:
+        table = _coset_table(group, parabolic)
+        group.memo[key] = tuple(
+            table.down[table.index[c.z]] for c in _z_classes(group, parabolic, pad)
+        )
+    return group.memo[key]
+
+
+def _scan_front(group: WeylGroup, parabolic: Parabolic, pad: int, hit: tuple) -> DegreeFront:
+    """The front of the z-classes numbered in hit, memoised per (Delta_P, pad, hit).
+
+    Raises VerificationError, unmemoised, when the minima over the inner box
+    and over the whole box differ.
+    """
+    key = ("scan-front", parabolic.delta_p, pad, hit)
+    if key not in group.memo:
+        classes = _z_classes(group, parabolic, pad)
+        minima = [classes[i].minima for i in hit]
+        front = minimal_elements(d for inner, _ in minima for d in inner)
+        stable = minimal_elements(d for _, whole in minima for d in whole)
+        if front != stable:
+            extra = next(d for d in stable if d not in front)
+            raise VerificationError(f"delta_w front unstable at box boundary: degree {extra}")
+        group.memo[key] = DegreeFront(tuple(Degree(parabolic, d) for d in front), "scan")
+    return group.memo[key]
 
 
 # -- adjacency graph and chain search ------------------------------------------

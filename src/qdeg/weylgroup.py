@@ -331,7 +331,7 @@ class WeylGroup:
         if not parabolic.delta_p:
             return self.elements(cap=cap)
         return self._enumerated(
-            ("cosets", parabolic.delta_p),
+            self._cosets_key(parabolic),
             range(self.system.rank),
             parabolic.delta_p,
             cap,
@@ -347,10 +347,17 @@ class WeylGroup:
         length of a minimal representative by more than one.
         """
         cosets = self.cosets(parabolic)
-        key = ("cosets", parabolic.delta_p) if parabolic.delta_p else (
-            "elements", frozenset(range(self.system.rank))
-        )
-        return (cosets, *self.memo[("left", key)])
+        return (cosets, *self.memo[("left", self._cosets_key(parabolic))])
+
+    def enumerated(self, parabolic: Parabolic) -> bool:
+        """Whether this group has already enumerated W/W_P (``cosets``)."""
+        return self._cosets_key(parabolic) in self.memo
+
+    def _cosets_key(self, parabolic: Parabolic) -> tuple:
+        """The memo key of W/W_P; the Borel's is that of all of W."""
+        if parabolic.delta_p:
+            return ("cosets", parabolic.delta_p)
+        return ("elements", frozenset(range(self.system.rank)))
 
     def order(self, subset: Iterable | None = None) -> int:
         """|W_J| for the simple roots J (all of Delta by default), in closed form.

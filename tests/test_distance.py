@@ -86,14 +86,37 @@ def _outcome(front, *args):
 
 
 def test_delta_w_matches_the_per_point_scan():
-    """Fronts and unstable-box errors agree; pad -1 makes most boxes unstable."""
-    for letter, rank in [("B", 3), ("C", 3), ("G", 2)]:
-        group = weyl_group(letter, rank)
+    """Fronts and unstable-box errors agree on both hit paths; pad -1 makes most
+    boxes unstable.
+
+    A group that has enumerated W/W_P reads its hits off the coset table and
+    makes no Bruhat test; a fresh group never enumerates and tests each class
+    by bruhat_leq.  The oracle runs on a third group.
+    """
+    front = lambda *a: delta_w(*a).degrees
+    for letter, rank in [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)]:
+        oracle = weyl_group(letter, rank)
         for p in all_parabolics(rank):
+            table, recursion = WeylGroup(oracle.system), WeylGroup(oracle.system)
+            cosets = table.cosets(p)
             for pad in (-1, 0, 1, 2):
-                for m in group.cosets(p):
-                    got = _outcome(lambda *a: delta_w(*a).degrees, group, p, m, pad)
-                    assert got == _outcome(scan_oracle, group, p, m, pad), (letter, p, pad, m)
+                for m in cosets:
+                    expected = _outcome(scan_oracle, oracle, p, m, pad)
+                    for group in (table, recursion):
+                        assert _outcome(front, group, p, m, pad) == expected, (letter, p, pad, m)
+            assert table._bruhat == {}
+            assert ("class-masks", p.delta_p, 2) in table.memo
+            assert not recursion.enumerated(p)
+            assert ("coset-table", p.delta_p) not in recursion.memo
+
+
+@pytest.mark.parametrize("letter,rank,beta", [("E", 7, 6), ("E", 8, 7), ("E", 8, 0)])
+def test_delta_w_never_enumerates(letter, rank, beta):
+    """w_o on the maximal parabolic P_beta of E7 and E8: d_X by recursion alone."""
+    group = WeylGroup(build_root_system(letter, rank))
+    p = Parabolic(rank, frozenset(range(rank)) - {beta})
+    assert delta_w(group, p, group.w_o).degrees == (d_x(group.system, p),)
+    assert not any(key[0] in ("cosets", "elements", "coset-table") for key in group.memo)
 
 
 def test_delta_w_raises_on_an_unstable_box():

@@ -7,12 +7,14 @@ from dataclasses import replace
 
 import pytest
 
+from qdeg.cascade import d_x
 from qdeg.distance import suite_names, verify_suite
-from qdeg.distance.core import _labels, _search, coset_duals
+from qdeg.distance.core import DegreeFront, _labels, _search, coset_duals
 from qdeg.distance.suites import (
     _pairs_table,
     _suite_delta2,
     _suite_delta2_props,
+    _suite_description,
     _suite_final_cor,
     _suite_main,
 )
@@ -137,6 +139,18 @@ def test_an_overestimated_chain_front_trips_the_pair_table_cross_check():
     group.memo[("search", borel.delta_p, top, "up", 2)] = replace(result, fronts=fronts)
     with pytest.raises(InvariantViolationError, match=f"u#{top} v#1$"):
         _pairs_table(group, borel, 2)
+
+
+def test_description_names_the_first_coset_whose_fronts_differ():
+    """A wrong memoised scan front fails the description check at that coset, with both fronts."""
+    group = WeylGroup(build_root_system("B", 2))
+    borel = Parabolic(2, frozenset())
+    m = group.cosets(borel)[2]
+    group.memo[("delta_w", borel.delta_p, m, 2)] = DegreeFront((d_x(group.system, borel),), "scan")
+    (check,) = _suite_description(group, borel, 2)
+    assert not check.passed
+    assert check.checked == 8
+    assert check.counterexample == "u=s2 scan=[(2, 1)] chain=[(0, 1)]"
 
 
 def test_a_cap_below_dx_empties_the_point_front_and_fails_main():
