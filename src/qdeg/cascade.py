@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .degreelattice import Degree
 from .errors import DomainError, InvariantViolationError
-from .rootsystem import RootSystem, coeffs_leq
+from .rootsystem import RootSystem, coeffs_leq, memoised
 from .weylgroup import Parabolic, Weyl, WeylGroup
 
 
@@ -50,8 +50,8 @@ def cascade(system: RootSystem, s: Iterable | None = None) -> Cascade:
     """B_{R(S)}, recursively over the connected components of Delta(S)^circ."""
     s = frozenset(range(system.rank)) if s is None else frozenset(s)
     key = ("cascade", s)
-    if key in system.cache:
-        return system.cache[key]
+    if key in system.memo:
+        return system.memo[key]
     if not s:
         result = Cascade((), {})
     else:
@@ -66,7 +66,7 @@ def cascade(system: RootSystem, s: Iterable | None = None) -> Cascade:
             for member in sub.roots:
                 parent[member] = sub.parent[member] if sub.parent[member] is not None else theta
         result = Cascade(tuple(roots), parent)
-    system.cache[key] = result
+    system.memo[key] = result
     return result
 
 
@@ -132,24 +132,19 @@ def coroot_sum(system: RootSystem, s: Iterable | None = None) -> tuple:
     return total
 
 
+@memoised("d_x")
 def d_x(system: RootSystem, parabolic: Parabolic) -> Degree:
     """The unique minimal degree in pt * pt on G/P, by both closed formulas.
 
     Computes the coroot-sum restriction and the per-maximal-parabolic sum and
-    insists they agree, once per (system, parabolic); later calls read
-    system.cache.
+    insists they agree, once per (system, parabolic); the Degree is kept in
+    ``system.memo`` through ``memoised`` under ("d_x", Delta_P).
     """
-    parabolic.check_rank(system.rank)
-    key = ("d_x", parabolic.delta_p)
-    if key not in system.cache:
-        by_cascade = tuple(coroot_sum(system)[b] for b in parabolic.free)
-        by_quotients = tuple(d_gpbeta(system, b) for b in parabolic.free)
-        if by_cascade != by_quotients:
-            raise InvariantViolationError(
-                f"d_X formulas disagree: {by_cascade} vs {by_quotients}"
-            )
-        system.cache[key] = Degree(parabolic, by_cascade)
-    return system.cache[key]
+    by_cascade = tuple(coroot_sum(system)[b] for b in parabolic.free)
+    by_quotients = tuple(d_gpbeta(system, b) for b in parabolic.free)
+    if by_cascade != by_quotients:
+        raise InvariantViolationError(f"d_X formulas disagree: {by_cascade} vs {by_quotients}")
+    return Degree(parabolic, by_cascade)
 
 
 def boundary_roots(system: RootSystem, s: Iterable) -> frozenset:

@@ -30,10 +30,10 @@ descent of s_j s_beta, and l(s_{s_j beta}) = l(s_j s_beta s_j) = l(s_beta) - 2.
 By induction from l(s_alpha_k) = 1, the 2m + 1 letters spell s_alpha_1 with
 l(s_alpha_1) = 2m + 1, and a Hecke walk along a reduced word of v is u . v.
 
-Y is memoised per (parabolic, degree) in ``group.memo``
-and folded, in a loop, up from the longest greedy tail already there.
+z's result and Y, per greedy tail, are kept in ``group.memo`` by hand
+(``memoised`` says why), Y folded in a loop up from the longest tail there.
 z_min = ``coset_min(z_max)`` depends on (parabolic, z_max) alone and is
-memoised under that key, so a scan box pays one ``coset_min`` per z-class.
+memoised through ``memoised``, so a scan box pays one per z-class.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .degreelattice import (
     c1,
 )
 from .errors import DomainError, InvariantViolationError, VerificationError
+from .rootsystem import memoised
 from .weylgroup import CosetRep, Parabolic, Weyl, WeylGroup
 
 
@@ -71,23 +72,23 @@ def z(group: WeylGroup, parabolic: Parabolic, d: Degree) -> CurveNbhdResult:
     result = group.memo.get(key)
     if result is None:
         z_max = _hecke_chain(group, parabolic, d)
-        min_key = ("z-min", parabolic.delta_p, z_max)
-        z_min = group.memo.get(min_key)
-        if z_min is None:
-            z_min = group.memo[min_key] = group.coset_min(z_max, parabolic)
-        result = group.memo[key] = CurveNbhdResult(d, z_min, z_max)
+        result = group.memo[key] = CurveNbhdResult(d, _z_min(group, parabolic, z_max), z_max)
     return result
+
+
+@memoised("z-min")
+def _z_min(group: WeylGroup, parabolic: Parabolic, z_max: Weyl) -> Weyl:
+    return group.coset_min(z_max, parabolic)
 
 
 def _hecke_chain(group: WeylGroup, parabolic: Parabolic, d: Degree) -> Weyl:
     """Y(d) = z_d^P w_P, and Y of every greedy tail of d not yet memoised."""
     system = group.system
-    memo = group.memo
     pending = []  # (key of Y(e), alpha_1(e)) for the tails e of d above the first memoised one
     coeffs = d.coeffs
     for alpha in greedy_decomposition(system, parabolic, d):
         key = ("hecke-chain", parabolic.delta_p, coeffs)
-        y = memo.get(key)
+        y = group.memo.get(key)
         if y is not None:
             break
         pending.append((key, alpha))
@@ -95,7 +96,7 @@ def _hecke_chain(group: WeylGroup, parabolic: Parabolic, d: Degree) -> Weyl:
     else:
         y = group.longest_element(parabolic)
     for key, alpha in reversed(pending):
-        y = memo[key] = group.hecke_word(y, system.reflection_word(alpha))
+        y = group.memo[key] = group.hecke_word(y, system.reflection_word(alpha))
     return y
 
 

@@ -6,20 +6,22 @@ the coroot lattice modulo Z Delta_P^vee.  The partial order is coefficientwise
 of it, so ``maximal_roots`` and ``minimal_elements`` are each one sorted sweep.
 
 d(alpha) is read from a table built once per (system, parabolic), on first
-use, and kept in ``system.cache`` under the key ("degrees", Delta_P): the
-raw d(alpha) tuple of every positive root, one coroot each, the roots
-with nonzero d(alpha), which are the roots outside R_P, in lex-descending
-order beside them, and top, the coefficientwise maximum of the d(alpha).  A
-frozen Degree is made the first time ``d_of_root`` asks for a root's, and
-memoised in the table.  ``maximal_roots`` costs one sweep over the list per
-distinct clamped degree min(d, top); the proofs are in its docstring.
+use, and kept in ``system.memo`` through ``memoised`` under ("degrees",
+Delta_P): the raw d(alpha) tuple of every positive root, one coroot each,
+the roots with nonzero d(alpha), which are the roots outside R_P, in
+lex-descending order beside them, and top, the coefficientwise maximum of the
+d(alpha).  A frozen Degree is made the first time ``d_of_root`` asks for a
+root's, and memoised in the table.  ``maximal_roots`` costs one sweep over
+the list per distinct clamped degree min(d, top), memoised under
+("maximal-roots", Delta_P, min(d, top)); the proofs are in its docstring.
 
 A greedy step d -> (alpha_1, d - d(alpha_1)), alpha_1 the lex-largest
-maximal root of d, is memoised in ``system.cache`` under ("greedy", Delta_P,
+maximal root of d, is memoised the same way under ("greedy", Delta_P,
 coefficients).  ``greedy_decomposition`` walks d down to 0 over these steps in
-a loop.  Each step lowers sum(d) by at least 1, so a degree with sum(d) over
-ENUMERATION_CAP is refused before the walk, as ``degree_box`` refuses a box
-of more than ENUMERATION_CAP points before it makes a single degree.
+a loop.  Each step lowers sum(d) by at least 1 and keeps memo entries, so a
+degree with sum(d) over GREEDY_CAP is refused before the walk, as
+``degree_box`` refuses a box of more than ENUMERATION_CAP points before it
+makes a single degree.
 """
 
 from __future__ import annotations
@@ -31,8 +33,11 @@ from operator import le
 from typing import Iterable
 
 from .errors import DomainError, ResourceError
-from .rootsystem import RootSystem, coeffs_leq
+from .rootsystem import RootSystem, coeffs_leq, memoised
 from .weylgroup import ENUMERATION_CAP, Parabolic
+
+#: the largest sum(d) a greedy walk takes; each step keeps memo entries
+GREEDY_CAP = 10**4
 
 
 @dataclass(frozen=True)
@@ -101,23 +106,19 @@ def outside_roots(system: RootSystem, parabolic: Parabolic) -> tuple:
     return tuple(a for a in system.positive_roots if not in_r_p(system, parabolic, a))
 
 
+@memoised("degrees")
 def _degree_table(system: RootSystem, parabolic: Parabolic) -> tuple:
     """({alpha: d(alpha) coefficients} over R^+, ((alpha, d(alpha)) with d(alpha) != 0,
     lex-descending), {alpha: Degree} filled by d_of_root, top)."""
-    parabolic.check_rank(system.rank)
-    key = ("degrees", parabolic.delta_p)
-    table = system.cache.get(key)
-    if table is None:
-        free = parabolic.free
-        raw = {}
-        for alpha in system.positive_roots:
-            cov = system.coroot(alpha)
-            raw[alpha] = tuple([cov[i] for i in free])
-        # c_i > 0 iff the coroot's i-th coefficient is: the roots outside R_P
-        outside = sorted(((a, d) for a, d in raw.items() if any(d)), reverse=True)
-        top = max(raw.values())  # coefficientwise maximal too: see maximal_roots
-        table = system.cache[key] = (raw, tuple(outside), {}, top)
-    return table
+    free = parabolic.free
+    raw = {}
+    for alpha in system.positive_roots:
+        cov = system.coroot(alpha)
+        raw[alpha] = tuple([cov[i] for i in free])
+    # c_i > 0 iff the coroot's i-th coefficient is: the roots outside R_P
+    outside = sorted(((a, d) for a, d in raw.items() if any(d)), reverse=True)
+    top = max(raw.values())  # coefficientwise maximal too: see maximal_roots
+    return raw, tuple(outside), {}, top
 
 
 def d_of_root(system: RootSystem, parabolic: Parabolic, alpha) -> Degree:
@@ -161,28 +162,25 @@ def maximal_roots(system: RootSystem, parabolic: Parabolic, d: Degree) -> tuple:
     """
     if d.parabolic != parabolic:
         raise DomainError("degrees over different parabolics")
-    _, outside, _, top = _degree_table(system, parabolic)
-    bound = tuple(map(min, d.coeffs, top))
-    key = ("maximal-roots", parabolic.delta_p, bound)
-    roots = system.cache.get(key)
-    if roots is None:
-        kept: list = []
-        for alpha, d_alpha in outside:
-            if all(map(le, d_alpha, bound)) and not any(all(map(le, alpha, b)) for b in kept):
-                kept.append(alpha)
-        roots = system.cache[key] = tuple(reversed(kept))
-    return roots
+    top = _degree_table(system, parabolic)[3]
+    return _maximal_roots(system, parabolic, tuple(map(min, d.coeffs, top)))
 
 
+@memoised("maximal-roots")
+def _maximal_roots(system: RootSystem, parabolic: Parabolic, bound: tuple) -> tuple:
+    kept: list = []
+    for alpha, d_alpha in _degree_table(system, parabolic)[1]:
+        if all(map(le, d_alpha, bound)) and not any(all(map(le, alpha, b)) for b in kept):
+            kept.append(alpha)
+    return tuple(reversed(kept))
+
+
+@memoised("greedy")
 def _greedy_step(system: RootSystem, parabolic: Parabolic, coeffs: tuple) -> tuple:
-    """(alpha_1, coefficients of d - d(alpha_1)) for a nonzero d, memoised."""
-    key = ("greedy", parabolic.delta_p, coeffs)
-    step = system.cache.get(key)
-    if step is None:
-        alpha = max(maximal_roots(system, parabolic, Degree(parabolic, coeffs)))
-        d_alpha = _degree_table(system, parabolic)[0][alpha]
-        step = system.cache[key] = (alpha, tuple(a - b for a, b in zip(coeffs, d_alpha)))
-    return step
+    """(alpha_1, coefficients of d - d(alpha_1)) for a nonzero d."""
+    alpha = max(maximal_roots(system, parabolic, Degree(parabolic, coeffs)))
+    d_alpha = _degree_table(system, parabolic)[0][alpha]
+    return alpha, tuple(a - b for a, b in zip(coeffs, d_alpha))
 
 
 def greedy_decomposition(system: RootSystem, parabolic: Parabolic, d: Degree) -> tuple:
@@ -194,8 +192,8 @@ def greedy_decomposition(system: RootSystem, parabolic: Parabolic, d: Degree) ->
     """
     if d.parabolic != parabolic:
         raise DomainError("degrees over different parabolics")
-    if sum(d.coeffs) > ENUMERATION_CAP:
-        raise ResourceError(f"greedy walk of {d.coeffs} exceeded the cap of {ENUMERATION_CAP} steps")
+    if sum(d.coeffs) > GREEDY_CAP:
+        raise ResourceError(f"greedy walk of {d.coeffs} exceeded the cap of {GREEDY_CAP} steps")
     out = []
     coeffs = d.coeffs
     while any(coeffs):

@@ -31,8 +31,9 @@ one ``+``, ``a <= b`` coefficientwise is ``((b | G) - a) & G == G`` for the
 guard mask G (a field's guard survives the subtraction iff it borrows
 nothing), and the cap test is the same check against the packed cap.  Int
 order is a linear extension of <=, so a Pareto filter is ``sorted()`` and one
-sweep.  A codec is built once per (parabolic, cap) and kept in
-``group.memo``; ``Degree`` is created only for the labels that survive.
+sweep.  ``Degree`` is created only for the labels that survive.  Every
+structure built here, codecs included, is kept in ``group.memo`` through
+``memoised``, under (name, Delta_P, ...).
 
 The coset structures of W/W_P rest on one table per parabolic, which the
 BFS of group.cosets records (``WeylGroup.numbered_cosets``): left[j][i], the
@@ -75,7 +76,7 @@ from ..cascade import d_x
 from ..curveneighborhood import z
 from ..degreelattice import Degree, c1, d_of_root, degree_box, minimal_elements, outside_roots
 from ..errors import DomainError, InvariantViolationError, VerificationError
-from ..rootsystem import coeffs_leq
+from ..rootsystem import coeffs_leq, memoised
 from ..weylgroup import Parabolic, Weyl, WeylGroup
 
 
@@ -141,17 +142,15 @@ class _ZClass:
         return inner, minimal_elements(self.points)
 
 
+@memoised("z-classes")
 def _z_classes(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
     """The box d_X + pad + 1 grouped by z_d^P, in order of first appearance."""
-    key = ("z-classes", parabolic.delta_p, pad)
-    if key not in group.memo:
-        corner = d_x(group.system, parabolic)
-        classes: dict = {}
-        for d in degree_box(parabolic, corner, pad + 1):
-            classes.setdefault(z(group, parabolic, d).z_min, []).append(d.coeffs)
-        inner = tuple(c + pad for c in corner.coeffs)
-        group.memo[key] = tuple(_ZClass(zd, tuple(ds), inner) for zd, ds in classes.items())
-    return group.memo[key]
+    corner = d_x(group.system, parabolic)
+    classes: dict = {}
+    for d in degree_box(parabolic, corner, pad + 1):
+        classes.setdefault(z(group, parabolic, d).z_min, []).append(d.coeffs)
+    inner = tuple(c + pad for c in corner.coeffs)
+    return tuple(_ZClass(zd, tuple(ds), inner) for zd, ds in classes.items())
 
 
 def delta_w(group: WeylGroup, parabolic: Parabolic, w: Weyl, pad: int = 2) -> DegreeFront:
@@ -171,48 +170,42 @@ def delta_w(group: WeylGroup, parabolic: Parabolic, w: Weyl, pad: int = 2) -> De
     against a per-point scan.  Either way the front is built once per hit
     set (``_scan_front``).
     """
-    m = group.coset_min(w, parabolic)
-    key = ("delta_w", parabolic.delta_p, m, pad)
-    if key in group.memo:
-        return group.memo[key]
+    return _delta_w(group, parabolic, group.coset_min(w, parabolic), pad)
+
+
+@memoised("delta_w")
+def _delta_w(group: WeylGroup, parabolic: Parabolic, m: Weyl, pad: int) -> DegreeFront:
     if group.enumerated(parabolic):
         bit = 1 << _coset_table(group, parabolic).index[m]
         hit = tuple(i for i, mask in enumerate(_class_masks(group, parabolic, pad)) if mask & bit)
     else:
         classes = _z_classes(group, parabolic, pad)
         hit = tuple(i for i, c in enumerate(classes) if group.bruhat_leq(m, c.z))
-    result = group.memo[key] = _scan_front(group, parabolic, pad, hit)
-    return result
+    return _scan_front(group, parabolic, pad, hit)
 
 
+@memoised("class-masks")
 def _class_masks(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
-    """Per z-class of the scan box, the bitset of the cosets below its z, memoised."""
-    key = ("class-masks", parabolic.delta_p, pad)
-    if key not in group.memo:
-        table = _coset_table(group, parabolic)
-        group.memo[key] = tuple(
-            table.down[table.index[c.z]] for c in _z_classes(group, parabolic, pad)
-        )
-    return group.memo[key]
+    """Per z-class of the scan box, the bitset of the cosets below its z."""
+    table = _coset_table(group, parabolic)
+    return tuple(table.down[table.index[c.z]] for c in _z_classes(group, parabolic, pad))
 
 
+@memoised("scan-front")
 def _scan_front(group: WeylGroup, parabolic: Parabolic, pad: int, hit: tuple) -> DegreeFront:
     """The front of the z-classes numbered in hit, memoised per (Delta_P, pad, hit).
 
     Raises VerificationError, unmemoised, when the minima over the inner box
     and over the whole box differ.
     """
-    key = ("scan-front", parabolic.delta_p, pad, hit)
-    if key not in group.memo:
-        classes = _z_classes(group, parabolic, pad)
-        minima = [classes[i].minima for i in hit]
-        front = minimal_elements(d for inner, _ in minima for d in inner)
-        stable = minimal_elements(d for _, whole in minima for d in whole)
-        if front != stable:
-            extra = next(d for d in stable if d not in front)
-            raise VerificationError(f"delta_w front unstable at box boundary: degree {extra}")
-        group.memo[key] = DegreeFront(tuple(Degree(parabolic, d) for d in front), "scan")
-    return group.memo[key]
+    classes = _z_classes(group, parabolic, pad)
+    minima = [classes[i].minima for i in hit]
+    front = minimal_elements(d for inner, _ in minima for d in inner)
+    stable = minimal_elements(d for _, whole in minima for d in whole)
+    if front != stable:
+        extra = next(d for d in stable if d not in front)
+        raise VerificationError(f"delta_w front unstable at box boundary: degree {extra}")
+    return DegreeFront(tuple(Degree(parabolic, d) for d in front), "scan")
 
 
 # -- adjacency graph and chain search ------------------------------------------
@@ -259,27 +252,26 @@ def _down_sets(left: tuple, descents: tuple) -> tuple:
     return tuple(down)
 
 
+@memoised("coset-table")
 def _coset_table(group: WeylGroup, parabolic: Parabolic) -> _CosetTable:
-    """The memoised left table, lengths, left descents and down-sets of W/W_P.
+    """The left table, lengths, left descents and down-sets of W/W_P.
 
     The table and the lengths are the ones group.cosets recorded; nothing
     here multiplies.
     """
-    key = ("coset-table", parabolic.delta_p)
-    if key not in group.memo:
-        cosets, left, lengths = group.numbered_cosets(parabolic)
-        descents = _left_descents(left)
-        group.memo[key] = _CosetTable(
-            cosets,
-            {m: i for i, m in enumerate(cosets)},
-            left,
-            lengths,
-            descents,
-            _down_sets(left, descents),
-        )
-    return group.memo[key]
+    cosets, left, lengths = group.numbered_cosets(parabolic)
+    descents = _left_descents(left)
+    return _CosetTable(
+        cosets,
+        {m: i for i, m in enumerate(cosets)},
+        left,
+        lengths,
+        descents,
+        _down_sets(left, descents),
+    )
 
 
+@memoised("adjacency")
 def adjacency_graph(group: WeylGroup, parabolic: Parabolic) -> AdjacencyGraph:
     """The reflection-translation graph on W/W_P with degree-labeled edges.
 
@@ -300,9 +292,6 @@ def adjacency_graph(group: WeylGroup, parabolic: Parabolic) -> AdjacencyGraph:
     edges are those of the walk from each coset along the word of
     s_beta, beta = u_i(alpha), as u_i s_alpha = s_beta u_i.
     """
-    key = ("adjacency", parabolic.delta_p)
-    if key in group.memo:
-        return group.memo[key]
     system = group.system
     table = _coset_table(group, parabolic)
     left = table.left
@@ -325,40 +314,34 @@ def adjacency_graph(group: WeylGroup, parabolic: Parabolic) -> AdjacencyGraph:
     for i in range(1, len(table.cosets)):
         row = left[table.descents[i]]
         edges.append(tuple([(row[t], weight, alpha) for t, weight, alpha in edges[row[i]]]))
-    graph = AdjacencyGraph(parabolic, table.cosets, table.index, tuple(edges))
-    group.memo[key] = graph
-    return graph
+    return AdjacencyGraph(parabolic, table.cosets, table.index, tuple(edges))
 
 
+@memoised("coset_order")
 def coset_order(group: WeylGroup, parabolic: Parabolic) -> tuple:
     """For each coset index, the frozenset of indices of cosets above it."""
-    key = ("coset_order", parabolic.delta_p)
-    if key not in group.memo:
-        down = _coset_table(group, parabolic).down
-        up: list = [[] for _ in down]
-        for i, below in enumerate(down):
-            for x in _bits(below):
-                up[x].append(i)
-        group.memo[key] = tuple(map(frozenset, up))
-    return group.memo[key]
+    down = _coset_table(group, parabolic).down
+    up: list = [[] for _ in down]
+    for i, below in enumerate(down):
+        for x in _bits(below):
+            up[x].append(i)
+    return tuple(map(frozenset, up))
 
 
+@memoised("coset_duals")
 def coset_duals(group: WeylGroup, parabolic: Parabolic) -> tuple:
     """For each coset index j, the index of the coset w_o u_j W_P."""
-    key = ("coset_duals", parabolic.delta_p)
-    if key not in group.memo:
-        table = _coset_table(group, parabolic)
-        duals = range(len(table.cosets))
-        for j in reversed(group.reduced_word(group.w_o)):
-            duals = [table.left[j][i] for i in duals]
-        if any(duals[k] != i for i, k in enumerate(duals)):
-            raise InvariantViolationError("the dual map on W/W_P is not an involution")
-        top = group.length(group.w_x(parabolic))
-        lengths = table.lengths
-        if any(lengths[k] != top - lengths[i] for i, k in enumerate(duals)):
-            raise InvariantViolationError("a dual coset breaks l(w_o u) = l(w_X) - l(u)")
-        group.memo[key] = tuple(duals)
-    return group.memo[key]
+    table = _coset_table(group, parabolic)
+    duals = range(len(table.cosets))
+    for j in reversed(group.reduced_word(group.w_o)):
+        duals = [table.left[j][i] for i in duals]
+    if any(duals[k] != i for i, k in enumerate(duals)):
+        raise InvariantViolationError("the dual map on W/W_P is not an involution")
+    top = group.length(group.w_x(parabolic))
+    lengths = table.lengths
+    if any(lengths[k] != top - lengths[i] for i, k in enumerate(duals)):
+        raise InvariantViolationError("a dual coset breaks l(w_o u) = l(w_X) - l(u)")
+    return tuple(duals)
 
 
 def _chain_ends(group: WeylGroup, parabolic: Parabolic, j: int) -> list:
@@ -428,13 +411,11 @@ class PackedLabels:
         return kept
 
 
+@memoised("labels")
 def _labels(group: WeylGroup, parabolic: Parabolic, pad: int) -> PackedLabels:
     """The codec for labels <= d_X + pad, shared by the chain search and the QBG."""
     cap = tuple(c + pad for c in d_x(group.system, parabolic).coeffs)
-    key = ("labels", parabolic.delta_p, cap)
-    if key not in group.memo:
-        group.memo[key] = PackedLabels.build(cap, adjacency_graph(group, parabolic).edges)
-    return group.memo[key]
+    return PackedLabels.build(cap, adjacency_graph(group, parabolic).edges)
 
 
 @dataclass
@@ -485,53 +466,46 @@ def _pareto_search(labels: PackedLabels, seeds) -> _SearchResult:
     return result
 
 
+@memoised("search")
 def _search(group: WeylGroup, parabolic: Parabolic, source: int, mode: str, pad: int):
-    """The memoised chain search for coset index `source`.
+    """The chain search for coset index `source`.
 
     Its seeds are, by mode, the cosets above the source ("up"), the source
     itself ("exact"), or the cosets below its dual, where a chain to it may
     end ("ends": delta_uv's search, run backwards over the undirected graph).
     """
-    key = ("search", parabolic.delta_p, source, mode, pad)
-    if key in group.memo:
-        return group.memo[key]
-    labels = _labels(group, parabolic, pad)
     if mode == "up":
         seeds = coset_order(group, parabolic)[source]
     elif mode == "ends":
         seeds = _chain_ends(group, parabolic, source)
     else:
         seeds = (source,)
-    result = _pareto_search(labels, seeds)
-    group.memo[key] = result
-    return result
+    return _pareto_search(_labels(group, parabolic, pad), seeds)
 
 
+@memoised("qbg-arcs")
 def _qbg_arcs(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
-    """The parabolic QBG's arcs, per vertex (target index, packed weight), memoised.
+    """The parabolic QBG's arcs, per vertex (target index, packed weight).
 
     The adjacency edge (u_i, alpha) -> u_k is an arc of weight 0 when
     l(u_k) = l(u_i) + 1, of weight d(alpha) when
     l(u_k) = l(u_i) + 1 - <c_1, d(alpha)>, and no arc otherwise.
     """
-    key = ("qbg-arcs", parabolic.delta_p, pad)
-    if key not in group.memo:
-        graph = adjacency_graph(group, parabolic)
-        packed = _labels(group, parabolic, pad).edges
-        lengths = _coset_table(group, parabolic).lengths
-        chern = c1(group.system, parabolic).coeffs
-        arcs = []
-        for i, out in enumerate(graph.edges):
-            kept = []
-            for (k, weight, _), (_, t, _) in zip(out, packed[i]):
-                rise = lengths[k] - lengths[i] - 1
-                if rise == 0:
-                    kept.append((k, 0))
-                elif rise == -sum(a * b for a, b in zip(chern, weight)):
-                    kept.append((k, t))
-            arcs.append(tuple(kept))
-        group.memo[key] = tuple(arcs)
-    return group.memo[key]
+    graph = adjacency_graph(group, parabolic)
+    packed = _labels(group, parabolic, pad).edges
+    lengths = _coset_table(group, parabolic).lengths
+    chern = c1(group.system, parabolic).coeffs
+    arcs = []
+    for i, out in enumerate(graph.edges):
+        kept = []
+        for (k, weight, _), (_, t, _) in zip(out, packed[i]):
+            rise = lengths[k] - lengths[i] - 1
+            if rise == 0:
+                kept.append((k, 0))
+            elif rise == -sum(a * b for a, b in zip(chern, weight)):
+                kept.append((k, t))
+        arcs.append(tuple(kept))
+    return tuple(arcs)
 
 
 def qbg_rows(group: WeylGroup, parabolic: Parabolic, pad: int):

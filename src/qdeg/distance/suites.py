@@ -39,7 +39,7 @@ from ..degreelattice import (
     induce,
 )
 from ..errors import ConfigurationError, InvariantViolationError, ResourceError
-from ..rootsystem import coeffs_leq, subsystem
+from ..rootsystem import coeffs_leq, memoised, subsystem
 from ..weylgroup import ENUMERATION_CAP, Parabolic, Weyl, WeylGroup, weyl_group
 from .core import (
     adjacency_graph,
@@ -119,6 +119,7 @@ def _min_tuples(labels: PackedLabels, packed) -> tuple:
     return tuple(map(labels.unpack, labels.minimal(packed)))
 
 
+@memoised("pairs-table")
 def _pairs_table(group: WeylGroup, parabolic: Parabolic, pad: int) -> dict:
     """delta_P(u, v) for every coset pair, as raw coefficient tuples.
 
@@ -144,9 +145,6 @@ def _pairs_table(group: WeylGroup, parabolic: Parabolic, pad: int) -> dict:
     A table of more than 4 * ENUMERATION_CAP pairs raises ResourceError
     before any coset is enumerated.
     """
-    key = ("pairs-table", parabolic.delta_p, pad)
-    if key in group.memo:
-        return group.memo[key]
     n = group.order() // group.order(parabolic.delta_p)
     if n * n > 4 * ENUMERATION_CAP:
         raise ResourceError(
@@ -167,7 +165,6 @@ def _pairs_table(group: WeylGroup, parabolic: Parabolic, pad: int) -> dict:
     for j, y in enumerate(duals):
         if _min_tuples(labels, chain.fronts[y]) != table[(n - 1, j)]:
             raise InvariantViolationError(f"chain and QBG fronts differ at u#{n - 1} v#{j}")
-    group.memo[key] = table
     return table
 
 

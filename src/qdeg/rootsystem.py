@@ -10,9 +10,9 @@ normalization is observationally irrelevant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from math import gcd
 from operator import mul
 from typing import Iterable, NewType
@@ -129,11 +129,7 @@ class RootSystem:
     symmetrizer: tuple
     simple_roots: tuple
     positive_roots: tuple
-
-    @cached_property
-    def cache(self) -> dict:
-        """Per-instance scratch cache used by downstream modules."""
-        return {}
+    memo: dict = field(default_factory=dict, compare=False, repr=False)  # see memoised
 
     @cached_property
     def positive_set(self) -> frozenset:
@@ -223,13 +219,13 @@ class RootSystem:
         rest is the word of s_j1(beta), a root of lower height; then
         s_beta = s_j1 s_{s_j1 beta} s_j1, and l(s_{s_j1 beta}) = l(s_beta) - 2
         (the proof is in curveneighborhood), so the word is reduced.
-        Memoised in ``cache`` per positive root.
+        Memoised in ``memo`` per positive root.
         """
         beta = tuple(beta)
         if any(c < 0 for c in beta):
             beta = tuple(-c for c in beta)
         key = ("reflection-word", beta)
-        word = self.cache.get(key)
+        word = self.memo.get(key)
         if word is None:
             root = self.check_root(beta)
             path = []
@@ -237,7 +233,7 @@ class RootSystem:
                 j = next(j for j in range(self.rank) if self.pair_simple_coroot(root, j) > 0)
                 path.append(j)
                 root = self.reflect_simple(root, j)
-            word = self.cache[key] = (*path, root.index(1), *reversed(path))
+            word = self.memo[key] = (*path, root.index(1), *reversed(path))
         return word
 
     def reflect_simple(self, a, j: int):
@@ -271,10 +267,10 @@ class RootSystem:
         """
         s = frozenset(s)
         key = ("subhigh", s)
-        if key not in self.cache:
+        if key not in self.memo:
             inside = [a for a in self.positive_roots if self.support(a) <= s]
-            self.cache[key] = _highest(inside, DomainError(f"support {sorted(s)} is not connected"))
-        return self.cache[key]
+            self.memo[key] = _highest(inside, DomainError(f"support {sorted(s)} is not connected"))
+        return self.memo[key]
 
     # -- Dynkin graph helpers -------------------------------------------------
 
@@ -304,6 +300,43 @@ class RootSystem:
 def coeffs_leq(a, b) -> bool:
     """a <= b coefficientwise, on raw coefficient tuples of equal length."""
     return all(x <= y for x, y in zip(a, b))
+
+
+def memoised(name: str):
+    """Memoise f(owner, parabolic, *args) in owner.memo under (name, Delta_P, *args).
+
+    The owner is a RootSystem or a WeylGroup.  A parabolic of another rank
+    raises DomainError (``Parabolic.check_rank``) before the read, and only a
+    value that f returned is stored: a build that raises stores nothing.
+
+    Stores left hand-written: WeylGroup's element-keyed kernel dicts
+    (``_word``, ``_bruhat``, ``_multiples``, ``_inverse``, ``_longest``,
+    ``_reflection``), keyed without a parabolic on the kernel's hottest paths;
+    ``WeylGroup._enumerated``'s pair of entries (read by ``numbered_cosets``),
+    which one BFS stores under a key without the cap; the tail fold of
+    ``curveneighborhood._hecke_chain``, one entry per greedy tail of a walk;
+    ``z``'s own entry, which keeps the caller's Degree under its coefficients,
+    whose number fixes the rank; and the subset-keyed lookups ``cascade``,
+    ``highest_root_of_support``, ``subsystem`` and ``reflection_word``, in the
+    same ``RootSystem.memo``.
+    """
+
+    missing = object()
+
+    def decorate(build):
+        @wraps(build)
+        def cached(owner, parabolic, *args):
+            if parabolic.rank != owner.rank:
+                parabolic.check_rank(owner.rank)
+            key = (name, parabolic.delta_p) + args
+            value = owner.memo.get(key, missing)
+            if value is missing:
+                value = owner.memo[key] = build(owner, parabolic, *args)
+            return value
+
+        return cached
+
+    return decorate
 
 
 def _highest(items, error: Exception):
@@ -437,8 +470,8 @@ def subsystem(system: RootSystem, s: Iterable) -> list[SubsystemComponent]:
     if not s <= set(range(system.rank)):
         raise DomainError(f"{sorted(s)} is not a subset of Delta")
     key = ("subsystem", s)
-    if key in system.cache:
-        return system.cache[key]
+    if key in system.memo:
+        return system.memo[key]
     out = []
     for comp in system.components(s):
         n = len(comp)
@@ -465,5 +498,5 @@ def subsystem(system: RootSystem, s: Iterable) -> list[SubsystemComponent]:
                 if ambient != local.cartan[i][j]:
                     raise ConfigurationError("subsystem embedding mismatch")
         out.append(SubsystemComponent(local, ordering))
-    system.cache[key] = out
+    system.memo[key] = out
     return out

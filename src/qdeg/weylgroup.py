@@ -98,23 +98,23 @@ class CosetRep:
 class WeylGroup:
     """Operations on W(R) with shared memoization.
 
-    Instances are cheap; build one per root system and reuse it so that the
-    length/Bruhat/Hecke caches amortize across computations.
+    Instances are cheap; build one per root system and reuse it so that its
+    kernel dicts and ``memo`` (enumerations, and ``memoised`` entries) amortize.
     """
 
     def __init__(self, system: RootSystem):
         self.system = system
+        self.rank = system.rank
         self.identity: Weyl = (1,) * system.rank  # rho
         self._simple = tuple(tuple(1 - a for a in row) for row in system.cartan)
         self._simple_index = {s: j for j, s in enumerate(self._simple)}
         self._multiples: tuple = tuple({} for _ in system.cartan)  # [j][c]: c alpha_j
-        self._length: dict = {self.identity: 0}
         self._inverse: dict = {self.identity: self.identity}
         self._word: dict = {self.identity: ()}
         self._bruhat: dict = {}
         self._longest: dict = {frozenset(): self.identity}
         self._reflection: dict = {}
-        self.memo: dict = {}  # shared cross-module memoization
+        self.memo: dict = {}  # enumerations and ``memoised`` entries
 
     # -- basic action ----------------------------------------------------------
 
@@ -162,25 +162,24 @@ class WeylGroup:
     # -- length, words, inverses -----------------------------------------------
 
     def length(self, w: Weyl) -> int:
-        if w not in self._length:
-            self._length[w] = len(self.reduced_word(w))
-        return self._length[w]
+        return len(self.reduced_word(w))
 
     def reduced_word(self, w: Weyl) -> tuple:
         """Canonical reduced word: repeated least-index right-descent extraction."""
-        if w not in self._word:
-            word = []
+        word = self._word.get(w)
+        if word is None:
+            steps = []
             x = w
             while True:
                 j = next((j for j, c in enumerate(x) if c < 0), None)
                 if j is None:
                     break
-                word.append(j)
+                steps.append(j)
                 x = self.multiply(x, self._simple[j])
             if x != self.identity:
                 raise InvariantViolationError(f"{w} is not the image of rho under W")
-            self._word[w] = tuple(reversed(word))
-        return self._word[w]
+            word = self._word[w] = tuple(reversed(steps))
+        return word
 
     def inverse(self, w: Weyl) -> Weyl:
         if w not in self._inverse:

@@ -14,6 +14,7 @@ import pytest
 
 import qdeg
 from qdeg.cli import run
+from qdeg.degreelattice import GREEDY_CAP
 
 #: the directory this qdeg is imported from, for child interpreters
 QDEG_PATH = str(Path(qdeg.__file__).resolve().parents[1])
@@ -174,17 +175,22 @@ def test_an_oversized_pair_table_exits_two_at_once():
 
 
 def test_a_degree_past_the_greedy_cap_exits_two_before_any_step():
-    """sum(d) bounds the greedy entries, so a huge degree is refused before the walk starts."""
+    """sum(d) bounds the greedy walk and the memo entries it keeps: GREEDY_CAP + 1
+    is refused before the walk starts, and GREEDY_CAP itself answers."""
     group = qdeg.weyl_group("B", 3)
-    cache, memo = dict(group.system.cache), dict(group.memo)
-    err = io.StringIO()
-    start = time.perf_counter()
-    with redirect_stderr(err):
-        code, out = run_capture(["z", "--type", "B", "--rank", "3", "--degree", "99999999,0,0"])
-    assert time.perf_counter() - start < 5
-    assert code == 2 and out == ""
-    assert "greedy walk of (99999999, 0, 0) exceeded the cap" in err.getvalue()
-    assert group.system.cache == cache and group.memo == memo
+    system_memo, memo = dict(group.system.memo), dict(group.memo)
+    for first in (GREEDY_CAP + 1, 99999999):
+        err = io.StringIO()
+        start = time.perf_counter()
+        with redirect_stderr(err):
+            code, out = run_capture(["z", "--type", "B", "--rank", "3", "--degree", f"{first},0,0"])
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == ""
+        assert f"greedy walk of ({first}, 0, 0) exceeded the cap of {GREEDY_CAP}" in err.getvalue()
+        assert group.system.memo == system_memo and group.memo == memo
+    done = run_process(["z", "--type", "B", "--rank", "3", "--degree", f"{GREEDY_CAP},0,0", "--json"])
+    assert done.returncode == 0 and done.stderr == ""
+    assert len(json.loads(done.stdout)["greedy"]) == GREEDY_CAP  # one alpha_1 per step
 
 
 def test_options_are_read_against_the_rank_before_the_system_is_built(monkeypatch):

@@ -180,7 +180,7 @@ def test_z_classes_make_one_greedy_step_per_box_degree(monkeypatch):
 
 
 class _CountingCache(dict):
-    """A system cache that records every key it stores."""
+    """A system memo that records every key it stores."""
 
     def __init__(self):
         super().__init__()
@@ -194,7 +194,7 @@ class _CountingCache(dict):
 def test_z_classes_sweep_once_per_clamped_bound_and_pay_one_coset_min_per_class(monkeypatch):
     """On a fresh B3, every parabolic's scan box d_X + 3: 40 sweeps, 43 coset_mins."""
     group = fresh_group("B", 3)
-    cache = group.system.__dict__["cache"] = _CountingCache()
+    cache = group.system.__dict__["memo"] = _CountingCache()
     calls = _count_calls(monkeypatch, degreelattice, "maximal_roots")
     coset_mins = _count_calls(monkeypatch, group, "coset_min")
     classes = sum(len(_z_classes(group, p, 2)) for p in all_parabolics(3))

@@ -127,9 +127,9 @@ def test_d_of_root_rejects_everything_but_positive_roots():
 def test_degree_table_is_built_once_on_first_use():
     g2 = build_root_system("G", 2)
     b = Parabolic.from_indices(2, set())
-    assert ("degrees", b.delta_p) not in g2.cache
+    assert ("degrees", b.delta_p) not in g2.memo
     theta = d_of_root(g2, b, g2.highest_root)
-    assert ("degrees", b.delta_p) in g2.cache
+    assert ("degrees", b.delta_p) in g2.memo
     assert d_of_root(g2, Parabolic.from_indices(2, set()), g2.highest_root) is theta
     with pytest.raises(DomainError):
         maximal_roots(g2, b, Degree.zero(Parabolic.from_indices(2, {0})))

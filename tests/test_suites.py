@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from qdeg.cascade import d_x
-from qdeg.distance import suite_names, verify_suite
+from qdeg.distance import suite_names, suites, verify_suite
 from qdeg.distance.core import DegreeFront, _labels, _search, coset_duals
 from qdeg.distance.suites import (
     _pairs_table,
@@ -151,6 +151,16 @@ def test_description_names_the_first_coset_whose_fronts_differ():
     assert not check.passed
     assert check.checked == 8
     assert check.counterexample == "u=s2 scan=[(2, 1)] chain=[(0, 1)]"
+
+
+def test_resind_fails_when_no_degree_is_a_self_front(monkeypatch):
+    """With every self-front test false there is no witness: the first degree fails."""
+    monkeypatch.setattr(suites, "_self_front", lambda *args: False)
+    group = WeylGroup(build_root_system("B", 2))
+    report = verify_suite("resind", "B", 2, Parabolic(2, frozenset()), group=group)
+    (check,) = report.checks
+    assert check.name == "restriction-induction" and not check.passed
+    assert check.counterexample == "Q=[] e=(0, 0) (witness)"
 
 
 def test_a_cap_below_dx_empties_the_point_front_and_fails_main():

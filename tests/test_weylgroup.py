@@ -361,7 +361,7 @@ def test_coset_max_rep_checks_lengths_without_assert():
     """The length invariant raises InvariantViolationError, which -O cannot strip."""
     group = WeylGroup(build_root_system("A", 2))
     p = Parabolic.from_indices(2, {1})
-    group._length[group.identity] = 1  # corrupt one cached length
+    group._word[group.identity] = (0,)  # corrupt one cached word: l(e) reads 1
     with pytest.raises(InvariantViolationError):
         group.coset_max_rep(group.identity, p)
 
@@ -470,7 +470,7 @@ def test_bruhat_leq_takes_two_products_per_level_and_no_length():
     calls = count_multiplies(group)
     assert group.bruhat_leq(e, w_o)
     assert len(calls) <= bound
-    assert group._length == {e: 0} and group._word == {e: ()} and group._inverse == {e: e}
+    assert group._word == {e: ()} and group._inverse == {e: e}
     old = WeylGroup(build_root_system("E", 7))
     w_o = old.w_o
     calls = count_multiplies(old)
