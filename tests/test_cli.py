@@ -264,6 +264,52 @@ def test_exceptional_verb():
     assert doc["delta_minus_circ"] == [1]
 
 
+#: sha256 of `exceptional --json` for every admissible type of rank <= 8,
+#: recorded while the report fields were still encoded one by one
+EXCEPTIONAL_DIGESTS = {
+    ("A", 1): "0fa4cf402e43d6e74c99cca34750f2e16ca7e821dbc9dc56719b6b74b7c3af83",
+    ("A", 2): "955d0fd14e9036fa30106c4a16b9f0d196ea80fec1882a7d194e07a49bee5c29",
+    ("A", 3): "ef96117a92289ad725a5e0d2fc5b9ae60320e08ecc043930b62d92dc15f28b01",
+    ("A", 4): "370fe0da8deb7346ad1fd130e0026b76eee02dde4dd69fa91af623d1d763108e",
+    ("A", 5): "00f2ec170a6fccf372cd006a94061a15480a31aadad3790f286dc11efe185104",
+    ("A", 6): "61ca2c76b33d33b0b4939f67bb601bccb17484bdaa4189dd0a24e81cbb5c9b45",
+    ("A", 7): "f01142e3b3ec87d8c85f3197723843cc98da36081b58138cb992f16ffd9e167e",
+    ("A", 8): "af390164e08000252156652e9c213aef50e9aa514ef9e26f6528ac2532202bbd",
+    ("B", 2): "1fb54f1b041bbb90be2a1195a76ed2430a117ca09cd5650baf1e8eef6250cca5",
+    ("B", 3): "a4a5bd464794925d140f5d3039767f318eb5e15855e45295b4cb4ab994ace95b",
+    ("B", 4): "4af88d4af8eed844409140ecddc6c5deb70c1c6e585ba7e81d8463bc16c72a17",
+    ("B", 5): "7dd6f0163f7a80376d1df97cb129add1bf469ba4911d42d19cba42f5d473f7fb",
+    ("B", 6): "6114a8aa84f67d46f6d280bc790c65da6364918f8e4bde6bc6f8016ba78bed0e",
+    ("B", 7): "ced033e94dbd1105ddc74624471fed7091380b2247bd70529710e27219b960c9",
+    ("B", 8): "2b55f76d7b235dde0245c39eb7a44bc09c49fe204d12a9011cd782455bded8c8",
+    ("C", 2): "6b41deddc5de7cdfb03190ef15c23442035300e81260c6e374afbd3fd9484658",
+    ("C", 3): "ea5317ee5932addb2231ba5f468b1217b00a432bbdaf822fb2f3fea30247bc89",
+    ("C", 4): "1a9f6cfdcbe417c93ffa292e57363536ab753a9462892fa6c42aeb243905ffbd",
+    ("C", 5): "ef400ab1d73fa5c23fd2ad279894b544842522d8826642d0f375a349772af861",
+    ("C", 6): "d8ea515eb1e2b910b07951a83f6ebe0598bb2b052ec2278e3c19bb83d67fa1e4",
+    ("C", 7): "ab603a6e70ce40a2a99d5a99948f79f809eb894c95b78bf7ba2a0b3edf5edc02",
+    ("C", 8): "0e49f13097d1c3d3e1b9e2dff57e31e391c5ade11daf63ac3c4bda7ea699d6c9",
+    ("D", 3): "a5e53226f32d5ac66182c744827b798e9bab0f0888b2ca23467ca0b9a2dcec8c",
+    ("D", 4): "4a3d237cc20a52c5f500cb44c187dd35607f0e38e26da48bb61c32cc72d6f782",
+    ("D", 5): "d8ad0de2bb00a2720288ec6f85c41d13aca2e1147ed326f7f0b53aa2735f4b71",
+    ("D", 6): "cba37e6bdbaa0a72ae94460968f96b297d8a0ce68768400abc35af7ab9da0eb9",
+    ("D", 7): "baaced840a325dc1769102ee678e3449f33f1e59181b6f97207c1e2a4f415511",
+    ("D", 8): "8d0d58693c406eff02a0bcf26fed27bc90a4257b37d91e5b07569f0f0bb9e06f",
+    ("E", 6): "fbe70635b83ae142e4f1f0c7a326bfcd2a62fa5f787c95671bf0fc368da50311",
+    ("E", 7): "02583a1f5f885357116a2ac344baeffb26e90537f7ae48419a5d621b1a5283ef",
+    ("E", 8): "73f430f0e4ba644d34623f7758d517f7f4b35a87f84fb4087e04ea069d70fe7f",
+    ("F", 4): "c3c3d3de44ea552a29125eeb062df7319fd1194987248717bd1f944cbe14f186",
+    ("G", 2): "790747be54d563ff8d72deaf7c73226d24caf3c7c60c409bea0cd6d7d872f9f4",
+}
+
+
+@pytest.mark.parametrize("letter,rank", sorted(EXCEPTIONAL_DIGESTS))
+def test_exceptional_json_matches_golden_digests(letter, rank):
+    code, out = run_capture(["exceptional", "--type", letter, "--rank", str(rank), "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXCEPTIONAL_DIGESTS[(letter, rank)]
+
+
 def _suite_failing_on_p1(exc_type):
     from qdeg.distance import suites
 

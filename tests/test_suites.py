@@ -239,11 +239,33 @@ GOLDEN_DIGESTS = {
         "c4e08e5fbf54830cd9ad6bfe6057dbaa85bda49417b888d12ed2fdc349e5ef12",
         "3d92ff9f98f09d664a7bb8b6967c1047562309847b6ad64527e01641367fff72",
     ),
+    # B3 pins of compatibility, delta-props, orthogonality and zd (about 1.5 s
+    # together), recorded before their claims shared case walks
+    ("compatibility", "B", 3): (
+        "b7dbbffdd212afc2f119b940eb6e9e700cd805ec4468600294dfdb83e514600b",
+        "4393971a623cd6cf3f81d4ed7df858a56b4119d83ddfe84169d67e79d3d049f9",
+        "1470dd7ec275374d6dbf68dbb32cf04d00dd6bbcaec06383222182df680cfc85",
+        "e673c5fdd46482951d13d2d6aaf3d7c479bf6aaa6d2db128e250318399450193",
+        "e4ac3554620cdd93d489dbd6b4e417522768a94e6ecb6903e4bf149600db7446",
+        "f53fec691a74a45599c2fd62d0944bcb2d35ff0c6f4ae718db5804b362c4288d",
+        "379ac794dec1a63c5fa1aff130bddb10837ae6e91420996d849e6ea108dc8e3e",
+        "086acb39d9bde056f830bafe6509b6b04183e275f12ab5652bdc28e492b8411b",
+    ),
     ("delta-props", "B", 2): (
         "d0c5cbaae14449df646613ace6c1e2c82454d3bbc5fb68fa2ce75ba6e175d692",
         "84f29594a86d9b819e7d57352632c7f85b888b19cd6dc4a831e4845a641612ab",
         "31202ec4f78359081ffd70e80ec30b623d25b76ce5a2c181b9dfbfd76bca1885",
         "b83b3f956ea949c3ffcd5378e11f9f1169ede054c1006f2d07413e9ea5077941",
+    ),
+    ("delta-props", "B", 3): (
+        "6ca6289d3f2fa9968ebd3941855ae7c261a5d37d2d4d0c5a32193073911309cc",
+        "c247329cffeff882706d67000923a9232a7968844a6229a8140f4a3502351c8a",
+        "2b606717dbf7289f749ccdde4a0154eba478f7345e7d5b1a7cbd7d0a467e538d",
+        "091170069113d81063b6dd53218255eec9b9e62b3a5ff0d18efbe6ac012156d3",
+        "5e66ea0fa5bb79f1e4924cfc3100047b8a8a65a1791bc2d893527bb5a5ffc190",
+        "5c8967097af0caff248c075cc9970f1c55fb93a1414d1d1bd40f3373be6695c9",
+        "f12732a7f356b279d4c0442c7657af019b6836f8783abb59d70561c3b2918173",
+        "1735248360788d80bd754d48edb686463d141e8ab97711b4365b02f687c1d261",
     ),
     ("delta2", "B", 2): (
         "3918647933dba340d1947eb782f4311adc34bc89eb14ea853d5f27af2a2fb4ea",
@@ -409,6 +431,16 @@ GOLDEN_DIGESTS = {
         "c915b8c2ce65b237e5a01ac32fcf0bbdb05b9fc8e08002c24b61f0cbbb739c45",
         "01013574d96401db3ea1a3bedb7dd41e1c6cac9237fa810e787b44b627021e5f",
     ),
+    ("orthogonality", "B", 3): (
+        "657be19b1254dc3fe86f33e60c934e46833803635f3c41a33524eed7a4a5cdae",
+        "20e78ed4eb49daca5831ce5c8cefcf9764d9317f622c5c50e90d1ccbce49bea8",
+        "7ab05ffbcc50e40d99f311a323e02ca317ec7783ce4fb0a86e297a82dc6bfd58",
+        "8e91e3fcaaddb9db3c218442a5452f486f83789954010a76f3c6f08618f47a48",
+        "4e1029a56db8f22e2879088dbf2b39bc5f2914121355034cb07b27f9da7d2c52",
+        "eef6af7f4fa55a9767ba3918a72553f1bdb61d264095f1ef5aedd34ec71e4f7c",
+        "1f4e87f80b04bb8707a58fc07353e9bd64c39463a71f4c0c4c38ca3a64c96f48",
+        "97907b9a764e32df1736b5a8d57fe9cd2a030ad2f71893fc502c7b7f36e8eee4",
+    ),
     ("resind", "B", 2): (
         "38a27ab5e46ae8b2cd1a4a1c2adf2e18de9a331928e2e626de02bee796810545",
         "2fe2de342f2dbb66bee9e126ba9208a9918194777c641475c5a16b39490240d0",
@@ -436,6 +468,16 @@ GOLDEN_DIGESTS = {
         "6c146c831b7a2a97acb80d202f7df1e53032d26e13ccf164aec680a6bbfb06c6",
         "3ac3c59460422c4724e57355be4997b21fab12c9d9e6aed53f24bc69b8d9f6a3",
         "fc869f2596c8d5ed35da0092e0d4d520fb22c45ccc1d5742fea84c47ff02d57e",
+    ),
+    ("zd", "B", 3): (
+        "f5774faca2dd6f0dfc4f6dc1fb72cfddf046667292434dc01469ecc33692c337",
+        "5525b226f4b3c321cc294bd86f25d05b9646bdb34e559877915e244bee6011ab",
+        "d05366d0f2b0337749c5e0c971db8410b1fc00f0ba4390a4051f6ac40c5a849d",
+        "60e7729e789db8162259485aa71180f92d038490dc5a3b8f3a49e5258c97f471",
+        "9af2c9c0e706429840faa48f8968d9963542cfcfaa9f75f5708f9987ce27a43d",
+        "0115ba9121a514a007bec58965dc3150913b171243a40edc509ae3e90727d0d1",
+        "346e20a099acc6ed25efe082293798d29fa5f19d9a70ec28829c3f7aa731a2ec",
+        "0c907deb69ea1a7266398cfec4ff2bfa53d68a73521513684db160321e2ac307",
     ),
 }
 
