@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from multiprocessing import Pool
 
 from .cascade import cascade as _cascade_of, d_x as _d_x, delta_circ as _delta_circ
@@ -31,14 +32,6 @@ SCHEMA = "qdeg/1"
 
 
 # -- encoding helpers ----------------------------------------------------------
-
-
-def encode_root(alpha) -> list:
-    return list(alpha)
-
-
-def encode_coroot(c) -> dict:
-    return {"coroot": list(c)}
 
 
 def encode_system(system: RootSystem) -> dict:
@@ -126,18 +119,11 @@ def _cmd_roots(args) -> int:
     doc = {
         "schema": SCHEMA,
         "system": encode_system(system),
-        "cartan": [list(r) for r in system.cartan],
-        "symmetrizer": list(system.symmetrizer),
-        "positive_roots": [
-            {"root": encode_root(a), **encode_coroot(system.coroot(a))}
-            for a in system.positive_roots
-        ],
-        "highest_root": encode_root(system.highest_root),
-        "highest_short_root": (
-            encode_root(system.highest_short_root)
-            if system.highest_short_root is not None
-            else None
-        ),
+        "cartan": system.cartan,
+        "symmetrizer": system.symmetrizer,
+        "positive_roots": [{"root": a, "coroot": system.coroot(a)} for a in system.positive_roots],
+        "highest_root": system.highest_root,
+        "highest_short_root": system.highest_short_root,
     }
     lines = [f"{system.type_letter}{system.rank}: {len(system.positive_roots)} positive roots"]
     lines += [str(list(a)) for a in system.positive_roots]
@@ -159,7 +145,7 @@ def _cmd_cascade(args) -> int:
     doc = {
         "schema": SCHEMA,
         "system": encode_system(system),
-        "cascade": [encode_root(m) for m in members],
+        "cascade": members,
         "parent": parent_index,
     }
     lines = [f"cascade of {system.type_letter}{system.rank}: {len(members)} roots"]
@@ -189,7 +175,7 @@ def _cmd_z(args) -> int:
         "schema": SCHEMA,
         "system": encode_system(system),
         "degree": encode_degree(d),
-        "greedy": [encode_root(a) for a in greedy_decomposition(system, parabolic, d)],
+        "greedy": greedy_decomposition(system, parabolic, d),
         "z_min": encode_element(group, result.z_min),
         "z_max": encode_element(group, result.z_max),
     }
@@ -251,22 +237,7 @@ def _cmd_exceptional(args) -> int:
         "delta_minus_circ": sorted(
             b + 1 for b in set(range(system.rank)) - _delta_circ(system)
         ),
-        "exceptional": [
-            {
-                "root": encode_root(r.root),
-                "witness_beta": r.witness_beta + 1,
-                "phi": encode_root(r.phi),
-                "alpha_beta_phi": encode_root(r.alpha_beta_phi),
-                "ineq1_holds": r.ineq1_holds,
-                "ineq1_strict": r.ineq1_strict,
-                "ineq3_holds": r.ineq3_holds,
-                "ineq3_strict": r.ineq3_strict,
-                "strongly_orthogonal": r.strongly_orthogonal,
-                "b_cosmall": r.b_cosmall,
-                "alt_b_cosmall_agrees": r.alt_b_cosmall_agrees,
-            }
-            for r in reports
-        ],
+        "exceptional": [{**asdict(r), "witness_beta": r.witness_beta + 1} for r in reports],
     }
     lines = [f"{len(reports)} exceptional roots in {system.type_letter}{system.rank}"]
     lines += [str(list(r.root)) for r in reports]

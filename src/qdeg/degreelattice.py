@@ -3,7 +3,8 @@
 A degree is a nonnegative integer vector over Delta \\ Delta_P, the image of
 the coroot lattice modulo Z Delta_P^vee.  The partial order is coefficientwise
 (``coeffs_leq``, the same order as on roots).  Lex order is a linear extension
-of it, so ``maximal_roots`` and ``minimal_elements`` are each one sorted sweep.
+of it, so ``maximal_roots`` and ``minimal_elements`` are each one sorted sweep
+(``rootsystem.pareto``).
 
 d(alpha) is read from a table built once per (system, parabolic), on first
 use, and kept in ``system.memo`` through ``memoised`` under ("degrees",
@@ -33,7 +34,7 @@ from operator import le
 from typing import Iterable
 
 from .errors import DomainError, ResourceError
-from .rootsystem import RootSystem, coeffs_leq, memoised
+from .rootsystem import RootSystem, coeffs_leq, memoised, pareto
 from .weylgroup import ENUMERATION_CAP, Parabolic
 
 #: the largest sum(d) a greedy walk takes; each step keeps memo entries
@@ -153,8 +154,7 @@ def c1(system: RootSystem, parabolic: Parabolic) -> ChernVector:
 def maximal_roots(system: RootSystem, parabolic: Parabolic, d: Degree) -> tuple:
     """Maximal elements of {alpha in R^+ \\ R_P^+ : d(alpha) <= d}, sorted.
 
-    One sweep in lex-descending order: a root can lie below only lex-larger
-    roots, and below a dropped one only through a kept one above it.  As
+    One sweep (``pareto``) over the roots with d(alpha) <= d.  As
     d(alpha) <= top for all alpha, d(alpha) <= d iff d(alpha) <= min(d, top),
     the key of its memo.  top is the lex-largest d(alpha): the coroots form
     the irreducible root system R^vee on the simple coroots, whose highest
@@ -168,11 +168,8 @@ def maximal_roots(system: RootSystem, parabolic: Parabolic, d: Degree) -> tuple:
 
 @memoised("maximal-roots")
 def _maximal_roots(system: RootSystem, parabolic: Parabolic, bound: tuple) -> tuple:
-    kept: list = []
-    for alpha, d_alpha in _degree_table(system, parabolic)[1]:
-        if all(map(le, d_alpha, bound)) and not any(all(map(le, alpha, b)) for b in kept):
-            kept.append(alpha)
-    return tuple(reversed(kept))
+    outside = _degree_table(system, parabolic)[1]
+    return tuple(reversed(pareto((a for a, d in outside if all(map(le, d, bound))), maximal=True)))
 
 
 @memoised("greedy")
@@ -250,22 +247,13 @@ def minimal_elements(degrees: Iterable) -> tuple:
     """The Pareto-minimal antichain of a finite set of degrees, in lex order.
 
     The degrees are Degrees or raw coefficient tuples, and are returned as
-    given.  One sweep in lex-ascending order, a linear extension of <=: a
-    candidate can only ever be dominated by an already-kept element.
+    given.
     """
-    kept: list = []
-    for d in sorted(set(degrees), key=_coeffs):
-        if not any(_leq(k, d) for k in kept):
-            kept.append(d)
-    return tuple(kept)
+    return tuple(pareto(degrees, key=_coeffs))
 
 
 def _coeffs(d) -> tuple:
     return d if isinstance(d, tuple) else d.coeffs
-
-
-def _leq(a, b) -> bool:
-    return coeffs_leq(a, b) if isinstance(a, tuple) else a.leq(b)
 
 
 def degree_box(parabolic: Parabolic, corner: Degree, pad: int = 0):

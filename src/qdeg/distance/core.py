@@ -19,9 +19,11 @@ w_o builds no table.
 The adjacency graph is undirected with equal weights both ways (d(alpha) is
 W_P-invariant), so a chain read backwards is a chain of the same degree.
 delta_uv(u, v) therefore runs one search per v, seeded at the cosets below
-v*, and reads its fronts at the cosets above u: the description suite's
-delta_P(m, w_o) is one search per parabolic.  chain_witness keeps the
-forward searches from u, so its witnesses are unchanged.
+v*, and reads its front at u alone: the cosets it reaches within a degree
+form a down-set (Buch-Mihalcea 2015), so no coset above u adds a smaller
+degree.  The description suite's delta_P(m, w_o) is one search per
+parabolic.  chain_witness keeps the forward searches from u, so its
+witnesses are unchanged.
 
 Inside the chain search a degree label is one Python int (``PackedLabels``).
 Each coefficient has a bit field wide enough for cap + the largest edge
@@ -42,9 +44,10 @@ Nothing here multiplies.  Every coset u_i W_P but eW_P gets one left
 descent, the least j with k = left[j][i] < i (so u_i = s_j u_k), and the
 down-sets and the adjacency edges both recur along it.  Bruhat down-sets
 are int bitsets by the lifting property (Bjorner-Brenti, GTM 231, 2.2),
-D(i) = D(k) | s_j D(k), and ``coset_order`` and ``_chain_ends`` (the cosets
-y <= w_o u_j W_P, where a chain to u_j W_P may end) read their bits.
-``_chain_ends`` serves only the "ends" search and ``chain_witness``.
+D(i) = D(k) | s_j D(k), and ``coset_order`` reads their bits.
+``_chain_ends`` (the cosets y <= w_o u_j W_P, where a chain to u_j W_P may
+end) is the duals of the cosets above u_j W_P, as w_o reverses Bruhat
+order; it serves only the "ends" search and ``chain_witness``.
 ``coset_duals`` walks each index along the word of w_o.  Only eW_P walks
 the word of each s_alpha (``RootSystem.reflection_word``, the word ``z``
 takes its Hecke steps along) for its adjacency edges; the edges of u_i W_P are
@@ -345,8 +348,12 @@ def coset_duals(group: WeylGroup, parabolic: Parabolic) -> tuple:
 
 
 def _chain_ends(group: WeylGroup, parabolic: Parabolic, j: int) -> list:
-    """The indices y with u_y W_P <= w_o u_j W_P: where a chain to u_j W_P may end."""
-    return _bits(_coset_table(group, parabolic).down[coset_duals(group, parabolic)[j]])
+    """Where a chain to u_j W_P may end, ascending: y with u_y W_P <= w_o u_j W_P.
+
+    As w_o reverses Bruhat order on W/W_P, these are the duals of the cosets above u_j.
+    """
+    duals = coset_duals(group, parabolic)
+    return sorted(duals[x] for x in coset_order(group, parabolic)[j])
 
 
 @dataclass(frozen=True)
@@ -552,13 +559,14 @@ def _front(parabolic: Parabolic, result: _SearchResult, packed) -> DegreeFront:
 def delta_uv(group: WeylGroup, parabolic: Parabolic, u: Weyl, v: Weyl, pad: int = 2) -> DegreeFront:
     """Minimal total degrees of chains from uW_P to vW_P (chain definition).
 
-    One search per v, from the cosets below v*, read at the cosets above u.
+    One search per v, from the cosets below v*, read at uW_P alone: what it
+    reaches within a degree is a down-set, as curve neighborhoods of Schubert
+    varieties are Schubert varieties (Buch-Mihalcea, J. Differential Geom.
+    99, 2015), so the cosets above u add nothing below the front at u.
     """
     index = adjacency_graph(group, parabolic).index
-    ui = index[group.coset_min(u, parabolic)]
     result = _search(group, parabolic, index[group.coset_min(v, parabolic)], "ends", pad)
-    starts = coset_order(group, parabolic)[ui]
-    return _front(parabolic, result, (t for x in starts for t in result.fronts[x]))
+    return _front(parabolic, result, result.fronts[index[group.coset_min(u, parabolic)]])
 
 
 def chain_front_exact(group: WeylGroup, parabolic: Parabolic, x: Weyl, y: Weyl, pad: int = 2) -> DegreeFront:

@@ -54,6 +54,10 @@ from .core import (
     _search,
 )
 
+#: the largest Weyl group order on which ``main --mode auto``, ``final-cor``
+#: and ``front_coverage`` build pair tables unasked (B3 and C3 have 48, A4 120)
+PAIR_TABLE_ORDER = 48
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -222,6 +226,24 @@ def _to_ambient(group: WeylGroup, comp, local_group: WeylGroup, w: Weyl) -> Weyl
     return group.from_word(comp.nodes[j] for j in local_group.reduced_word(w))
 
 
+def _reflection_fronts(group: WeylGroup, parabolic: Parabolic, pad: int, roots, label="alpha={}".format):
+    """(delta_P(s_alpha) == {d(alpha)}, label(alpha)) for each root alpha in roots."""
+    for a in roots:
+        yield (
+            delta_w(group, parabolic, group.reflection(a), pad).degrees
+            == (d_of_root(group.system, parabolic, a),),
+            label(a),
+        )
+
+
+def _first_entries(system, parabolic: Parabolic, degrees):
+    """(d, alpha, d - d(alpha)) for each nonzero d and each maximal root alpha of d."""
+    for d in degrees:
+        if not d.is_zero():
+            for m in maximal_roots(system, parabolic, d):
+                yield d, m, d - d_of_root(system, parabolic, m)
+
+
 # -- individual suites --------------------------------------------------------
 
 
@@ -355,27 +377,20 @@ def _suite_zd(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
                 yield ok, f"d={d.coeffs} drop {entries[i]}"
     yield _check("greedy-entry-removal", _removal())
 
-    def _pairs_relation():
-        for d in box:
-            entries = greedy_decomposition(system, parabolic, d)
-            for a, b in itertools.combinations(entries, 2):
-                plus = _vec_add(a, b)
-                yield (
-                    system.inner(a, b) >= 0 and not system.is_root(plus),
-                    f"d={d.coeffs} {a} {b}",
-                )
-    yield _check("greedy-pair-relation", _pairs_relation())
-
-    def _commute():
-        for d in box:
-            entries = greedy_decomposition(system, parabolic, d)
-            for a, b in itertools.combinations(entries, 2):
-                sa, sb = group.reflection(a), group.reflection(b)
-                yield (
-                    group.hecke_product(sa, sb) == group.hecke_product(sb, sa),
-                    f"d={d.coeffs}",
-                )
-    yield _check("hecke-commute", _commute())
+    pairs = [
+        (d, a, b)
+        for d in box
+        for a, b in itertools.combinations(greedy_decomposition(system, parabolic, d), 2)
+    ]
+    yield _check(
+        "greedy-pair-relation",
+        (
+            (system.inner(a, b) >= 0 and not system.is_root(_vec_add(a, b)), f"d={d.coeffs} {a} {b}")
+            for d, a, b in pairs
+        ),
+    )
+    hecke = lambda a, b: group.hecke_product(group.reflection(a), group.reflection(b))
+    yield _check("hecke-commute", ((hecke(a, b) == hecke(b, a), f"d={d.coeffs}") for d, a, b in pairs))
 
     yield _check(
         "z-lift",
@@ -462,17 +477,11 @@ def _suite_zd(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
     yield _check("support-formula", _support())
 
     def _relation():
-        for d in box:
-            if d.is_zero():
-                continue
-            for m in maximal_roots(system, parabolic, d):
-                rest = z(group, parabolic, d - d_of_root(system, parabolic, m))
-                for b in frozenset(group.reduced_word(rest.z_max)):
-                    simple = system.simple_roots[b]
-                    ok = system.inner(m, simple) >= 0 and not system.is_root(
-                        _vec_add(m, simple)
-                    )
-                    yield ok, f"d={d.coeffs} alpha={m} beta={b + 1}"
+        for d, m, rest in _first_entries(system, parabolic, box):
+            for b in frozenset(group.reduced_word(z(group, parabolic, rest).z_max)):
+                simple = system.simple_roots[b]
+                ok = system.inner(m, simple) >= 0 and not system.is_root(_vec_add(m, simple))
+                yield ok, f"d={d.coeffs} alpha={m} beta={b + 1}"
     yield _check("first-entry-relation", _relation())
 
     if not parabolic.delta_p:
@@ -531,7 +540,7 @@ def _suite_main(group: WeylGroup, parabolic: Parabolic, pad: int, mode: str) -> 
     system = group.system
     dx = _d_x(system, parabolic)
     if mode == "auto":
-        mode = "pairs" if group.order() <= 48 else "box"
+        mode = "pairs" if group.order() <= PAIR_TABLE_ORDER else "box"
     if mode == "pairs":
         yield _check(
             "minimal-degrees-bounded-by-dx",
@@ -635,23 +644,14 @@ def _suite_delta_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Che
                 f"alpha={a}",
             )
     yield _check("cosmall-membership", _cosmall_member())
-    def _verycosmall_singleton():
-        for a in outside:
-            if not is_very_cosmall(group, parabolic, a):
-                continue
-            yield (
-                front(group.reflection(a)).degrees == (d_of_root(system, parabolic, a),),
-                f"alpha={a}",
-            )
-    yield _check("verycosmall-singleton", _verycosmall_singleton())
-    def _simple_degree():
-        for b in range(system.rank):
-            yield (
-                front(group.simple_reflection(b)).degrees
-                == (d_of_root(system, parabolic, system.simple_roots[b]),),
-                f"beta={b + 1}",
-            )
-    yield _check("simple-root-degree", _simple_degree())
+    very = (a for a in outside if is_very_cosmall(group, parabolic, a))
+    yield _check("verycosmall-singleton", _reflection_fronts(group, parabolic, pad, very))
+    yield _check(
+        "simple-root-degree",
+        _reflection_fronts(
+            group, parabolic, pad, system.simple_roots, lambda a: f"beta={a.index(1) + 1}"
+        ),
+    )
     selfish = _minimal_degrees(group, parabolic, pad)
     def _reduce():
         for d in selfish:
@@ -842,15 +842,11 @@ def _suite_simply_laced(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Ch
     lengths = {system.inner(a, a) for a in system.positive_roots}
     if len(lengths) != 1:
         raise ConfigurationError("suite simply-laced requires a simply-laced system")
-    def _reflections():
-        for a in system.positive_roots:
-            yield (
-                delta_w(group, parabolic, group.reflection(a), pad).degrees
-                == (d_of_root(system, parabolic, a),),
-                f"alpha={a}",
-            )
-    yield _check("delta-of-reflection-is-d-alpha", _reflections())
-    def _lemma514():
+    yield _check(
+        "delta-of-reflection-is-d-alpha",
+        _reflection_fronts(group, parabolic, pad, system.positive_roots),
+    )
+    def _lemma514():  # d(alpha) on P_beta read off the coroot, not d_of_root: the lemma's content
         for b in range(system.rank):
             p_b = Parabolic(system.rank, frozenset(range(system.rank)) - {b})
             for a in system.positive_roots:
@@ -866,10 +862,12 @@ def _suite_compatibility(group: WeylGroup, parabolic: Parabolic, pad: int) -> _C
     system = group.system
     supports = sorted({system.support(phi) for phi in system.positive_roots}, key=sorted)
     locally_high = [a for a in system.positive_roots if _is_locally_high(system, a)]
+    contexts = [
+        (f"S={sorted(x + 1 for x in s)}", s, *_local_context(group, parabolic, s)) for s in supports
+    ]
 
     def _delta_agree():
-        for s in supports:
-            comp, local_group, local_p = _local_context(group, parabolic, s)
+        for tag, _, comp, local_group, local_p in contexts:
             for m in local_group.cosets(local_p):
                 local_front = delta_w(local_group, local_p, m, pad)
                 mapped = []
@@ -881,25 +879,23 @@ def _suite_compatibility(group: WeylGroup, parabolic: Parabolic, pad: int) -> _C
                 ambient = delta_w(group, parabolic, _to_ambient(group, comp, local_group, m), pad)
                 yield (
                     tuple(sorted(mapped, key=lambda d: d.coeffs)) == ambient.degrees,
-                    f"S={sorted(x + 1 for x in s)} u={_word_str(local_group, m)}",
+                    f"{tag} u={_word_str(local_group, m)}",
                 )
     yield _check("delta-local-equals-global", _delta_agree())
 
     def _coset_inclusion():
-        for s in supports:
-            comp, local_group, local_p = _local_context(group, parabolic, s)
+        for tag, _, comp, local_group, local_p in contexts:
             els = local_group.elements()
             for u in els:
                 for v in els:
                     local_same = local_group.coset_min(u, local_p) == local_group.coset_min(v, local_p)
                     ua, va = _to_ambient(group, comp, local_group, u), _to_ambient(group, comp, local_group, v)
                     ambient_same = group.coset_min(ua, parabolic) == group.coset_min(va, parabolic)
-                    yield local_same == ambient_same, f"S={sorted(x + 1 for x in s)}"
+                    yield local_same == ambient_same, tag
     yield _check("coset-inclusion", _coset_inclusion())
 
     def _hecke_compat():
-        for s in supports:
-            comp, local_group, local_p = _local_context(group, parabolic, s)
+        for tag, _, comp, local_group, local_p in contexts:
             els = local_group.elements()
             for u in els:
                 for v in els:
@@ -907,13 +903,12 @@ def _suite_compatibility(group: WeylGroup, parabolic: Parabolic, pad: int) -> _C
                     ambient = group.hecke_product(
                         _to_ambient(group, comp, local_group, u), _to_ambient(group, comp, local_group, v)
                     )
-                    yield local == ambient, f"S={sorted(x + 1 for x in s)}"
+                    yield local == ambient, tag
     yield _check("hecke-compatibility", _hecke_compat())
 
     def _chain_closure():
         outside = outside_roots(system, parabolic)
-        for s in supports:
-            comp, local_group, local_p = _local_context(group, parabolic, s)
+        for tag, s, comp, local_group, local_p in contexts:
             image = {
                 group.coset_min(_to_ambient(group, comp, local_group, m), parabolic)
                 for m in local_group.cosets(local_p)
@@ -925,37 +920,26 @@ def _suite_compatibility(group: WeylGroup, parabolic: Parabolic, pad: int) -> _C
                     )
                     if target == m or target not in image:
                         continue
-                    yield (
-                        system.support(alpha) <= s,
-                        f"S={sorted(x + 1 for x in s)} alpha={alpha}",
-                    )
+                    yield system.support(alpha) <= s, f"{tag} alpha={alpha}"
     yield _check("chain-edge-closure", _chain_closure())
 
-    def _locally_high():
-        for a in locally_high:
-            yield (
-                delta_w(group, parabolic, group.reflection(a), pad).degrees
-                == (d_of_root(system, parabolic, a),),
-                f"alpha={a}",
-            )
-    yield _check("locally-high-delta", _locally_high())
+    yield _check("locally-high-delta", _reflection_fronts(group, parabolic, pad, locally_high))
 
 
 def _suite_orthogonality(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
     system = group.system
     selfish = _minimal_degrees(group, parabolic, pad)
-    def _first_entry():
-        for d in selfish:
-            if d.is_zero():
-                continue
-            for m in maximal_roots(system, parabolic, d):
-                rest = d - d_of_root(system, parabolic, m)
-                for b in naive_support(parabolic, rest):
-                    simple = system.simple_roots[b]
-                    orth = system.inner(m, simple) == 0
-                    strong = orth and not system.is_root(_vec_add(m, simple))
-                    yield orth and strong, f"d={d.coeffs} alpha={m} beta={b + 1}"
-    yield _check("first-entry-orthogonality", _first_entry())
+    yield _check(
+        "first-entry-orthogonality",
+        (
+            (
+                _is_strongly_orthogonal(system, m, system.simple_roots[b]),
+                f"d={d.coeffs} alpha={m} beta={b + 1}",
+            )
+            for d, m, rest in _first_entries(system, parabolic, selfish)
+            for b in naive_support(parabolic, rest)
+        ),
+    )
     if not parabolic.delta_p:
         def _pairwise():
             for d in selfish:
@@ -972,26 +956,21 @@ def _suite_orthogonality(group: WeylGroup, parabolic: Parabolic, pad: int) -> _C
 
 
 def _suite_final_cor(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
-    system = group.system
+    # (beta, P_beta, d_X of P_beta: the corner of its box) per free simple root
+    maximal = [(b, parabolic.maximal_above(b), _d_gpbeta(group.system, b)) for b in parabolic.free]
     def _restriction():
         for d in _minimal_degrees(group, parabolic, pad):
-            for b in parabolic.free:
-                p_b = parabolic.maximal_above(b)
-                e = restrict(d, p_b)
-                yield _self_front(group, p_b, e, pad), f"d={d.coeffs} beta={b + 1}"
+            for b, p_b, _ in maximal:
+                yield _self_front(group, p_b, restrict(d, p_b), pad), f"d={d.coeffs} beta={b + 1}"
     yield _check("maximal-restriction-membership", _restriction())
     def _interval():
-        for b in parabolic.free:
-            p_b = parabolic.maximal_above(b)
-            top = _d_gpbeta(system, b)  # d_X of P_beta, the corner of its box
+        for b, p_b, top in maximal:
             got = {e.coeffs[0] for e in _minimal_degrees(group, p_b, pad)}
             yield got == set(range(top + 1)), f"beta={b + 1} got={sorted(got)}"
     yield _check("interval-identity-box", _interval())
-    if group.order() <= 60:
+    if group.order() <= PAIR_TABLE_ORDER:
         def _interval_pairs():
-            for b in parabolic.free:
-                p_b = parabolic.maximal_above(b)
-                top = _d_gpbeta(system, b)
+            for b, p_b, top in maximal:
                 table = _pairs_table(group, p_b, pad)
                 yield from _empty_fronts(table)
                 got = {c[0] for front in table.values() for c in front}
@@ -1073,7 +1052,7 @@ def front_coverage(group: WeylGroup, parabolic: Parabolic, pad: int = 2) -> Fron
     )
     gaps = tuple(d for d in degree_box(parabolic, corner, 0) if d not in achieved)
     nonsingleton = ()
-    if group.order() <= 48:
+    if group.order() <= PAIR_TABLE_ORDER:
         table = _pairs_table(group, parabolic, pad)
         from_pairs = {c for front in table.values() for c in front}
         if from_pairs != {d.coeffs for d in achieved}:

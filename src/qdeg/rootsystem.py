@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
 from math import gcd
-from operator import mul
+from operator import ge, le, mul
 from typing import Iterable, NewType
 
 from .errors import ConfigurationError, DomainError, InvariantViolationError
@@ -302,6 +302,27 @@ def coeffs_leq(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def pareto(items, key=None, maximal=False) -> list:
+    """The distinct items whose key(item) is minimal under coeffs_leq, lex-ascending.
+
+    With maximal=True, the maximal ones, lex-descending; key defaults to the
+    item, a coefficient tuple.  One sweep in lex order, a linear extension of
+    <=: an item can be dominated only by items before it, and by a dropped
+    one only through a kept one.  The chain search and ``PackedLabels.minimal``
+    keep their own sweeps on packed ints: routing the pair table's filter
+    through this one cost it about 6 % of its wall time.
+    """
+    order = ge if maximal else le
+    kept: list = []
+    keys: list = []
+    for item in sorted(set(items), key=key, reverse=maximal):
+        k = item if key is None else key(item)
+        if not any(all(map(order, c, k)) for c in keys):
+            kept.append(item)
+            keys.append(k)
+    return kept
+
+
 def memoised(name: str):
     """Memoise f(owner, parabolic, *args) in owner.memo under (name, Delta_P, *args).
 
@@ -340,16 +361,8 @@ def memoised(name: str):
 
 
 def _highest(items, error: Exception):
-    """The unique maximal item under coeffs_leq; raises error unless there is one.
-
-    One sweep in lex-descending order: lex order is a linear extension of <=,
-    so an item can lie below only items already seen, and below a dropped one
-    only through a kept one above it.
-    """
-    kept: list = []
-    for a in sorted(items, reverse=True):
-        if not any(coeffs_leq(a, b) for b in kept):
-            kept.append(a)
+    """The unique maximal item under coeffs_leq; raises error unless there is one."""
+    kept = pareto(items, maximal=True)
     if len(kept) != 1:
         raise error
     return kept[0]

@@ -40,6 +40,8 @@ from conftest import all_parabolics
 from test_curveneighborhood import _count_calls
 from test_weylgroup import subword_leq
 
+PAIR_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("G", 2)]
+
 
 def test_delta_w_trivial():
     g2 = weyl_group("G", 2)
@@ -256,6 +258,30 @@ def test_reversed_chain_search_matches_the_forward_one():
                     assert delta_uv(group, p, u, v).degrees == expected, (letter, p, i, j)
                     pairs += 1
     assert pairs == 9848
+
+
+def union_read_oracle(group, parabolic, u, v, pad):
+    """delta_uv read as the union of its search's fronts over the cosets above u (test oracle)."""
+    index = adjacency_graph(group, parabolic).index
+    result = _search(group, parabolic, index[group.coset_min(v, parabolic)], "ends", pad)
+    starts = coset_order(group, parabolic)[index[group.coset_min(u, parabolic)]]
+    return _front(parabolic, result, (t for x in starts for t in result.fronts[x]))
+
+
+def test_delta_uv_read_at_u_alone_matches_the_union_above_u():
+    """The front at u alone equals the union read, cap_hit included, at pads 0-2."""
+    triples = 0
+    for letter, rank in PAIR_SYSTEMS:
+        group = WeylGroup(build_root_system(letter, rank))
+        for p in all_parabolics(rank):
+            cosets = group.cosets(p)
+            for pad in range(3):
+                for u in cosets:
+                    for v in cosets:
+                        expected = union_read_oracle(group, p, u, v, pad)
+                        assert delta_uv(group, p, u, v, pad) == expected, (letter, p, pad)
+                        triples += 1
+    assert triples == 3 * 9848
 
 
 def test_chain_witness_roundtrip():
@@ -526,9 +552,6 @@ def test_adjacency_invariants_at_the_identity_coset_raise():
         group.memo[("coset-table", borel.delta_p)] = replace(table, left=doctor(table.left))
         with pytest.raises(InvariantViolationError, match=message):
             adjacency_graph(group, borel)
-
-
-PAIR_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("G", 2)]
 
 
 def direct_pairs_oracle(group, parabolic, pad):

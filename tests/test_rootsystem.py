@@ -5,9 +5,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qdeg.errors import ConfigurationError, DomainError, InvariantViolationError
-from qdeg.rootsystem import POSITIVE_ROOT_COUNT, build_root_system, coeffs_leq, subsystem
+from qdeg.rootsystem import POSITIVE_ROOT_COUNT, build_root_system, coeffs_leq, pareto, subsystem
 
 from conftest import gram_coroot, pair
 
@@ -68,6 +69,17 @@ def brute_maximal(roots):
     return sorted(
         a for a in roots if not any(b != a and all(x <= y for x, y in zip(a, b)) for b in roots)
     )
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), max_size=30))
+def test_pareto_matches_the_quadratic_filter_both_ways(items):
+    """Minimal items lex-ascending, maximal ones lex-descending, each once; a key is honoured."""
+    flipped = lambda t: tuple(3 - c for c in t)
+    maximal = brute_maximal(set(items))[::-1]
+    assert pareto(items) == sorted(flipped(a) for a in brute_maximal({flipped(a) for a in items}))
+    assert pareto(items, maximal=True) == maximal
+    keyed = pareto([(flipped(a), a) for a in items], key=lambda pair: pair[1], maximal=True)
+    assert [a for _, a in keyed] == maximal
 
 
 @pytest.mark.parametrize("letter,rank", [("E", 8), ("F", 4), ("B", 4), ("C", 4), ("G", 2)])

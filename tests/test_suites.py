@@ -163,6 +163,47 @@ def test_resind_fails_when_no_degree_is_a_self_front(monkeypatch):
     assert check.counterexample == "Q=[] e=(0, 0) (witness)"
 
 
+@pytest.mark.parametrize(
+    "name,letter,rank,claim,liar,counterexample",
+    [
+        ("delta-props", "B", 2, "verycosmall-singleton", (1, 2), "alpha=(1, 2)"),
+        ("delta-props", "B", 2, "simple-root-degree", (0, 1), "beta=2"),
+        ("simply-laced", "A", 2, "delta-of-reflection-is-d-alpha", (1, 1), "alpha=(1, 1)"),
+        ("compatibility", "B", 2, "locally-high-delta", (1, 2), "alpha=(1, 2)"),
+    ],
+)
+def test_reflection_front_claims_fail_on_a_wrong_root_degree(
+    monkeypatch, name, letter, rank, claim, liar, counterexample
+):
+    """With d(alpha) one too high at one root, each reflection-front claim names that root."""
+    real = suites.d_of_root
+
+    def lying(system, parabolic, a):
+        d = real(system, parabolic, a)
+        return replace(d, coeffs=tuple(c + 1 for c in d.coeffs)) if a == liar else d
+
+    monkeypatch.setattr(suites, "d_of_root", lying)
+    group = WeylGroup(build_root_system(letter, rank))
+    check = next(c for c in suites._SUITES[name](group, Parabolic(rank, frozenset()), 2) if c.name == claim)
+    assert not check.passed and check.counterexample == counterexample
+
+
+def test_one_order_bound_switches_every_unasked_pair_table(monkeypatch):
+    """B2 (order 8) builds pair tables unasked until PAIR_TABLE_ORDER drops below 8."""
+    borel = Parabolic(2, frozenset())
+    for bound, built in [(8, True), (7, False)]:
+        monkeypatch.setattr(suites, "PAIR_TABLE_ORDER", bound)
+        group = WeylGroup(build_root_system("B", 2))
+        (main,) = _suite_main(group, borel, 2, "auto")
+        names = [c.name for c in _suite_final_cor(group, borel, 2)]
+        assert (main.name == "minimal-degrees-bounded-by-dx") == built
+        assert ("interval-identity-pairs" in names) == built
+        group = WeylGroup(build_root_system("B", 2))
+        coverage = suites.front_coverage(group, borel)
+        assert (("pairs-table", borel.delta_p, 2) in group.memo) == built
+        assert coverage.nonsingleton_pairs == ()
+
+
 def test_a_cap_below_dx_empties_the_point_front_and_fails_main():
     """At pad -1 the packed cap is d_X - 1: the (pt, pt) front is empty, never wrapped."""
     group = WeylGroup(build_root_system("G", 2))
