@@ -214,6 +214,14 @@ def _cmd_delta2(args) -> int:
     u, v = group.from_word(word_u), group.from_word(word_v)
     group.cosets(parabolic, args.cap)  # enforce the enumeration cap up front
     front = delta_uv(group, parabolic, u, v, pad=args.box)
+    if front.cap_hit:  # a pruned label must not have changed this front
+        wider = delta_uv(group, parabolic, u, v, pad=args.box + 1)
+        if wider.degrees != front.degrees:
+            raise VerificationError(
+                f"delta2 front changes from --box {args.box} to {args.box + 1}: "
+                f"{[list(d.coeffs) for d in front.degrees]} -> "
+                f"{[list(d.coeffs) for d in wider.degrees]}"
+            )
     doc = {
         "schema": SCHEMA,
         "system": encode_system(group.system),
@@ -336,7 +344,9 @@ def build_parser() -> _Parser:
         "delta2",
         description="delta_P(u, v), the minimal chain degrees from uW_P to vW_P.  The JSON "
         "cap_hit is set when the chain search, one per v, pruned a label at its cap "
-        "anywhere in the graph; it is not a fact of this pair alone.",
+        "anywhere in the graph; it is not a fact of this pair alone.  When it is set, the "
+        "front is computed again at --box + 1, and a different front is a verification "
+        "failure.",
     )
     common(p_d2, box=True)
     p_d2.add_argument("--cap", type=int, default=10**6, help="enumeration cap")

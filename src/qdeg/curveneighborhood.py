@@ -30,8 +30,15 @@ descent of s_j s_beta, and l(s_{s_j beta}) = l(s_j s_beta s_j) = l(s_beta) - 2.
 By induction from l(s_alpha_k) = 1, the 2m + 1 letters spell s_alpha_1 with
 l(s_alpha_1) = 2m + 1, and a Hecke walk along a reduced word of v is u . v.
 
-z's result and Y, per greedy tail, are kept in ``group.memo`` by hand
-(``memoised`` says why), Y folded in a loop up from the longest tail there.
+A single degree goes through ``z``: its result and Y, per greedy tail, are
+kept in ``group.memo`` by hand (``memoised`` says why), Y folded in a loop up
+from the longest tail there.  A scan box goes through ``hecke_box``, which
+folds Y over the whole box d_X + pad in one pass and keeps it in a local
+dict.  The box is a down-set, and lex order is a linear extension of the
+coefficientwise order, so the tail d - d(alpha_1), which lies below d and is
+not d (d(alpha_1) != 0 outside R_P), is a box point visited before d: each
+point costs one greedy step and one Hecke step, and the fold is exactly the
+single-degree recursion.  Its Y(d_X) is checked against ``z`` at d_X.
 z_min = ``coset_min(z_max)`` depends on (parabolic, z_max) alone and is
 memoised through ``memoised``, so a scan box pays one per z-class.
 """
@@ -44,6 +51,7 @@ from dataclasses import dataclass
 from .cascade import coroot_sum as _coroot_sum, d_x as _d_x
 from .degreelattice import (
     Degree,
+    _greedy_step,
     d_of_root,
     degree_box,
     greedy_decomposition,
@@ -98,6 +106,31 @@ def _hecke_chain(group: WeylGroup, parabolic: Parabolic, d: Degree) -> Weyl:
     for key, alpha in reversed(pending):
         y = group.memo[key] = group.hecke_word(y, system.reflection_word(alpha))
     return y
+
+
+def hecke_box(group: WeylGroup, parabolic: Parabolic, pad: int) -> dict:
+    """{coefficients of d: Y(d) = z_d^P w_P} over the box d_X + pad, in lex order.
+
+    One greedy step and one Hecke step per point, from the tail's Y in this
+    dict.  The greedy steps stay in ``system.memo``; ``group.memo`` gains only
+    the entries of ``z`` at d_X, whose z_max must be the fold's Y(d_X), or
+    InvariantViolationError is raised.
+    """
+    system = group.system
+    corner = _d_x(system, parabolic)
+    ys = {}
+    for d in degree_box(parabolic, corner, pad):
+        coeffs = d.coeffs
+        if any(coeffs):
+            alpha, tail = _greedy_step(system, parabolic, coeffs)
+            ys[coeffs] = group.hecke_word(ys[tail], system.reflection_word(alpha))
+        else:
+            ys[coeffs] = group.longest_element(parabolic)
+    if z(group, parabolic, corner).z_max != ys[corner.coeffs]:
+        raise InvariantViolationError(
+            f"box fold and z disagree at d_X on Delta_P = {sorted(parabolic.delta_p)}"
+        )
+    return ys
 
 
 def curve_neighborhood(

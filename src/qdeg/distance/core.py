@@ -7,9 +7,10 @@ collects minimal chain degrees.  Their agreement (for v = w_o) is itself a
 theorem and the central cross-check of this package.
 
 The scan box d_X + pad + 1 is grouped by z_d^P once per (parabolic, pad):
-z is computed once per box point, and each class keeps the raw minima of its
-points over the inner box d_X + pad and over the whole box, computed the
-first time some coset lies below its z.  delta_w(m) is then the set of
+``curveneighborhood.hecke_box`` folds z_d^P w_P over the whole box, one
+Hecke step per point, and each class keeps the raw minima of its points over
+the inner box d_X + pad and over the whole box, computed the first time some
+coset lies below its z.  delta_w(m) is then the set of
 classes whose z lies above m, and one front per distinct set: the minima of
 its classes' minima.  When the group has already enumerated W/W_P, a class
 is hit iff the bit of m is set in the down-set of its z on the coset table
@@ -76,8 +77,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from ..cascade import d_x
-from ..curveneighborhood import z
-from ..degreelattice import Degree, c1, d_of_root, degree_box, minimal_elements, outside_roots
+from ..curveneighborhood import _z_min, hecke_box
+from ..degreelattice import Degree, c1, d_of_root, minimal_elements, outside_roots
 from ..errors import DomainError, InvariantViolationError, VerificationError
 from ..rootsystem import coeffs_leq, memoised
 from ..weylgroup import Parabolic, Weyl, WeylGroup
@@ -147,13 +148,19 @@ class _ZClass:
 
 @memoised("z-classes")
 def _z_classes(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
-    """The box d_X + pad + 1 grouped by z_d^P, in order of first appearance."""
-    corner = d_x(group.system, parabolic)
+    """The box d_X + pad + 1 grouped by z_d^P, in order of first appearance.
+
+    Y(d) = z_d^P w_P for the whole box is one fold (``hecke_box``), and a
+    class is keyed by its Y, the maximal representative of z_d^P W_P; its
+    z_d^P is one memoised ``coset_min`` per class.
+    """
     classes: dict = {}
-    for d in degree_box(parabolic, corner, pad + 1):
-        classes.setdefault(z(group, parabolic, d).z_min, []).append(d.coeffs)
-    inner = tuple(c + pad for c in corner.coeffs)
-    return tuple(_ZClass(zd, tuple(ds), inner) for zd, ds in classes.items())
+    for coeffs, y in hecke_box(group, parabolic, pad + 1).items():
+        classes.setdefault(y, []).append(coeffs)
+    inner = tuple(c + pad for c in d_x(group.system, parabolic).coeffs)
+    return tuple(
+        _ZClass(_z_min(group, parabolic, y), tuple(ds), inner) for y, ds in classes.items()
+    )
 
 
 def delta_w(group: WeylGroup, parabolic: Parabolic, w: Weyl, pad: int = 2) -> DegreeFront:

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from qdeg.cascade import alpha_beta_phi, coroot_sum, vec_add
-from qdeg.degreelattice import extended_support, greedy_decomposition
+from qdeg.cascade import alpha_beta_phi, coroot_sum, d_x, vec_add
+from qdeg.curveneighborhood import z
+from qdeg.degreelattice import degree_box, extended_support, greedy_decomposition
 from qdeg.errors import DomainError
 from qdeg.weylgroup import Parabolic, weyl_group
 
@@ -60,3 +61,12 @@ def alpha_of_connected(system, parabolic, d):
     if d.is_zero() or not is_connected_degree(system, parabolic, d):
         raise DomainError("degree is not a nonzero connected degree")
     return greedy_decomposition(system, parabolic, d)[0]
+
+
+def z_classes_oracle(group, parabolic, pad):
+    """The box d_X + pad + 1 grouped by z_d^P, one z call per point: ((z_min, points), ...)
+    in order of first appearance, points as coefficient tuples in lex order (test oracle)."""
+    classes = {}
+    for d in degree_box(parabolic, d_x(group.system, parabolic), pad + 1):
+        classes.setdefault(z(group, parabolic, d).z_min, []).append(d.coeffs)
+    return tuple((zd, tuple(points)) for zd, points in classes.items())

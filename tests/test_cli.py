@@ -1,6 +1,7 @@
 """CLI verbs, exit codes, JSON round-trips, and output determinism."""
 
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -8,13 +9,14 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import qdeg
 from qdeg.cli import run
-from qdeg.degreelattice import GREEDY_CAP
+from qdeg.degreelattice import GREEDY_CAP, Degree
 
 #: the directory this qdeg is imported from, for child interpreters
 QDEG_PATH = str(Path(qdeg.__file__).resolve().parents[1])
@@ -240,6 +242,39 @@ def test_delta2_verb_and_cap():
         ["delta2", "--type", "B", "--rank", "3", "--u", "", "--v", "", "--cap", "5"]
     )
     assert code == 2  # coset enumeration exceeds the requested cap
+
+
+def test_delta2_rechecks_a_front_read_under_cap_hit(monkeypatch):
+    """G2, u = e, v = s1 s2 s1: the search prunes a label at its cap, so the front is
+    computed again at --box + 1; it is the same, and so is the output.  A front that
+    changes there is a verification failure."""
+    cli = importlib.import_module("qdeg.cli")
+    delta_uv, pads = cli.delta_uv, []
+
+    def counted(group, parabolic, u, v, pad):
+        pads.append(pad)
+        return delta_uv(group, parabolic, u, v, pad)
+
+    monkeypatch.setattr(cli, "delta_uv", counted)
+    argv = ["delta2", "--type", "G", "--rank", "2", "--u", "", "--v", "1,2,1", "--json"]
+    assert run_capture(argv) == (0, (
+        '{"cap_hit": true, "front": [{"coeffs": {"1": 0, "2": 0}, "parabolic": []}], '
+        '"provenance": "chain", "schema": "qdeg/1", "system": {"rank": 2, "type": "G"}, '
+        '"u": [], "v": [1, 2, 1]}\n'
+    ))
+    assert pads == [2, 3]
+
+    def widened(group, parabolic, u, v, pad):
+        front = delta_uv(group, parabolic, u, v, pad)
+        return front if pad == 2 else replace(front, degrees=(Degree(parabolic, (0, 1)),))
+
+    monkeypatch.setattr(cli, "delta_uv", widened)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert run_capture(argv) == (1, "")
+    assert err.getvalue() == (
+        "verification failure: delta2 front changes from --box 2 to 3: [[0, 0]] -> [[0, 1]]\n"
+    )
 
 
 def test_verify_counterexample_exits_one(monkeypatch):

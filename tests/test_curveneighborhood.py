@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qdeg.curveneighborhood as curveneighborhood
 import qdeg.degreelattice as degreelattice
 from qdeg.cascade import d_x
 from qdeg.curveneighborhood import (
@@ -26,11 +27,11 @@ from qdeg.degreelattice import (
     maximal_roots,
 )
 from qdeg.distance.core import _z_classes
-from qdeg.errors import DomainError
+from qdeg.errors import DomainError, InvariantViolationError
 from qdeg.rootsystem import build_root_system
 from qdeg.weylgroup import Parabolic, WeylGroup, weyl_group
 
-from conftest import all_parabolics
+from conftest import all_parabolics, z_classes_oracle
 
 
 def fresh_group(letter, rank):
@@ -85,6 +86,62 @@ def test_z_and_greedy_match_the_loop_oracle_in_any_order(letter, rank):
                 got = (greedy_decomposition(group.system, p, box[i]), result.z_min, result.z_max)
                 assert got == expected[i], (p, box[i].coeffs)
                 assert result.degree is box[i]
+
+
+@pytest.mark.parametrize("letter,rank", ORACLE_SYSTEMS + [("F", 4), ("E", 6)])
+def test_the_box_fold_matches_z_point_by_point(letter, rank):
+    """_z_classes against one z call per point of d_X + pad + 1, at pads 0-2: the same
+    classes, points and order, on a fresh group and on one warmed by z over the box in
+    shuffled order."""
+    shuffle = random.Random(f"fold {letter}{rank}").shuffle
+    oracle_group = fresh_group(letter, rank)
+    for p in oracle_parabolics(letter, rank):
+        for pad in range(3):
+            expected = z_classes_oracle(oracle_group, p, pad)
+            warm = fresh_group(letter, rank)
+            box = list(degree_box(p, d_x(warm.system, p), pad + 1))
+            shuffle(box)
+            for d in box:
+                z(warm, p, d)
+            for group in (fresh_group(letter, rank), warm):
+                got = tuple((c.z, c.points) for c in _z_classes(group, p, pad))
+                assert got == expected, (p, pad)
+
+
+def test_a_wrong_fold_step_fails_the_check_at_d_x(monkeypatch):
+    """A fold that steps along a simple root in place of alpha_1 misses z_max at d_X."""
+    group = fresh_group("B", 3)
+    b = Parabolic(3, frozenset())
+    step = curveneighborhood._greedy_step
+
+    def wrong(system, parabolic, coeffs):
+        return system.simple_roots[0], step(system, parabolic, coeffs)[1]
+
+    monkeypatch.setattr(curveneighborhood, "_greedy_step", wrong)
+    with pytest.raises(InvariantViolationError, match=r"at d_X on Delta_P = \[\]"):
+        _z_classes(group, b, 0)
+    assert not any(key[0] == "z-classes" for key in group.memo)
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_the_box_fold_keeps_z_and_hecke_chain_entries_of_d_x_alone(letter, rank):
+    """After _z_classes on a fresh group, the only "z" entry is d_X's and the only
+    "hecke-chain" entries are the nonzero tails of d_X's greedy walk."""
+    group = fresh_group(letter, rank)
+    system = group.system
+    for p in all_parabolics(rank):
+        _z_classes(group, p, 2)
+        corner = d_x(system, p)
+        tails, coeffs = set(), corner.coeffs
+        for alpha in greedy_decomposition(system, p, corner):
+            tails.add(coeffs)
+            coeffs = tuple(a - b for a, b in zip(coeffs, d_of_root(system, p, alpha).coeffs))
+
+        def stored(name):
+            return {key[2] for key in group.memo if key[:2] == (name, p.delta_p)}
+
+        assert stored("z") == {corner.coeffs}, p
+        assert stored("hecke-chain") == tails, p
 
 
 def test_z_and_greedy_answer_on_a_large_g2_degree():
