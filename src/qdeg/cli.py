@@ -26,7 +26,7 @@ from .errors import (
     VerificationError,
 )
 from .rootsystem import RootSystem, build_root_system, check_type
-from .weylgroup import Parabolic, WeylGroup, weyl_group
+from .weylgroup import ENUMERATION_CAP, Parabolic, WeylGroup, weyl_group
 
 SCHEMA = "qdeg/1"
 
@@ -349,7 +349,7 @@ def build_parser() -> _Parser:
         "failure.",
     )
     common(p_d2, box=True)
-    p_d2.add_argument("--cap", type=int, default=10**6, help="enumeration cap")
+    p_d2.add_argument("--cap", type=int, default=ENUMERATION_CAP, help="enumeration cap")
     p_d2.add_argument("--u", default="")
     p_d2.add_argument("--v", default="")
     common(sub.add_parser("exceptional"), parabolic=False)

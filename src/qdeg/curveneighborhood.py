@@ -30,15 +30,16 @@ descent of s_j s_beta, and l(s_{s_j beta}) = l(s_j s_beta s_j) = l(s_beta) - 2.
 By induction from l(s_alpha_k) = 1, the 2m + 1 letters spell s_alpha_1 with
 l(s_alpha_1) = 2m + 1, and a Hecke walk along a reduced word of v is u . v.
 
-A single degree goes through ``z``: its result and Y, per greedy tail, are
-kept in ``group.memo`` by hand (``memoised`` says why), Y folded in a loop up
-from the longest tail there.  A scan box goes through ``hecke_box``, which
-folds Y over the whole box d_X + pad in one pass and keeps it in a local
-dict.  The box is a down-set, and lex order is a linear extension of the
-coefficientwise order, so the tail d - d(alpha_1), which lies below d and is
-not d (d(alpha_1) != 0 outside R_P), is a box point visited before d: each
-point costs one greedy step and one Hecke step, and the fold is exactly the
-single-degree recursion.  Its Y(d_X) is checked against ``z`` at d_X.
+That recursion is the one rule, and it runs in two loops.  ``z`` walks a
+single degree's greedy decomposition from w_P, one Hecke step per root, and
+memoises Y(d) through ``memoised`` under ("z-max", Delta_P, coefficients);
+no tail is stored.  ``hecke_box`` folds Y over the whole box d_X + pad in one
+pass over the raw tuples of ``box_points`` and keeps it in a local dict.  The
+box is a down-set, and lex order is a linear extension of the coefficientwise
+order, so the tail d - d(alpha_1), which lies below d and is not d
+(d(alpha_1) != 0 outside R_P), is a box point visited before d: each point
+costs one greedy step and one Hecke step.  Its Y(d_X) is checked against
+``z`` at d_X.
 z_min = ``coset_min(z_max)`` depends on (parabolic, z_max) alone and is
 memoised through ``memoised``, so a scan box pays one per z-class.
 """
@@ -52,6 +53,7 @@ from .cascade import coroot_sum as _coroot_sum, d_x as _d_x
 from .degreelattice import (
     Degree,
     _greedy_step,
+    box_points,
     d_of_root,
     degree_box,
     greedy_decomposition,
@@ -76,12 +78,8 @@ def z(group: WeylGroup, parabolic: Parabolic, d: Degree) -> CurveNbhdResult:
     """z_d^P, as its minimal and maximal coset representatives."""
     if d.parabolic != parabolic:
         raise DomainError("degree over a different parabolic")
-    key = ("z", parabolic.delta_p, d.coeffs)
-    result = group.memo.get(key)
-    if result is None:
-        z_max = _hecke_chain(group, parabolic, d)
-        result = group.memo[key] = CurveNbhdResult(d, _z_min(group, parabolic, z_max), z_max)
-    return result
+    z_max = _z_max(group, parabolic, d.coeffs)
+    return CurveNbhdResult(d, _z_min(group, parabolic, z_max), z_max)
 
 
 @memoised("z-min")
@@ -89,22 +87,13 @@ def _z_min(group: WeylGroup, parabolic: Parabolic, z_max: Weyl) -> Weyl:
     return group.coset_min(z_max, parabolic)
 
 
-def _hecke_chain(group: WeylGroup, parabolic: Parabolic, d: Degree) -> Weyl:
-    """Y(d) = z_d^P w_P, and Y of every greedy tail of d not yet memoised."""
+@memoised("z-max")
+def _z_max(group: WeylGroup, parabolic: Parabolic, coeffs: tuple) -> Weyl:
+    """Y(d) = z_d^P w_P: w_P, then one Hecke step per greedy root, the last root first."""
     system = group.system
-    pending = []  # (key of Y(e), alpha_1(e)) for the tails e of d above the first memoised one
-    coeffs = d.coeffs
-    for alpha in greedy_decomposition(system, parabolic, d):
-        key = ("hecke-chain", parabolic.delta_p, coeffs)
-        y = group.memo.get(key)
-        if y is not None:
-            break
-        pending.append((key, alpha))
-        coeffs = tuple(a - b for a, b in zip(coeffs, d_of_root(system, parabolic, alpha).coeffs))
-    else:
-        y = group.longest_element(parabolic)
-    for key, alpha in reversed(pending):
-        y = group.memo[key] = group.hecke_word(y, system.reflection_word(alpha))
+    y = group.longest_element(parabolic)
+    for alpha in reversed(greedy_decomposition(system, parabolic, Degree(parabolic, coeffs))):
+        y = group.hecke_word(y, system.reflection_word(alpha))
     return y
 
 
@@ -119,8 +108,7 @@ def hecke_box(group: WeylGroup, parabolic: Parabolic, pad: int) -> dict:
     system = group.system
     corner = _d_x(system, parabolic)
     ys = {}
-    for d in degree_box(parabolic, corner, pad):
-        coeffs = d.coeffs
+    for coeffs in box_points(corner.coeffs, pad):
         if any(coeffs):
             alpha, tail = _greedy_step(system, parabolic, coeffs)
             ys[coeffs] = group.hecke_word(ys[tail], system.reflection_word(alpha))

@@ -21,8 +21,8 @@ maximal root of d, is memoised the same way under ("greedy", Delta_P,
 coefficients).  ``greedy_decomposition`` walks d down to 0 over these steps in
 a loop.  Each step lowers sum(d) by at least 1 and keeps memo entries, so a
 degree with sum(d) over GREEDY_CAP is refused before the walk, as
-``degree_box`` refuses a box of more than ENUMERATION_CAP points before it
-makes a single degree.
+``box_points`` refuses a box of more than ENUMERATION_CAP points before it
+yields a single point.  ``degree_box`` is the same box as Degrees.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def _maximal_roots(system: RootSystem, parabolic: Parabolic, bound: tuple) -> tu
 def _greedy_step(system: RootSystem, parabolic: Parabolic, coeffs: tuple) -> tuple:
     """(alpha_1, coefficients of d - d(alpha_1)) for a nonzero d."""
     alpha = max(maximal_roots(system, parabolic, Degree(parabolic, coeffs)))
-    d_alpha = _degree_table(system, parabolic)[0][alpha]
+    d_alpha = d_of_root(system, parabolic, alpha).coeffs
     return alpha, tuple(a - b for a, b in zip(coeffs, d_alpha))
 
 
@@ -256,13 +256,18 @@ def _coeffs(d) -> tuple:
     return d if isinstance(d, tuple) else d.coeffs
 
 
-def degree_box(parabolic: Parabolic, corner: Degree, pad: int = 0):
-    """All degrees d <= corner + pad (componentwise), in lexicographic order.
+def box_points(corner_coeffs: tuple, pad: int = 0):
+    """The coefficient tuples d <= corner + pad (componentwise), in lexicographic order.
 
     A box of more than ENUMERATION_CAP points raises ResourceError at once.
     """
-    ranges = [range(c + pad + 1) for c in corner.coeffs]
+    ranges = [range(c + pad + 1) for c in corner_coeffs]
     size = math.prod(map(len, ranges))
     if size > ENUMERATION_CAP:
         raise ResourceError(f"scan box of {size} degrees exceeded the cap of {ENUMERATION_CAP}")
-    return (Degree(parabolic, coeffs) for coeffs in itertools.product(*ranges))
+    return itertools.product(*ranges)
+
+
+def degree_box(parabolic: Parabolic, corner: Degree, pad: int = 0):
+    """The degrees of ``box_points(corner.coeffs, pad)``, in the same order."""
+    return (Degree(parabolic, coeffs) for coeffs in box_points(corner.coeffs, pad))

@@ -19,7 +19,7 @@ from ..cascade import (
     vec_add as _vec_add,
 )
 from ..degreelattice import Degree, maximal_roots
-from ..errors import VerificationError
+from ..errors import DomainError, VerificationError
 from ..rootsystem import RootSystem, coeffs_leq
 from ..weylgroup import Parabolic, WeylGroup
 from ..curveneighborhood import is_cosmall
@@ -107,7 +107,7 @@ def verify_lemma_technical(system: RootSystem, alpha) -> dict:
         raise VerificationError("beta is not a boundary root of its component")
     try:
         interval_root = _alpha_beta_phi(system, phi, beta)
-    except Exception as exc:  # non-A component surfaces here
+    except DomainError as exc:  # non-A component surfaces here
         raise VerificationError(f"component of beta is not of type A: {exc}") from exc
     theta_cov = system.coroot(system.highest_root)
     lhs = _vec_add(system.coroot(alpha), system.coroot(interval_root))

@@ -20,6 +20,7 @@ from ..cascade import (
 )
 from ..curveneighborhood import (
     equalwx_criterion,
+    hecke_box,
     is_cosmall,
     is_very_cosmall,
     z,
@@ -52,6 +53,7 @@ from .core import (
     PackedLabels,
     qbg_rows,
     _search,
+    _z_classes,
 )
 
 #: the largest Weyl group order on which ``main --mode auto``, ``final-cor``
@@ -195,9 +197,30 @@ def _each_pair_degree(table: dict, ok):
             yield good, None if good else f"u#{i} v#{j} d={coeffs}"
 
 
+@memoised("self-fronts")
+def _self_fronts(group: WeylGroup, parabolic: Parabolic, pad: int) -> frozenset:
+    """{coefficients of d in the box d_X + pad : d in delta_P(z_d^P)}.
+
+    A point d of a z-class lies in delta_P(z_d^P) iff it is in the front of
+    the class's z, so each class with a point in the box pays one ``delta_w``.
+    """
+    out = set()
+    for c in _z_classes(group, parabolic, pad):
+        if c.minima[0]:  # a point in the box d_X + pad
+            points = set(c.points)
+            front = delta_w(group, parabolic, c.z, pad).degrees
+            out.update(d.coeffs for d in front if d.coeffs in points)
+    return frozenset(out)
+
+
 def _self_front(group: WeylGroup, parabolic: Parabolic, d: Degree, pad: int) -> bool:
-    """d in delta_P(z_d^P): the degree is minimal for its own curve neighborhood."""
-    return d in delta_w(group, parabolic, z(group, parabolic, d).z_min, pad)
+    """d in delta_P(z_d^P): the degree is minimal for its own curve neighborhood.
+
+    d must lie in the box d_X + pad, which ``_self_fronts`` covers.
+    """
+    if not coeffs_leq(d.coeffs, tuple(c + pad for c in _d_x(group.system, parabolic).coeffs)):
+        raise InvariantViolationError(f"self-front test of {d.coeffs} outside the box d_X + {pad}")
+    return d.coeffs in _self_fronts(group, parabolic, pad)
 
 
 def _minimal_degrees(group: WeylGroup, parabolic: Parabolic, pad: int) -> list:
@@ -206,8 +229,7 @@ def _minimal_degrees(group: WeylGroup, parabolic: Parabolic, pad: int) -> list:
     These are the degrees minimal in some sigma_u * sigma_v; the paper's last
     result makes d_X the unique maximal one.
     """
-    corner = _d_x(group.system, parabolic)
-    return [d for d in degree_box(parabolic, corner, pad) if _self_front(group, parabolic, d, pad)]
+    return [Degree(parabolic, c) for c in sorted(_self_fronts(group, parabolic, pad))]
 
 
 def _local_context(group: WeylGroup, parabolic: Parabolic, support) -> tuple:
@@ -528,11 +550,10 @@ def _suite_uniqueness(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Chec
         "z-at-dx-is-wx",
         [(z(group, parabolic, dx).z_min == group.w_x(parabolic), f"d={dx.coeffs}")],
     )
-    def _below():
-        for d in degree_box(parabolic, dx, 0):
-            if d == dx:
-                continue
-            yield z(group, parabolic, d).z_min != group.w_x(parabolic), f"d={d.coeffs}"
+    def _below():  # z_d^P = w_X iff Y(d) = z_d^P w_P is w_o, the maximal element of w_X W_P
+        for coeffs, y in hecke_box(group, parabolic, 0).items():
+            if coeffs != dx.coeffs:
+                yield y != group.w_o, f"d={coeffs}"
     yield _check("z-below-dx-not-wx", _below())
 
 
@@ -1045,12 +1066,10 @@ def front_coverage(group: WeylGroup, parabolic: Parabolic, pad: int = 2) -> Fron
     scan; on groups small enough to enumerate, the all-pairs chain table is
     cross-checked against it.
     """
-    system = group.system
-    corner = _d_x(system, parabolic)
-    achieved = tuple(
-        d for d in degree_box(parabolic, corner, 0) if _self_front(group, parabolic, d, pad)
-    )
-    gaps = tuple(d for d in degree_box(parabolic, corner, 0) if d not in achieved)
+    selfish = _self_fronts(group, parabolic, pad)
+    box = tuple(degree_box(parabolic, _d_x(group.system, parabolic), 0))
+    achieved = tuple(d for d in box if d.coeffs in selfish)
+    gaps = tuple(d for d in box if d.coeffs not in selfish)
     nonsingleton = ()
     if group.order() <= PAIR_TABLE_ORDER:
         table = _pairs_table(group, parabolic, pad)

@@ -335,12 +335,9 @@ def memoised(name: str):
     (``_word``, ``_bruhat``, ``_multiples``, ``_inverse``, ``_longest``,
     ``_reflection``), keyed without a parabolic on the kernel's hottest paths;
     ``WeylGroup._enumerated``'s pair of entries (read by ``numbered_cosets``),
-    which one BFS stores under a key without the cap; the tail fold of
-    ``curveneighborhood._hecke_chain``, one entry per greedy tail of a walk;
-    ``z``'s own entry, which keeps the caller's Degree under its coefficients,
-    whose number fixes the rank; and the subset-keyed lookups ``cascade``,
-    ``highest_root_of_support``, ``subsystem`` and ``reflection_word``, in the
-    same ``RootSystem.memo``.
+    which one BFS stores under a key without the cap; and the subset-keyed
+    lookups ``cascade``, ``highest_root_of_support``, ``subsystem`` and
+    ``reflection_word``, in the same ``RootSystem.memo``.
     """
 
     missing = object()

@@ -5,6 +5,7 @@ import pytest
 from qdeg.cascade import alpha_beta_phi, coroot_sum, d_x, vec_add
 from qdeg.curveneighborhood import z
 from qdeg.degreelattice import degree_box, extended_support, greedy_decomposition
+from qdeg.distance import delta_w
 from qdeg.errors import DomainError
 from qdeg.weylgroup import Parabolic, weyl_group
 
@@ -70,3 +71,13 @@ def z_classes_oracle(group, parabolic, pad):
     for d in degree_box(parabolic, d_x(group.system, parabolic), pad + 1):
         classes.setdefault(z(group, parabolic, d).z_min, []).append(d.coeffs)
     return tuple((zd, tuple(points)) for zd, points in classes.items())
+
+
+def self_fronts_oracle(group, parabolic, pad):
+    """{coefficients of d in the box d_X + pad : d in delta_w(z(d).z_min)}, one z and one
+    delta_w call per point (test oracle)."""
+    return {
+        d.coeffs
+        for d in degree_box(parabolic, d_x(group.system, parabolic), pad)
+        if d in delta_w(group, parabolic, z(group, parabolic, d).z_min, pad)
+    }

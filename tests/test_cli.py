@@ -15,8 +15,9 @@ from pathlib import Path
 import pytest
 
 import qdeg
-from qdeg.cli import run
+from qdeg.cli import build_parser, run
 from qdeg.degreelattice import GREEDY_CAP, Degree
+from qdeg.weylgroup import ENUMERATION_CAP
 
 #: the directory this qdeg is imported from, for child interpreters
 QDEG_PATH = str(Path(qdeg.__file__).resolve().parents[1])
@@ -242,6 +243,8 @@ def test_delta2_verb_and_cap():
         ["delta2", "--type", "B", "--rank", "3", "--u", "", "--v", "", "--cap", "5"]
     )
     assert code == 2  # coset enumeration exceeds the requested cap
+    args = build_parser().parse_args(["delta2", "--type", "B", "--rank", "3", "--u", "", "--v", ""])
+    assert args.cap == ENUMERATION_CAP
 
 
 def test_delta2_rechecks_a_front_read_under_cap_hit(monkeypatch):

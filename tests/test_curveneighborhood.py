@@ -9,9 +9,9 @@ import qdeg.curveneighborhood as curveneighborhood
 import qdeg.degreelattice as degreelattice
 from qdeg.cascade import d_x
 from qdeg.curveneighborhood import (
-    _hecke_chain,
     curve_neighborhood,
     equalwx_criterion,
+    hecke_box,
     is_cosmall,
     is_very_cosmall,
     z,
@@ -125,23 +125,17 @@ def test_a_wrong_fold_step_fails_the_check_at_d_x(monkeypatch):
 
 @pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("G", 2)])
 def test_the_box_fold_keeps_z_and_hecke_chain_entries_of_d_x_alone(letter, rank):
-    """After _z_classes on a fresh group, the only "z" entry is d_X's and the only
-    "hecke-chain" entries are the nonzero tails of d_X's greedy walk."""
+    """After _z_classes on a fresh group, the only "z-max" entry is d_X's, and no greedy
+    tail has an entry of its own: there is no "z" or "hecke-chain" key."""
     group = fresh_group(letter, rank)
-    system = group.system
     for p in all_parabolics(rank):
         _z_classes(group, p, 2)
-        corner = d_x(system, p)
-        tails, coeffs = set(), corner.coeffs
-        for alpha in greedy_decomposition(system, p, corner):
-            tails.add(coeffs)
-            coeffs = tuple(a - b for a, b in zip(coeffs, d_of_root(system, p, alpha).coeffs))
 
         def stored(name):
             return {key[2] for key in group.memo if key[:2] == (name, p.delta_p)}
 
-        assert stored("z") == {corner.coeffs}, p
-        assert stored("hecke-chain") == tails, p
+        assert stored("z-max") == {d_x(group.system, p).coeffs}, p
+    assert not any(key[0] in ("z", "hecke-chain") for key in group.memo)
 
 
 def test_z_and_greedy_answer_on_a_large_g2_degree():
@@ -170,12 +164,14 @@ def test_a_degree_over_another_parabolic_is_refused():
 
 @pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
 def test_z_max_is_an_involution_read_off_the_hecke_chain(letter, rank):
-    """z_d^P w_P = its inverse, so the Hecke chain Y(d) is z_max, and its inverse gives z_min."""
+    """z_d^P w_P = its inverse, so the Hecke chain Y(d), here the box fold's, is z_max,
+    and its inverse gives z_min."""
     group = fresh_group(letter, rank)
     for p in all_parabolics(rank):
+        ys = hecke_box(group, p, 2)
         for d in degree_box(p, d_x(group.system, p), 2):
             result = z(group, p, d)
-            y = _hecke_chain(group, p, d)
+            y = ys[d.coeffs]
             assert group.inverse(result.z_max) == result.z_max == y, (letter, p, d.coeffs)
             assert result.z_min == group.coset_min(group.inverse(y), p), (letter, p, d.coeffs)
 
@@ -286,9 +282,10 @@ def test_one_z_pays_one_coset_min_and_one_hecke_step_per_greedy_step(monkeypatch
     greedy = greedy_decomposition(group.system, b, d)
     reflection_word = group.system.reflection_word
     assert [word for _, word in hecke_steps] == [reflection_word(a) for a in reversed(greedy)]
-    tail = d - d_of_root(group.system, b, greedy[0])
-    z(group, b, tail)
-    assert counts() == (2, k, 0, k)
+    # a second call is one memo read, and Y of a greedy tail is not stored by the walk
+    z(group, b, d)
+    assert counts() == (1, k, 0, k)
+    assert not any(key[0] in ("z", "hecke-chain") for key in group.memo)
 
 
 def test_z_trivial_and_golden():

@@ -13,6 +13,7 @@ from qdeg.degreelattice import (
     all_greedy_decompositions,
     c1,
     d_of_root,
+    box_points,
     degree_box,
     extended_support,
     greedy_decomposition,
@@ -284,6 +285,15 @@ def test_minimal_elements_oracle(coeff_set):
         d for d in degrees if not any(e != d and e.leq(d) for e in degrees)
     }
     assert got == tuple(sorted(brute, key=lambda d: d.coeffs))
+
+
+def test_box_points_are_the_degree_box_coefficients():
+    p = Parabolic.from_indices(4, {1})
+    corner = Degree(p, (1, 0, 2))
+    for pad in range(3):
+        assert list(box_points(corner.coeffs, pad)) == [d.coeffs for d in degree_box(p, corner, pad)]
+    with pytest.raises(ResourceError):
+        box_points((99, 99, 99), 1)  # 101^3 points, refused before the first
 
 
 def test_degree_box_over_the_cap_raises_before_it_yields():

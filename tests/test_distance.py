@@ -346,6 +346,29 @@ def test_lemma_technical_worked_cases():
             verify_lemma_technical2(system, report.root)
 
 
+@pytest.mark.parametrize("error", [InvariantViolationError("broken"), TypeError("bad argument")])
+def test_lemma_technical_reports_only_a_domain_error_as_a_non_a_component(monkeypatch, error):
+    """A DomainError of alpha_beta_phi is the non-type-A verdict; any other error propagates."""
+    from qdeg.distance import exceptional
+
+    system = weyl_group("B", 5).system
+    alpha = (1, 1, 1, 2, 2)
+
+    def raising(*args):
+        raise error
+
+    monkeypatch.setattr(exceptional, "_alpha_beta_phi", raising)
+    with pytest.raises(type(error), match=str(error)):
+        verify_lemma_technical(system, alpha)
+
+    def not_type_a(*args):
+        raise DomainError("component is not of type A")
+
+    monkeypatch.setattr(exceptional, "_alpha_beta_phi", not_type_a)
+    with pytest.raises(VerificationError, match="component of beta is not of type A"):
+        verify_lemma_technical(system, alpha)
+
+
 def test_front_coverage_exploration():
     from qdeg.distance import front_coverage
 

@@ -39,6 +39,8 @@ MEMOISED = {
     "maximal-roots": degreelattice._maximal_roots,
     "d_x": cascade.d_x,
     "z-min": curveneighborhood._z_min,
+    "z-max": curveneighborhood._z_max,
+    "self-fronts": suites._self_fronts,
 }
 
 MODULES = (rootsystem, degreelattice, cascade, curveneighborhood, core, suites)
@@ -61,6 +63,7 @@ def test_a_parabolic_of_another_rank_reads_and_stores_nothing():
     for m in group.cosets(p):
         qdeg.delta_w(group, p, m)
     suites._pairs_table(group, p, 2)
+    suites._self_fronts(group, p, 2)
     asked = set()
     for owner in (system, group):
         for key in list(owner.memo):
@@ -93,8 +96,6 @@ HAND_WRITTEN = {
     "cascade",
     "_enumerated",
     "numbered_cosets",
-    "z",
-    "_hecke_chain",
 }
 
 

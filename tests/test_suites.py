@@ -7,11 +7,15 @@ from dataclasses import replace
 
 import pytest
 
+import qdeg.curveneighborhood as curveneighborhood
 from qdeg.cascade import d_x
+from qdeg.degreelattice import Degree
 from qdeg.distance import suite_names, suites, verify_suite
 from qdeg.distance.core import DegreeFront, _labels, _search, coset_duals
 from qdeg.distance.suites import (
+    _minimal_degrees,
     _pairs_table,
+    _self_fronts,
     _suite_delta2,
     _suite_delta2_props,
     _suite_description,
@@ -22,7 +26,7 @@ from qdeg.errors import ConfigurationError, InvariantViolationError, ResourceErr
 from qdeg.rootsystem import build_root_system
 from qdeg.weylgroup import Parabolic, WeylGroup, weyl_group
 
-from conftest import all_parabolics
+from conftest import all_parabolics, self_fronts_oracle
 
 SMALL = [("A", 2), ("B", 2), ("G", 2)]
 
@@ -154,13 +158,73 @@ def test_description_names_the_first_coset_whose_fronts_differ():
 
 
 def test_resind_fails_when_no_degree_is_a_self_front(monkeypatch):
-    """With every self-front test false there is no witness: the first degree fails."""
-    monkeypatch.setattr(suites, "_self_front", lambda *args: False)
+    """With no self-front degree in any box there is no witness: the first degree fails."""
+    monkeypatch.setattr(suites, "_self_fronts", lambda *args: frozenset())
     group = WeylGroup(build_root_system("B", 2))
     report = verify_suite("resind", "B", 2, Parabolic(2, frozenset()), group=group)
     (check,) = report.checks
     assert check.name == "restriction-induction" and not check.passed
     assert check.counterexample == "Q=[] e=(0, 0) (witness)"
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
+def test_self_fronts_match_the_per_point_definition(letter, rank):
+    """One delta_w per z-class gives the self-front degrees of one delta_w per box point."""
+    for p in all_parabolics(rank):
+        for pad in range(3):
+            expected = self_fronts_oracle(WeylGroup(build_root_system(letter, rank)), p, pad)
+            group = WeylGroup(build_root_system(letter, rank))
+            assert _self_fronts(group, p, pad) == expected, (p, pad)
+
+
+def test_box_scans_call_z_at_d_x_alone(monkeypatch):
+    """_minimal_degrees and uniqueness read the box off the fold: every z call is at d_X."""
+    calls = []
+    real = curveneighborhood.z
+
+    def counted(group, parabolic, d):
+        calls.append((parabolic, d.coeffs))
+        return real(group, parabolic, d)
+
+    monkeypatch.setattr(curveneighborhood, "z", counted)
+    monkeypatch.setattr(suites, "z", counted)
+    for p in all_parabolics(3):
+        group = WeylGroup(build_root_system("B", 3))
+        corner = d_x(group.system, p).coeffs
+        _minimal_degrees(group, p, 2)
+        assert calls and set(calls) == {(p, corner)}, p
+        calls.clear()
+        assert verify_suite("uniqueness", "B", 3, p, group=group).passed
+        assert calls and set(calls) == {(p, corner)}, p
+        calls.clear()
+
+
+def test_uniqueness_fails_when_the_fold_reaches_w_o_below_d_x(monkeypatch):
+    """A box fold doctored to give Y = w_o at one degree below d_X fails z-below-dx-not-wx
+    at that degree."""
+    group = WeylGroup(build_root_system("B", 3))
+    borel = Parabolic(3, frozenset())
+    corner = d_x(group.system, borel).coeffs
+    below = (corner[0] - 1,) + corner[1:]
+    real = suites.hecke_box
+
+    def doctored(group, parabolic, pad):
+        ys = real(group, parabolic, pad)
+        ys[below] = group.w_o
+        return ys
+
+    monkeypatch.setattr(suites, "hecke_box", doctored)
+    report = verify_suite("uniqueness", "B", 3, borel, group=group)
+    check = next(c for c in report.checks if c.name == "z-below-dx-not-wx")
+    assert not check.passed and check.counterexample == f"d={below}"
+
+
+def test_a_self_front_test_outside_its_box_is_refused():
+    group = WeylGroup(build_root_system("B", 2))
+    borel = Parabolic(2, frozenset())
+    corner = d_x(group.system, borel).coeffs
+    with pytest.raises(InvariantViolationError, match="outside the box"):
+        suites._self_front(group, borel, Degree(borel, (corner[0] + 3, 0)), 2)
 
 
 @pytest.mark.parametrize(
@@ -314,6 +378,18 @@ GOLDEN_DIGESTS = {
         "1c15cff50b9ea0bf8fb199ac51752aa43b510df2c2f09e17846d458b19ad2c3a",
         "7ca3a3702931b1e5bdca5c94c01deec718c7f62160b5e2efb9624721a2cb4923",
     ),
+    # B3 pins of delta2, final-cor, resind and uniqueness, recorded before their
+    # box scans were read off the one z_d^P fold
+    ("delta2", "B", 3): (
+        "3c22dd6ba62ca30787aa5b633ebe0d32c826a63f75721d0d48bdaaaf79c15403",
+        "4fbda9da88fb2bea3c4c9420d89a3a5abd102d8f7379904f44ee3437051a8d81",
+        "0571a32ce3ed526aa78181b98a7fc3a02cbf876031279087a26b2a51a7e9f89e",
+        "2cc2b7ef4b9fb11f6f3d0cee67bd629cc7c54bb4db35b23bf717566996c4e4ed",
+        "255c98bdb8e8ce0416c7fa65a214298d7ecc62e5d26895bb7c76a4f4a6df99d8",
+        "eaa78b452660e14de1c3e79741e1364c674ca5355de387a49a5dc8c97cdf6efd",
+        "6fde1f05d47749783239ce00f515b5170084102e7b2631e0773ef35d4cbd8e52",
+        "2746cab4a8bd48633c97b9241bbca5a76c295515ff5636298bc16b9e312f4a3f",
+    ),
     ("delta2-props", "B", 2): (
         "11895a4023d9d07a138d98ba89b8fd9c976d6f2ff107ca0d9f06f1b5e89688d8",
         "b038a43a9f4c79482a52cdc99b36876a056ceeeb0cb932ba486f29295c72eac8",
@@ -384,6 +460,16 @@ GOLDEN_DIGESTS = {
         "cea3c48238d7c8250648b702bc75129d49e47d697f0e47a13fadc5638b3cbc96",
         "221659f299d930171caf2fabafd8ae061c5f659334d6219544259664a35f7be6",
         "e84b14a149c1ee4cf9129124067fd3b0adae0e4d891d24029c10596257827f40",
+    ),
+    ("final-cor", "B", 3): (
+        "615b0fbb01c7b75536201fd630daef408522f085b65124503aa0b08d5c1c0153",
+        "15cf29c3a5685b99059f861428f6d1238355020906604478afb14f6427e8ae6c",
+        "fd951162ef39c670703e2dec31e21626fc1086e9989d4607c48cf75d49b10468",
+        "3b63fa390b715058dd261f30c565092f0fc2ab6ba542999e0ef9ba42e9aa8124",
+        "0a2db85ac176a7bc37facfce734a29c2e506e7458ee60fa36b15b80c16a862b7",
+        "edf4fede4da23f0f5c44f5cf7f280a7c63827836a44d7059101bdd49f39a7e60",
+        "ba0aed3bc970c8e3741eb17c03ffadc11dfe162cdc2e684fcbf698c2d385985b",
+        "97b60654864a416e506c83a474b0dedaac4a8054c87c82912af0ddde84af0fd9",
     ),
     ("g2-examples", "G", 2): (
         "20573a527e56339da58f3d9977a6d77bf6754fa73b7228ccb2580dee423e9e27",
@@ -488,6 +574,16 @@ GOLDEN_DIGESTS = {
         "099f606fd5eb2a3ec58f03156078c420a12eeb50154232546be44adf81eeb2c5",
         "6cec2224df9d22bc414df88dbee50c687636a6ff06273dce247ce234a38005be",
     ),
+    ("resind", "B", 3): (
+        "8dbddc61061afd9859bf489c7b0650236df5a9e3a3cabf945a863bf8b68ca9cf",
+        "b5d2f394038a26fe1a1b525b362bf1a3b0a52eab4b880c410d68eed0b5b46690",
+        "65c6a19100b39ee528a0ec313f5ebfe4a708c9fb1dc23cbc3208f6310a4e5032",
+        "7767492d6c458a1eea93bf5d83b780f3bff3c8e41e29e9d6c368e8b4bae58e9b",
+        "0a1e9d0b77fe2e91a0140ed44ec5692dd2bbaa7fecdeb30fbc6483ca251a67aa",
+        "1c0653a73e095b537978efdd2604031152cf6f840e8d58b5df5be72655aa59a1",
+        "351ad9651da3e3f7c39e400fed50e2f2d00000cd5431d11c76c37eb1bc85110f",
+        "11d65ce624abb7ba40705f24ac61bb643337af39be8947b78945eb7077ca3634",
+    ),
     ("simply-laced", "A", 3): (
         "12e674cba6291bccd7f2b40bb8455b370ed7a3cd8df326a3b7690875ea00003b",
         "84f671aa699f35d51843ab6ef2c96c4e7400344367c147f9f35f352d577bac11",
@@ -503,6 +599,16 @@ GOLDEN_DIGESTS = {
         "990cace91e283c625d07494d28f0a05614bcef3140ac64ab6c3db5d27b699a90",
         "76bc91896de00ea4c7d939beaece7aec3ee91ec7a1fcba91c1d00abb398c54d5",
         "bbd4243a3ada917c879243f77175b3ebf9c5894991b299116d64f2fa7259f865",
+    ),
+    ("uniqueness", "B", 3): (
+        "629b7068f768934cbeab6515a981bd4a75e5b9d094fc5900e4800167fc744dad",
+        "33f9f99399cd1d3667f481280bb0ed53de12c1f86843e3e4ad47b29d70b689e7",
+        "d32eec3fcf0a984d5990e0e6a67f5d7ff6381e932f45223ca83fc67caa542f56",
+        "b352f9dae2c666c912eb6ec67f2cd1dee0c94de8d8d201c698de2c9bbe83e029",
+        "d7db56832370d5034cfbbce947ecd3ece7821b899f3ef067242672a381821aaf",
+        "08a21adc37479be48b75863fe88010a1f32310a3d8b9ab73c813d55771cae2b4",
+        "07d8369004c328f14b72bb0d1c4e87e0b9578de09b4b3344fe739f62aa8d85b0",
+        "85d301f433ea5a441c3e6c48dcadede5a858fe145dfd35da60a19e90d2c565a0",
     ),
     ("zd", "B", 2): (
         "b8f165cc179f0b75f04ced8da6645b14ab9292fd24d4226ea4f2001346af7d79",
