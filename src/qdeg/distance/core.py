@@ -1,4 +1,4 @@
-"""The distance function delta_P by three independent algorithms.
+"""The distance function delta_P by two independent algorithms.
 
 delta_w scans the up-set {d : wW_P <= z_d^P W_P} over a box and keeps the
 Pareto-minimal degrees.  delta_uv runs a multi-objective label-correcting
@@ -56,18 +56,14 @@ left[j] of those of u_k W_P, as u_i s_alpha W_P = s_j (u_k s_alpha W_P)
 (the proof is in ``adjacency_graph``).  ``bruhat_leq`` is left to the
 tests and to ``delta_w`` on a group that has not enumerated W/W_P.
 
-Pair tables come from a third algorithm, the parabolic quantum Bruhat graph
-(Postnikov, Proc. AMS 133, 2005; Lam-Shimozono, Acta Math. 204, 2010,
-section 10): the adjacency edge (u_i, alpha) -> u_k is an arc of weight 0
-when l(u_k) = l(u_i) + 1, of weight d(alpha) when
-l(u_k) = l(u_i) + 1 - <c_1, d(alpha)>, and no arc otherwise, and the minimal
-degree of a pair is the weight of a shortest path by edge count.
-``qbg_rows`` runs one BFS per source on packed weights, with the chain
-search's codec, and drops any sum over the cap d_X + pad, so a label never
-wraps into a neighbouring field and a pair that needs more reads an empty
-front.  ``_pairs_table`` checks the point-class row against the chain search
-seeded at the cosets above it, read at w_o u_j W_P: the fronts of a search
-seeded at an up-set are monotone in Bruhat order (Buch-Mihalcea 2015).
+Pair tables read the scan: delta_P(u, v) = min{d : vW_P <= (w_o u) . z_d^P W_P}
+(Fulton-Woodward, J. Algebraic Geom. 13, 2004, with Buch-Mihalcea 2015),
+whose row at u = w_o is delta_w.  ``hecke_rows`` walks each z-class of the
+scan box along the left descents of the coset table, one read of ``left``
+per (class, coset), and builds each row's fronts with ``_scan_front``.
+``_pairs_table`` checks the point-class row against the chain search seeded
+at the cosets above it, read at w_o u_j W_P: the fronts of a search seeded
+at an up-set are monotone in Bruhat order (Buch-Mihalcea 2015).
 """
 
 from __future__ import annotations
@@ -78,7 +74,7 @@ from functools import cached_property
 
 from ..cascade import d_x
 from ..curveneighborhood import _z_min, hecke_box
-from ..degreelattice import Degree, c1, d_of_root, minimal_elements, outside_roots
+from ..degreelattice import Degree, d_of_root, minimal_elements, outside_roots
 from ..errors import DomainError, InvariantViolationError, VerificationError
 from ..rootsystem import coeffs_leq, memoised
 from ..weylgroup import Parabolic, Weyl, WeylGroup
@@ -216,6 +212,57 @@ def _scan_front(group: WeylGroup, parabolic: Parabolic, pad: int, hit: tuple) ->
         extra = next(d for d in stable if d not in front)
         raise VerificationError(f"delta_w front unstable at box boundary: degree {extra}")
     return DegreeFront(tuple(Degree(parabolic, d) for d in front), "scan")
+
+
+def hecke_rows(group: WeylGroup, parabolic: Parabolic, pad: int):
+    """For each coset index i in turn, delta_P(u_i, u_j) for every j, as raw tuples.
+
+    The 0-Hecke monoid acts on W/W_P from the left: s_j . yW_P is s_j yW_P
+    when the length rises, else yW_P.  For each z-class c, h_c[r], the index
+    of u_r . z_c W_P, follows the left descent u_r = s_j u_k, k = left[j][r]:
+    h_c[0] is the index of z_c and h_c[r] = s_j . h_c[k].  Class c covers
+    column j of row i when u_j W_P <= (w_o u_i) . z_c W_P, a bit of
+    down[h_c[duals[i]]].  The columns are split by the classes that cover
+    them, and each part reads ``_scan_front``, with its pad + 1 stability
+    re-check, once per distinct set of classes.
+    """
+    table = _coset_table(group, parabolic)
+    left, lengths, down = table.left, table.lengths, table.down
+    n = len(lengths)
+    walks = []
+    for c in _z_classes(group, parabolic, pad):
+        h = [table.index[c.z]]
+        for r in range(1, n):
+            j = table.descents[r]
+            y = h[left[j][r]]
+            s = left[j][y]
+            h.append(s if lengths[s] > lengths[y] else y)
+        walks.append(h)
+    fronts: dict = {}
+    for x in coset_duals(group, parabolic):
+        parts = [((1 << n) - 1, ())]
+        for c, h in enumerate(walks):
+            cover = down[h[x]]
+            split = []
+            for mask, hit in parts:
+                inside = mask & cover
+                if inside:
+                    split.append((inside, hit + (c,)))
+                if inside != mask:
+                    split.append((mask ^ inside, hit))
+            parts = split
+        row = [None] * n
+        for mask, hit in parts:
+            front = fronts.get(hit)
+            if front is None:
+                degrees = _scan_front(group, parabolic, pad, hit).degrees
+                front = fronts[hit] = tuple(d.coeffs for d in degrees)
+            bits = bin(mask)[:1:-1]  # a part is sparse: find its bits, not every digit
+            j = bits.find("1")
+            while j >= 0:
+                row[j] = front
+                j = bits.find("1", j + 1)
+        yield row
 
 
 # -- adjacency graph and chain search ------------------------------------------
@@ -427,7 +474,7 @@ class PackedLabels:
 
 @memoised("labels")
 def _labels(group: WeylGroup, parabolic: Parabolic, pad: int) -> PackedLabels:
-    """The codec for labels <= d_X + pad, shared by the chain search and the QBG."""
+    """The codec for labels <= d_X + pad of the chain search."""
     cap = tuple(c + pad for c in d_x(group.system, parabolic).coeffs)
     return PackedLabels.build(cap, adjacency_graph(group, parabolic).edges)
 
@@ -495,66 +542,6 @@ def _search(group: WeylGroup, parabolic: Parabolic, source: int, mode: str, pad:
     else:
         seeds = (source,)
     return _pareto_search(_labels(group, parabolic, pad), seeds)
-
-
-@memoised("qbg-arcs")
-def _qbg_arcs(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
-    """The parabolic QBG's arcs, per vertex (target index, packed weight).
-
-    The adjacency edge (u_i, alpha) -> u_k is an arc of weight 0 when
-    l(u_k) = l(u_i) + 1, of weight d(alpha) when
-    l(u_k) = l(u_i) + 1 - <c_1, d(alpha)>, and no arc otherwise.
-    """
-    graph = adjacency_graph(group, parabolic)
-    packed = _labels(group, parabolic, pad).edges
-    lengths = _coset_table(group, parabolic).lengths
-    chern = c1(group.system, parabolic).coeffs
-    arcs = []
-    for i, out in enumerate(graph.edges):
-        kept = []
-        for (k, weight, _), (_, t, _) in zip(out, packed[i]):
-            rise = lengths[k] - lengths[i] - 1
-            if rise == 0:
-                kept.append((k, 0))
-            elif rise == -sum(a * b for a, b in zip(chern, weight)):
-                kept.append((k, t))
-        arcs.append(tuple(kept))
-    return tuple(arcs)
-
-
-def qbg_rows(group: WeylGroup, parabolic: Parabolic, pad: int):
-    """For each source coset index in turn, its packed shortest-path weights to every coset.
-
-    One BFS by edge count per source on the parabolic QBG (``_qbg_arcs``).
-    A vertex's weight set is fixed, as a frozenset, at the first layer that
-    reaches it.  A sum over the cap d_X + pad is dropped, never packed, so a
-    vertex whose shortest paths all weigh more gets the empty set.
-    """
-    labels = _labels(group, parabolic, pad)
-    guard = labels.guard
-    cap = labels.cap | guard
-    arcs = _qbg_arcs(group, parabolic, pad)
-    n = len(arcs)
-    for source in range(n):
-        weights: list = [None] * n
-        weights[source] = frozenset((0,))
-        layer = [source]
-        while layer:
-            found: dict = {}
-            for v in layer:
-                sums = weights[v]
-                for k, w in arcs[v]:
-                    if weights[k] is None:
-                        reached = found.get(k)
-                        if reached is None:
-                            reached = found[k] = set()
-                        for t in sums:
-                            if (cap - t - w) & guard == guard:
-                                reached.add(t + w)
-            for k, s in found.items():
-                weights[k] = frozenset(s)
-            layer = list(found)
-        yield [frozenset() if w is None else w for w in weights]
 
 
 def _front(parabolic: Parabolic, result: _SearchResult, packed) -> DegreeFront:

@@ -50,8 +50,8 @@ from .core import (
     coset_order,
     delta_w,
     delta_uv,
+    hecke_rows,
     PackedLabels,
-    qbg_rows,
     _search,
     _z_classes,
 )
@@ -129,23 +129,21 @@ def _min_tuples(labels: PackedLabels, packed) -> tuple:
 def _pairs_table(group: WeylGroup, parabolic: Parabolic, pad: int) -> dict:
     """delta_P(u, v) for every coset pair, as raw coefficient tuples.
 
-    Entry (i, j) is the set of minima of the shortest-path weights from u_i
-    to w_o u_j W_P in the parabolic quantum Bruhat graph (``qbg_rows``): a
-    shortest path by edge count has the minimal degree (Postnikov, Quantum
-    Bruhat graph and Schubert polynomials, Proc. AMS 133, 2005, on G/B;
-    Lam-Shimozono, Quantum cohomology of G/P and homology of affine
-    Grassmannian, Acta Math. 204, 2010, section 10, on G/P).  A weight over
-    the cap d_X + pad is dropped, so a pair whose shortest paths all weigh
-    more reads an empty front, which every pair check fails.  Pairs of one
-    source that read the same front share one row tuple.
+    Entry (i, j) is row i of ``hecke_rows`` at column j: the minimal degrees
+    d with u_j W_P <= (w_o u_i) . z_d^P W_P in the box d_X + pad
+    (Fulton-Woodward, On the quantum product of Schubert classes, J.
+    Algebraic Geom. 13, 2004; Buch-Mihalcea, Curve neighborhoods of Schubert
+    varieties, J. Differential Geom. 99, 2015), re-checked at pad + 1 as
+    ``delta_w`` is, so a minimal degree outside the box raises
+    VerificationError.  Pairs that read the same set of z-classes share one
+    front tuple.
 
     The row of the top coset (the point class) is checked against the chain
     search seeded at the cosets above it, read at w_o u_j W_P; any pair where
     the two differ raises InvariantViolationError.  The chain read is exact:
     the curve neighborhood of a Schubert variety is a Schubert variety
-    (Buch-Mihalcea, Curve neighborhoods of Schubert varieties, J.
-    Differential Geom. 99, 2015), so the cosets reached within degree d from
-    an up-set form an up-set, and a chain of degree at most the cap has every
+    (Buch-Mihalcea 2015), so the cosets reached within degree d from an
+    up-set form an up-set, and a chain of degree at most the cap has every
     prefix at most the cap, so the search prunes none of it.
 
     A table of more than 4 * ENUMERATION_CAP pairs raises ResourceError
@@ -156,21 +154,14 @@ def _pairs_table(group: WeylGroup, parabolic: Parabolic, pad: int) -> dict:
         raise ResourceError(
             f"pair table of {n * n} pairs exceeded the cap of {4 * ENUMERATION_CAP}"
         )
-    duals = coset_duals(group, parabolic)
     chain = _search(group, parabolic, n - 1, "up", pad)
-    labels = chain.labels
     table: dict = {}
-    for i, weights in enumerate(qbg_rows(group, parabolic, pad)):
-        rows: dict = {}
-        for j, y in enumerate(duals):
-            front = weights[y]
-            row = rows.get(front)
-            if row is None:
-                row = rows[front] = _min_tuples(labels, front)
-            table[(i, j)] = row
-    for j, y in enumerate(duals):
-        if _min_tuples(labels, chain.fronts[y]) != table[(n - 1, j)]:
-            raise InvariantViolationError(f"chain and QBG fronts differ at u#{n - 1} v#{j}")
+    for i, row in enumerate(hecke_rows(group, parabolic, pad)):
+        for j, front in enumerate(row):
+            table[(i, j)] = front
+    for j, y in enumerate(coset_duals(group, parabolic)):
+        if _min_tuples(chain.labels, chain.fronts[y]) != table[(n - 1, j)]:
+            raise InvariantViolationError(f"chain and Hecke fronts differ at u#{n - 1} v#{j}")
     return table
 
 
@@ -270,6 +261,9 @@ def _first_entries(system, parabolic: Parabolic, degrees):
 
 
 def _suite_hecke(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
+    pairs = group.order() ** 2  # the product table; associativity walks |W|^3 triples
+    if pairs > ENUMERATION_CAP:
+        raise ResourceError(f"hecke table of {pairs} pairs exceeded the cap of {ENUMERATION_CAP}")
     els = group.elements()
     w_p = group.longest_element(parabolic)
     table = {(u, v): group.hecke_product(u, v) for u in els for v in els}

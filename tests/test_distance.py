@@ -26,10 +26,10 @@ from qdeg.distance.core import (
     _chain_ends,
     _coset_table,
     _front,
-    _labels,
     _search,
+    _z_classes,
     coset_duals,
-    qbg_rows,
+    hecke_rows,
 )
 from qdeg.distance.suites import _min_tuples, _pairs_table
 from qdeg.errors import DomainError, InvariantViolationError, VerificationError
@@ -592,10 +592,26 @@ def direct_pairs_oracle(group, parabolic, pad):
 
 @pytest.mark.parametrize("letter,rank", PAIR_SYSTEMS + [("D", 4)])
 def test_pairs_table_matches_the_direct_read(letter, rank):
-    """The QBG table in value and (i, j) order against the chain read over every chain end."""
+    """The Hecke table in value and (i, j) order against the chain read over every chain end."""
     group = WeylGroup(build_root_system(letter, rank))
     for p in all_parabolics(rank):
-        assert list(_pairs_table(group, p, 2).items()) == direct_pairs_oracle(group, p, 2)
+        for pad in (0, 1, 2):
+            assert list(_pairs_table(group, p, pad).items()) == direct_pairs_oracle(group, p, pad)
+
+
+def test_a_wrong_class_walk_fails_the_point_row_check():
+    """The class of degree 0 walked from w_o in place of its z = e covers every column of the
+    point row, so the Hecke row reads 0 where the chain search reads more."""
+    group = WeylGroup(build_root_system("B", 2))
+    borel = Parabolic(2, frozenset())
+    classes = _z_classes(group, borel, 2)
+    (zero,) = (i for i, c in enumerate(classes) if (0, 0) in c.points)
+    key = ("z-classes", borel.delta_p, 2)
+    group.memo[key] = tuple(
+        replace(c, z=group.w_o) if i == zero else c for i, c in enumerate(classes)
+    )
+    with pytest.raises(InvariantViolationError, match="chain and Hecke fronts differ at u#7"):
+        _pairs_table(group, borel, 2)
 
 
 @pytest.mark.parametrize("letter,rank", PAIR_SYSTEMS + [("D", 4)])
@@ -669,9 +685,9 @@ def qbg_pairs_oracle(group, parabolic):
     return table
 
 
-@pytest.mark.parametrize("letter,rank", PAIR_SYSTEMS)
+@pytest.mark.parametrize("letter,rank", PAIR_SYSTEMS + [("D", 4)])
 def test_pairs_table_against_the_quantum_bruhat_graph(letter, rank):
-    """The chain table equals the QBG's minimal path weights, and every front is one degree."""
+    """The pair table equals the QBG oracle's minimal path weights; every front is one degree."""
     group = WeylGroup(build_root_system(letter, rank))
     for p in all_parabolics(rank):
         table = _pairs_table(group, p, 2)
@@ -680,19 +696,6 @@ def test_pairs_table_against_the_quantum_bruhat_graph(letter, rank):
         for pair, front in table.items():
             assert front == tuple(minimal_elements(qbg[pair])), (letter, p, pair)
             assert len(front) == len(qbg[pair]) == 1, (letter, p, pair)
-
-
-@pytest.mark.parametrize("letter,rank", PAIR_SYSTEMS + [("D", 4)])
-def test_qbg_rows_match_the_tuple_oracle(letter, rank):
-    """The packed, capped BFS of the package against the tuple, uncapped one, at every coset."""
-    group = WeylGroup(build_root_system(letter, rank))
-    for p in all_parabolics(rank):
-        labels = _labels(group, p, 2)
-        duals = coset_duals(group, p)
-        qbg = qbg_pairs_oracle(group, p)
-        for i, row in enumerate(qbg_rows(group, p, 2)):
-            for j, y in enumerate(duals):
-                assert {labels.unpack(t) for t in row[y]} == qbg[(i, j)], (letter, p, i, j)
 
 
 def test_pairs_table_runs_one_chain_search_per_parabolic(monkeypatch):
@@ -716,15 +719,16 @@ RANK_3_SYSTEMS = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_one_pair_by_the_scan_the_chain_search_and_the_quantum_bruhat_graph(data):
-    """delta_w(u) = delta_uv(u, w_o) = the QBG row of u read at eW_P, for a drawn type,
-    parabolic and word u."""
+    """delta_w(u) = delta_uv(u, w_o) = the Hecke row of u at w_o = the QBG oracle's pair, for
+    a drawn type, parabolic and word u."""
     letter, rank = data.draw(st.sampled_from(RANK_3_SYSTEMS))
     group = weyl_group(letter, rank)
     p = Parabolic.from_indices(rank, data.draw(st.sets(st.integers(0, rank - 1))))
     u = group.from_word(data.draw(st.lists(st.integers(0, rank - 1), max_size=12)))
-    scan = delta_w(group, p, u).degrees
-    chain = delta_uv(group, p, u, group.w_o).degrees
+    scan = tuple(d.coeffs for d in delta_w(group, p, u).degrees)
+    chain = tuple(d.coeffs for d in delta_uv(group, p, u, group.w_o).degrees)
     i = _coset_table(group, p).index[group.coset_min(u, p)]
-    row = next(itertools.islice(qbg_rows(group, p, 2), i, None))
-    qbg = tuple(Degree(p, t) for t in _min_tuples(_labels(group, p, 2), row[0]))
-    assert scan == chain == qbg, (letter, p, group.reduced_word(u))
+    top = len(group.cosets(p)) - 1
+    hecke = next(itertools.islice(hecke_rows(group, p, 2), i, None))[top]
+    qbg = minimal_elements(qbg_pairs_oracle(group, p)[(i, top)])
+    assert scan == chain == hecke == qbg, (letter, p, group.reduced_word(u))

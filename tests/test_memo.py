@@ -32,7 +32,6 @@ MEMOISED = {
     "coset_duals": core.coset_duals,
     "labels": core._labels,
     "search": core._search,
-    "qbg-arcs": core._qbg_arcs,
     "pairs-table": suites._pairs_table,
     "degrees": degreelattice._degree_table,
     "greedy": degreelattice._greedy_step,

@@ -22,7 +22,7 @@ from qdeg.distance.suites import (
     _suite_final_cor,
     _suite_main,
 )
-from qdeg.errors import ConfigurationError, InvariantViolationError, ResourceError
+from qdeg.errors import ConfigurationError, InvariantViolationError, ResourceError, VerificationError
 from qdeg.rootsystem import build_root_system
 from qdeg.weylgroup import Parabolic, WeylGroup, weyl_group
 
@@ -76,30 +76,52 @@ def test_negative_pad_is_rejected():
         verify_suite("main", "G", 2, Parabolic(2, frozenset()), pad=-1, mode="pairs")
 
 
+def _empty_the_point_front(group, parabolic):
+    """Put () at (pt, pt) in the memoised pad-2 pair table: a pair with no degree in its box."""
+    top = len(group.cosets(parabolic)) - 1
+    table = dict(_pairs_table(group, parabolic, 2))
+    table[(top, top)] = ()
+    group.memo[("pairs-table", parabolic.delta_p, 2)] = table
+
+
 def test_main_pairs_counts_an_empty_front_as_a_failure():
-    """With pad -1 some pairs are unreachable inside the box and have empty fronts."""
+    """At pad -1 some pairs need a degree outside the box, and the scan's re-check raises;
+    an empty front in a table fails main."""
     group = WeylGroup(build_root_system("G", 2))
-    (check,) = _suite_main(group, Parabolic(2, frozenset()), -1, "pairs")
+    borel = Parabolic(2, frozenset())
+    with pytest.raises(VerificationError, match="unstable at box boundary"):
+        tuple(_suite_main(group, borel, -1, "pairs"))
+    _empty_the_point_front(group, borel)
+    (check,) = _suite_main(group, borel, 2, "pairs")
     assert not check.passed
     assert check.counterexample.endswith("empty front")
 
 
 def test_delta2_counts_an_empty_front_as_a_failure():
-    """The same unreachable pairs must not let pair-degrees-are-self-front pass."""
+    """The same pairs must not let pair-degrees-are-self-front pass."""
     group = WeylGroup(build_root_system("G", 2))
-    (check,) = _suite_delta2(group, Parabolic(2, frozenset()), -1)
+    borel = Parabolic(2, frozenset())
+    with pytest.raises(VerificationError, match="unstable at box boundary"):
+        tuple(_suite_delta2(group, borel, -1))
+    _empty_the_point_front(group, borel)
+    (check,) = _suite_delta2(group, borel, 2)
     assert not check.passed
     assert check.counterexample.endswith("empty front")
     assert check.checked == 144
 
 
 def test_pair_properties_count_an_empty_front_as_a_failure():
-    """No claim over the pair fronts may pass on the unreachable pairs of pad -1."""
+    """No claim over the pair fronts may pass on an empty front."""
     group = WeylGroup(build_root_system("G", 2))
     borel = Parabolic(2, frozenset())
-    # delta2-props raises further on, at the unstable delta_w box; take its pair claims
-    props = {c.name: c for c in itertools.islice(_suite_delta2_props(group, borel, -1), 5)}
-    final = {c.name: c for c in _suite_final_cor(group, borel, -1)}
+    for suite in (_suite_delta2_props, _suite_final_cor):
+        with pytest.raises(VerificationError, match="unstable at box boundary"):
+            tuple(suite(group, borel, -1))
+    # final-cor reads the tables of the maximal parabolics
+    for p in (borel, Parabolic(2, frozenset({0})), Parabolic(2, frozenset({1}))):
+        _empty_the_point_front(group, p)
+    props = {c.name: c for c in itertools.islice(_suite_delta2_props(group, borel, 2), 5)}
+    final = {c.name: c for c in _suite_final_cor(group, borel, 2)}
     for check in (
         props["symmetry"],
         props["pair-monotone"],
@@ -269,14 +291,29 @@ def test_one_order_bound_switches_every_unasked_pair_table(monkeypatch):
 
 
 def test_a_cap_below_dx_empties_the_point_front_and_fails_main():
-    """At pad -1 the packed cap is d_X - 1: the (pt, pt) front is empty, never wrapped."""
+    """At pad -1 the box stops below d_X, which (pt, pt) needs: the table raises and is not
+    kept.  An empty (pt, pt) front fails main there."""
     group = WeylGroup(build_root_system("G", 2))
     borel = Parabolic(2, frozenset())
     top = len(group.cosets(borel)) - 1
-    (check,) = _suite_main(group, borel, -1, "pairs")
-    assert _pairs_table(group, borel, -1)[(top, top)] == ()
+    with pytest.raises(VerificationError, match="unstable at box boundary"):
+        _pairs_table(group, borel, -1)
+    assert not any(key[0] == "pairs-table" for key in group.memo)
+    _empty_the_point_front(group, borel)
+    (check,) = _suite_main(group, borel, 2, "pairs")
     assert not check.passed
-    assert check.counterexample.endswith(" empty front")
+    assert check.counterexample == f"u#{top} v#{top} empty front"
+
+
+def test_the_hecke_suite_refuses_an_oversized_table_before_enumeration(monkeypatch):
+    """|W|^2 past the cap raises ResourceError before W is enumerated (B2: 64 pairs)."""
+    group = WeylGroup(build_root_system("B", 2))
+    monkeypatch.setattr(suites, "ENUMERATION_CAP", 63)
+    with pytest.raises(ResourceError, match="hecke table of 64 pairs"):
+        verify_suite("hecke", "B", 2, group=group)
+    assert not any(key[0] == "elements" for key in group.memo)
+    monkeypatch.setattr(suites, "ENUMERATION_CAP", 64)
+    assert verify_suite("hecke", "B", 2, group=group).passed
 
 
 def test_an_oversized_pair_table_is_refused_before_enumeration():
