@@ -84,6 +84,15 @@ def test_z_json_matches_pinned_digests(case, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_b4_pair_tables_match_the_readme_digest():
+    """Every pair front of every B4 parabolic, as the README's `main --mode pairs` run pins it."""
+    argv = ["verify", "--suite", "main", "--type", "B", "--rank", "4", "--mode", "pairs"]
+    done = run_process([*argv, "--parabolic", "all", "--json"])
+    assert done.returncode == 0 and done.stderr == ""
+    digest = "4f05481cf7d5ec2bef755ad3ba25d6a51ab2e6b91cdb32b18dafa954a6c7440e"
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest
+
+
 def test_verify_g2_examples_exit_zero():
     code, _ = run_capture(["verify", "--suite", "g2-examples", "--type", "G", "--rank", "2"])
     assert code == 0
