@@ -39,7 +39,8 @@ box is a down-set, and lex order is a linear extension of the coefficientwise
 order, so the tail d - d(alpha_1), which lies below d and is not d
 (d(alpha_1) != 0 outside R_P), is a box point visited before d: each point
 costs one greedy step and one Hecke step.  Its Y(d_X) is checked against
-``z`` at d_X.
+``z`` at d_X.  ``equalwx_criterion`` alone, which asks for one box per
+degree, reads a fold memoised per (parabolic, pad).
 z_min = ``coset_min(z_max)`` depends on (parabolic, z_max) alone and is
 memoised through ``memoised``, so a scan box pays one per z-class.
 """
@@ -55,7 +56,6 @@ from .degreelattice import (
     _greedy_step,
     box_points,
     d_of_root,
-    degree_box,
     greedy_decomposition,
     in_r_p,
     induce,
@@ -63,7 +63,7 @@ from .degreelattice import (
     c1,
 )
 from .errors import DomainError, InvariantViolationError, VerificationError
-from .rootsystem import memoised
+from .rootsystem import coeffs_leq, memoised
 from .weylgroup import CosetRep, Parabolic, Weyl, WeylGroup
 
 
@@ -119,6 +119,10 @@ def hecke_box(group: WeylGroup, parabolic: Parabolic, pad: int) -> dict:
             f"box fold and z disagree at d_X on Delta_P = {sorted(parabolic.delta_p)}"
         )
     return ys
+
+
+#: the fold kept per (parabolic, pad) for ``equalwx_criterion``, which reads one box per degree
+_kept_box = memoised("hecke-box")(hecke_box)
 
 
 def curve_neighborhood(
@@ -209,21 +213,17 @@ def equalwx_criterion(group: WeylGroup, parabolic: Parabolic, d: Degree, pad: in
 
     True iff for each free beta some d' >= d + d(beta) in the scan box has
     z_{d'} = z_d; when true the implication z_d = w_X is asserted.
+
+    The box d_X + pad is one kept ``hecke_box``: z_{d'} = z_d iff Y(d') = Y(d),
+    and z_d = w_X iff Y(d) is w_o, the maximal element of w_X W_P.  Y(d) is
+    read off the box too, and off ``z`` for a d outside it.
     """
     system = group.system
-    zd = z(group, parabolic, d).z_min
-    corner = _d_x(system, parabolic)
-    stationary = True
-    for beta in parabolic.free:
-        lower = d + d_of_root(system, parabolic, system.simple_roots[beta])
-        found = any(
-            lower.leq(d2) and z(group, parabolic, d2).z_min == zd
-            for d2 in degree_box(parabolic, corner, pad)
-        )
-        if not found:
-            stationary = False
-            break
-    if stationary and zd != group.w_x(parabolic):
+    ys = _kept_box(group, parabolic, pad)
+    y = ys[d.coeffs] if d.parabolic == parabolic and d.coeffs in ys else z(group, parabolic, d).z_max
+    lowers = [(d + d_of_root(system, parabolic, system.simple_roots[b])).coeffs for b in parabolic.free]
+    stationary = all(any(y2 == y and coeffs_leq(low, c) for c, y2 in ys.items()) for low in lowers)
+    if stationary and y != group.w_o:
         raise InvariantViolationError(
             f"stationary z_d with z != w_X at d = {d.coeffs}"
         )

@@ -45,10 +45,10 @@ Nothing here multiplies.  Every coset u_i W_P but eW_P gets one left
 descent, the least j with k = left[j][i] < i (so u_i = s_j u_k), and the
 down-sets and the adjacency edges both recur along it.  Bruhat down-sets
 are int bitsets by the lifting property (Bjorner-Brenti, GTM 231, 2.2),
-D(i) = D(k) | s_j D(k), and ``coset_order`` reads their bits.
-``_chain_ends`` (the cosets y <= w_o u_j W_P, where a chain to u_j W_P may
-end) is the duals of the cosets above u_j W_P, as w_o reverses Bruhat
-order; it serves only the "ends" search and ``chain_witness``.
+D(i) = D(k) | s_j D(k), and the up-sets of ``coset_order`` are the duals of
+the down-sets of the duals, as w_o reverses Bruhat order.  ``_chain_ends``
+(the y with u_y W_P <= w_o u_j W_P, where a chain to u_j W_P may end) serves
+only the "ends" search and ``chain_witness``.
 ``coset_duals`` walks each index along the word of w_o.  Only eW_P walks
 the word of each s_alpha (``RootSystem.reflection_word``, the word ``z``
 takes its Hecke steps along) for its adjacency edges; the edges of u_i W_P are
@@ -61,9 +61,9 @@ Pair tables read the scan: delta_P(u, v) = min{d : vW_P <= (w_o u) . z_d^P W_P}
 whose row at u = w_o is delta_w.  ``hecke_rows`` walks each z-class of the
 scan box along the left descents of the coset table, one read of ``left``
 per (class, coset), and builds each row's fronts with ``_scan_front``.
-``_pairs_table`` checks the point-class row against the chain search seeded
-at the cosets above it, read at w_o u_j W_P: the fronts of a search seeded
-at an up-set are monotone in Bruhat order (Buch-Mihalcea 2015).
+The suites' ``_pairs_table`` streams these rows and checks the point-class
+row against the chain search seeded at the cosets above it, read at w_o u_j
+W_P: the fronts of a search seeded at an up-set are monotone in Bruhat order.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import itemgetter
 
 from ..cascade import d_x
 from ..curveneighborhood import _z_min, hecke_box
@@ -257,11 +258,8 @@ def hecke_rows(group: WeylGroup, parabolic: Parabolic, pad: int):
             if front is None:
                 degrees = _scan_front(group, parabolic, pad, hit).degrees
                 front = fronts[hit] = tuple(d.coeffs for d in degrees)
-            bits = bin(mask)[:1:-1]  # a part is sparse: find its bits, not every digit
-            j = bits.find("1")
-            while j >= 0:
+            for j in _bits(mask):
                 row[j] = front
-                j = bits.find("1", j + 1)
         yield row
 
 
@@ -280,9 +278,13 @@ class _CosetTable:
     down: tuple  # down[i]: the bitset of the indices x with u_x W_P <= u_i W_P
 
 
-def _bits(mask: int) -> list:
-    """The indices of the set bits of mask, ascending."""
-    return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
+def _bits(mask: int):
+    """The indices of the set bits of mask, ascending: a walk that finds its bits, not every digit."""
+    bits = bin(mask)[:1:-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
 
 
 def _left_descents(left: tuple) -> tuple:
@@ -296,14 +298,19 @@ def _left_descents(left: tuple) -> tuple:
     return tuple(out)
 
 
+def _permuted(mask: int, image: itemgetter, n: int) -> int:
+    """{y < n : bit image(y) of mask is set}: one pass over the digits, cheaper than a bit walk."""
+    return int("".join(image(bin(mask)[:1:-1].ljust(n, "0")))[::-1], 2)
+
+
 def _down_sets(left: tuple, descents: tuple) -> tuple:
     """Bitset down-sets: D(i) = D(k) | s_j D(k) for the left descent k = left[j][i] < i."""
     n = len(left[0])
+    images = [itemgetter(*row) for row in left]  # left[j] is an involution: s_j D = D permuted by it
     down = [1]
     for i in range(1, n):
-        row = left[descents[i]]
-        below = down[row[i]]
-        down.append(below | sum(1 << row[x] for x in _bits(below)))
+        below = down[left[descents[i]][i]]
+        down.append(below | _permuted(below, images[descents[i]], n))
     if down[-1] != (1 << n) - 1:
         raise InvariantViolationError("the top coset's down-set is not every coset")
     return tuple(down)
@@ -376,13 +383,11 @@ def adjacency_graph(group: WeylGroup, parabolic: Parabolic) -> AdjacencyGraph:
 
 @memoised("coset_order")
 def coset_order(group: WeylGroup, parabolic: Parabolic) -> tuple:
-    """For each coset index, the frozenset of indices of cosets above it."""
+    """For each coset index x, the bitset of the cosets above it: the duals of those below its dual."""
     down = _coset_table(group, parabolic).down
-    up: list = [[] for _ in down]
-    for i, below in enumerate(down):
-        for x in _bits(below):
-            up[x].append(i)
-    return tuple(map(frozenset, up))
+    duals = coset_duals(group, parabolic)
+    image = itemgetter(*duals)
+    return tuple(_permuted(down[dual], image, len(duals)) for dual in duals)
 
 
 @memoised("coset_duals")
@@ -407,7 +412,7 @@ def _chain_ends(group: WeylGroup, parabolic: Parabolic, j: int) -> list:
     As w_o reverses Bruhat order on W/W_P, these are the duals of the cosets above u_j.
     """
     duals = coset_duals(group, parabolic)
-    return sorted(duals[x] for x in coset_order(group, parabolic)[j])
+    return sorted(duals[x] for x in _bits(coset_order(group, parabolic)[j]))
 
 
 @dataclass(frozen=True)
@@ -536,7 +541,8 @@ def _search(group: WeylGroup, parabolic: Parabolic, source: int, mode: str, pad:
     end ("ends": delta_uv's search, run backwards over the undirected graph).
     """
     if mode == "up":
-        seeds = coset_order(group, parabolic)[source]
+        # a frozenset's order: it fixes the FIFO search's parents, so chain_witness's witnesses
+        seeds = frozenset(_bits(coset_order(group, parabolic)[source]))
     elif mode == "ends":
         seeds = _chain_ends(group, parabolic, source)
     else:

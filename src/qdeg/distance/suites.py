@@ -52,6 +52,7 @@ from .core import (
     delta_uv,
     hecke_rows,
     PackedLabels,
+    _bits,
     _search,
     _z_classes,
 )
@@ -125,12 +126,11 @@ def _min_tuples(labels: PackedLabels, packed) -> tuple:
     return tuple(map(labels.unpack, labels.minimal(packed)))
 
 
-@memoised("pairs-table")
-def _pairs_table(group: WeylGroup, parabolic: Parabolic, pad: int) -> dict:
-    """delta_P(u, v) for every coset pair, as raw coefficient tuples.
+def _pairs_table(group: WeylGroup, parabolic: Parabolic, pad: int):
+    """(i, row i of ``hecke_rows``) for each coset index i, streamed: nothing n^2 is kept.
 
-    Entry (i, j) is row i of ``hecke_rows`` at column j: the minimal degrees
-    d with u_j W_P <= (w_o u_i) . z_d^P W_P in the box d_X + pad
+    row[j] is delta_P(u_i, u_j) as raw coefficient tuples: the minimal
+    degrees d with u_j W_P <= (w_o u_i) . z_d^P W_P in the box d_X + pad
     (Fulton-Woodward, On the quantum product of Schubert classes, J.
     Algebraic Geom. 13, 2004; Buch-Mihalcea, Curve neighborhoods of Schubert
     varieties, J. Differential Geom. 99, 2015), re-checked at pad + 1 as
@@ -138,54 +138,52 @@ def _pairs_table(group: WeylGroup, parabolic: Parabolic, pad: int) -> dict:
     VerificationError.  Pairs that read the same set of z-classes share one
     front tuple.
 
-    The row of the top coset (the point class) is checked against the chain
-    search seeded at the cosets above it, read at w_o u_j W_P; any pair where
-    the two differ raises InvariantViolationError.  The chain read is exact:
-    the curve neighborhood of a Schubert variety is a Schubert variety
-    (Buch-Mihalcea 2015), so the cosets reached within degree d from an
-    up-set form an up-set, and a chain of degree at most the cap has every
-    prefix at most the cap, so the search prunes none of it.
+    Before it is yielded, the row of the top coset (the point class) is
+    checked against the chain search seeded at the cosets above it, read at
+    w_o u_j W_P; a pair where the two differ raises InvariantViolationError.
+    The chain read is exact: the curve neighborhood of a Schubert variety is
+    a Schubert variety (Buch-Mihalcea 2015), so the cosets reached within
+    degree d from an up-set form an up-set, and a chain of degree at most
+    the cap has every prefix at most the cap, so the search prunes none of it.
 
-    A table of more than 4 * ENUMERATION_CAP pairs raises ResourceError
-    before any coset is enumerated.
+    A table of more than 4 * ENUMERATION_CAP pairs raises ResourceError at
+    the first row, before any coset is enumerated.
     """
     n = group.order() // group.order(parabolic.delta_p)
     if n * n > 4 * ENUMERATION_CAP:
-        raise ResourceError(
-            f"pair table of {n * n} pairs exceeded the cap of {4 * ENUMERATION_CAP}"
-        )
-    chain = _search(group, parabolic, n - 1, "up", pad)
-    table: dict = {}
+        raise ResourceError(f"pair table of {n * n} pairs exceeded the cap of {4 * ENUMERATION_CAP}")
     for i, row in enumerate(hecke_rows(group, parabolic, pad)):
+        if i == n - 1:
+            chain = _search(group, parabolic, i, "up", pad)
+            for j, y in enumerate(coset_duals(group, parabolic)):
+                if _min_tuples(chain.labels, chain.fronts[y]) != row[j]:
+                    raise InvariantViolationError(f"chain and Hecke fronts differ at u#{i} v#{j}")
+        yield i, row
+
+
+def _empty_fronts(rows):
+    """A failing item for each empty front of the (i, row) pairs, so no pair check passes on none."""
+    for i, row in rows:
         for j, front in enumerate(row):
-            table[(i, j)] = front
-    for j, y in enumerate(coset_duals(group, parabolic)):
-        if _min_tuples(chain.labels, chain.fronts[y]) != table[(n - 1, j)]:
-            raise InvariantViolationError(f"chain and Hecke fronts differ at u#{n - 1} v#{j}")
-    return table
+            if not front:
+                yield False, f"u#{i} v#{j} empty front"
 
 
-def _empty_fronts(table: dict):
-    """A failing item for each empty pair front, so no pair check passes on none."""
-    for (i, j), front in table.items():
-        if not front:
-            yield False, f"u#{i} v#{j} empty front"
-
-
-def _each_pair_degree(table: dict, ok):
-    """(ok(coeffs), info) for each degree of each pair front; an empty front fails.
+def _each_pair_degree(rows, ok):
+    """(ok(coeffs), info) for each degree of each front of the streamed rows; an empty front fails.
 
     ok must be pure in coeffs (both callers are): it runs once per distinct
     tuple, and info is formatted only for a failing item.
     """
-    yield from _empty_fronts(table)
     verdicts: dict = {}
-    for (i, j), front in table.items():
-        for coeffs in front:
-            good = verdicts.get(coeffs)
-            if good is None:
-                good = verdicts[coeffs] = ok(coeffs)
-            yield good, None if good else f"u#{i} v#{j} d={coeffs}"
+    for i, row in rows:
+        yield from _empty_fronts([(i, row)])
+        for j, front in enumerate(row):
+            for coeffs in front:
+                good = verdicts.get(coeffs)
+                if good is None:
+                    good = verdicts[coeffs] = ok(coeffs)
+                yield good, None if good else f"u#{i} v#{j} d={coeffs}"
 
 
 @memoised("self-fronts")
@@ -261,9 +259,9 @@ def _first_entries(system, parabolic: Parabolic, degrees):
 
 
 def _suite_hecke(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
-    pairs = group.order() ** 2  # the product table; associativity walks |W|^3 triples
-    if pairs > ENUMERATION_CAP:
-        raise ResourceError(f"hecke table of {pairs} pairs exceeded the cap of {ENUMERATION_CAP}")
+    triples = group.order() ** 3  # associativity walks every triple, the product table every pair
+    if triples > ENUMERATION_CAP:
+        raise ResourceError(f"hecke suite of {triples} triples exceeded the cap of {ENUMERATION_CAP}")
     els = group.elements()
     w_p = group.longest_element(parabolic)
     table = {(u, v): group.hecke_product(u, v) for u in els for v in els}
@@ -689,7 +687,7 @@ def _suite_delta2_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Ch
     graph = adjacency_graph(group, parabolic)
     cosets = graph.cosets
     up = coset_order(group, parabolic)
-    table = _pairs_table(group, parabolic, pad)
+    table = [row for _, row in _pairs_table(group, parabolic, pad)]  # kept: (j, i), Bruhat pairs
     duals = coset_duals(group, parabolic)
 
     def _rep_independence():
@@ -713,46 +711,44 @@ def _suite_delta2_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Ch
                 yield ok, f"coset={_word_str(group, m)} rep-shift={_word_str(group, u)}"
     yield _check("adjacency-rep-independence", _rep_independence())
 
+    pairs = [(i, j, front) for i, row in enumerate(table) for j, front in enumerate(row)]
     def _symmetry():
-        yield from _empty_fronts(table)
-        for (i, j), front in table.items():
-            yield front == table[(j, i)], f"u#{i} v#{j}"
+        yield from _empty_fronts(enumerate(table))
+        for i, j, front in pairs:
+            yield front == table[j][i], f"u#{i} v#{j}"
     yield _check("symmetry", _symmetry())
     zero = ((0,) * len(parabolic.free),)
     yield _check(
         "zero-iff-dominated",
-        (
-            ((front == zero) == (duals[j] in up[i]), f"u#{i} v#{j}")
-            for (i, j), front in table.items()
-        ),
+        (((front == zero) == bool(up[i] >> duals[j] & 1), f"u#{i} v#{j}") for i, j, front in pairs),
     )
     def _pair_monotone():
-        yield from _empty_fronts(table)
-        comparable = [(i, i2) for i, above in enumerate(up) for i2 in above]
+        yield from _empty_fronts(enumerate(table))
+        comparable = [(i, i2) for i, above in enumerate(up) for i2 in _bits(above)]
         for i, i2 in comparable:
             for j, j2 in comparable:
-                for c2 in table[(i2, j2)]:
+                for c2 in table[i2][j2]:
                     yield (
-                        any(coeffs_leq(c, c2) for c in table[(i, j)]),
+                        any(coeffs_leq(c, c2) for c in table[i][j]),
                         f"({i},{j}) <= ({i2},{j2}) d={c2}",
                     )
     yield _check("pair-monotone", _pair_monotone())
     def _endpoints():
-        yield from _empty_fronts(table)
-        for (i, j), front in table.items():
+        yield from _empty_fronts(enumerate(table))
+        for i, j, front in pairs:
             for coeffs in front:
                 d = Degree(parabolic, coeffs)
                 witness = chain_witness(group, parabolic, cosets[i], cosets[j], d)
                 first = graph.index[witness.cosets[0]]
                 last_dual = duals[graph.index[witness.cosets[-1]]]
-                for i2 in up[i]:
-                    if first not in up[i2]:
+                for i2 in _bits(up[i]):
+                    if not up[i2] >> first & 1:
                         continue
-                    for j2 in up[j]:
-                        if last_dual not in up[j2]:
+                    for j2 in _bits(up[j]):
+                        if not up[j2] >> last_dual & 1:
                             continue
                         yield (
-                            coeffs in table[(i2, j2)],
+                            coeffs in table[i2][j2],
                             f"({i},{j})->({i2},{j2}) d={coeffs}",
                         )
     yield _check("chain-endpoint-transfer", _endpoints())
@@ -986,9 +982,10 @@ def _suite_final_cor(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Check
     if group.order() <= PAIR_TABLE_ORDER:
         def _interval_pairs():
             for b, p_b, top in maximal:
-                table = _pairs_table(group, p_b, pad)
-                yield from _empty_fronts(table)
-                got = {c[0] for front in table.values() for c in front}
+                got = set()
+                for i, row in _pairs_table(group, p_b, pad):
+                    yield from _empty_fronts([(i, row)])
+                    got.update(c[0] for front in row for c in front)
                 yield got == set(range(top + 1)), f"beta={b + 1} got={sorted(got)}"
         yield _check("interval-identity-pairs", _interval_pairs())
 
@@ -1024,7 +1021,7 @@ def _suite_g2_examples(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Che
     dgb = _d_x(system, b)
     e = Degree(b, (2, 1))
     expected_greedy = ((3, 1), (1, 0))
-    absent = all(e.coeffs not in front for front in _pairs_table(group, b, pad).values())
+    absent = all(e.coeffs not in front for _, row in _pairs_table(group, b, pad) for front in row)
     yield _check(
         "example-inclusionstrict",
         [
@@ -1057,23 +1054,22 @@ def front_coverage(group: WeylGroup, parabolic: Parabolic, pad: int = 2) -> Fron
     """Scan [0, d_X] for unachieved minimal degrees and non-singleton fronts.
 
     The self-front characterization (d in delta_P(z_d^P)) drives the coverage
-    scan; on groups small enough to enumerate, the all-pairs chain table is
-    cross-checked against it.
+    scan; on groups small enough to enumerate, the union of the streamed pair
+    fronts is cross-checked against it.
     """
     selfish = _self_fronts(group, parabolic, pad)
     box = tuple(degree_box(parabolic, _d_x(group.system, parabolic), 0))
     achieved = tuple(d for d in box if d.coeffs in selfish)
     gaps = tuple(d for d in box if d.coeffs not in selfish)
-    nonsingleton = ()
+    nonsingleton: list = []
     if group.order() <= PAIR_TABLE_ORDER:
-        table = _pairs_table(group, parabolic, pad)
-        from_pairs = {c for front in table.values() for c in front}
+        from_pairs = set()
+        for i, row in _pairs_table(group, parabolic, pad):
+            from_pairs.update(c for front in row for c in front)
+            nonsingleton += [(i, j) for j, front in enumerate(row) if len(front) > 1]
         if from_pairs != {d.coeffs for d in achieved}:
-            raise InvariantViolationError(
-                "pair-front union disagrees with the self-front characterization"
-            )
-        nonsingleton = tuple(pair for pair, front in table.items() if len(front) > 1)
-    return FrontCoverage(achieved, gaps, nonsingleton)
+            raise InvariantViolationError("pair-front union disagrees with the self-front characterization")
+    return FrontCoverage(achieved, gaps, tuple(nonsingleton))
 
 
 _SUITES = {

@@ -186,6 +186,16 @@ def test_an_oversized_pair_table_exits_two_at_once():
         assert "pair table of 2687385600 pairs exceeded the cap" in done.stderr
 
 
+def test_an_oversized_hecke_walk_exits_two_at_once():
+    """B4's 384 ** 3 triples are refused before W is enumerated; the walk would run for minutes."""
+    argv = ["verify", "--suite", "hecke", "--type", "B", "--rank", "4", "--parabolic", "1,2,3"]
+    start = time.perf_counter()
+    done = run_process(argv)
+    assert time.perf_counter() - start < 5
+    assert done.returncode == 2 and done.stdout == ""
+    assert f"hecke suite of {384 ** 3} triples exceeded the cap of {ENUMERATION_CAP}" in done.stderr
+
+
 def test_a_degree_past_the_greedy_cap_exits_two_before_any_step():
     """sum(d) bounds the greedy walk and the memo entries it keeps: GREEDY_CAP + 1
     is refused before the walk starts, and GREEDY_CAP itself answers."""

@@ -398,3 +398,22 @@ def test_equalwx():
         for d in degree_box(p, corner, 1):
             crit = equalwx_criterion(b2, p, d)
             assert crit == (z(b2, p, d).z_min == b2.w_x(p))
+
+
+def test_equalwx_reads_the_box_fold_and_z_only_outside_it(monkeypatch):
+    """Inside the box the criterion calls z at d_X alone, the fold's own check, and agrees with
+    z_d^P = w_X on d_X + 1; a degree outside the box is read off z (B3, every parabolic)."""
+    group = fresh_group("B", 3)
+    calls = []
+    real = curveneighborhood.z
+    monkeypatch.setattr(curveneighborhood, "z", lambda g, p, d: calls.append(d.coeffs) or real(g, p, d))
+    for p in all_parabolics(3)[:-1]:  # the last one is G itself, a point
+        corner = d_x(group.system, p)
+        for d in degree_box(p, corner, 1):
+            assert equalwx_criterion(group, p, d) == (real(group, p, d).z_min == group.w_x(p)), d
+        assert set(calls) == {corner.coeffs}, p
+        calls.clear()
+        outside = Degree(p, tuple(c + 4 for c in corner.coeffs))
+        assert not equalwx_criterion(group, p, outside)
+        assert calls == [outside.coeffs], p
+        calls.clear()

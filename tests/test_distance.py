@@ -23,6 +23,7 @@ from qdeg.distance import (
 )
 from qdeg.distance import core
 from qdeg.distance.core import (
+    _bits,
     _chain_ends,
     _coset_table,
     _front,
@@ -264,7 +265,7 @@ def union_read_oracle(group, parabolic, u, v, pad):
     """delta_uv read as the union of its search's fronts over the cosets above u (test oracle)."""
     index = adjacency_graph(group, parabolic).index
     result = _search(group, parabolic, index[group.coset_min(v, parabolic)], "ends", pad)
-    starts = coset_order(group, parabolic)[index[group.coset_min(u, parabolic)]]
+    starts = _bits(coset_order(group, parabolic)[index[group.coset_min(u, parabolic)]])
     return _front(parabolic, result, (t for x in starts for t in result.fronts[x]))
 
 
@@ -451,10 +452,7 @@ def test_coset_tables_against_descent_recursion(letter, rank):
             for j in range(len(cosets)):
                 assert bool(table.down[j] >> i & 1) == leq[i][j], (letter, p, i, j)
         up = coset_order(group, p)
-        # the same frozensets, built in the same order, iterate the same way
-        assert [list(above) for above in up] == [
-            list(frozenset(j for j, below in enumerate(row) if below)) for row in leq
-        ]
+        assert up == tuple(sum(1 << j for j, below in enumerate(row) if below) for row in leq)
         duals = coset_duals(group, p)
         assert duals == tuple(table.index[group.coset_min(group.dual(m), p)] for m in cosets)
         for j, dual in enumerate(duals):
@@ -577,6 +575,12 @@ def test_adjacency_invariants_at_the_identity_coset_raise():
             adjacency_graph(group, borel)
 
 
+def pairs_dict(group, parabolic, pad):
+    """The streamed pair rows as one {(i, j): front} dict, in row order."""
+    rows = _pairs_table(group, parabolic, pad)
+    return {(i, j): front for i, row in rows for j, front in enumerate(row)}
+
+
 def direct_pairs_oracle(group, parabolic, pad):
     """The pair table as a direct read: minimal labels over every chain end of each pair."""
     n = len(group.cosets(parabolic))
@@ -596,12 +600,13 @@ def test_pairs_table_matches_the_direct_read(letter, rank):
     group = WeylGroup(build_root_system(letter, rank))
     for p in all_parabolics(rank):
         for pad in (0, 1, 2):
-            assert list(_pairs_table(group, p, pad).items()) == direct_pairs_oracle(group, p, pad)
+            assert list(pairs_dict(group, p, pad).items()) == direct_pairs_oracle(group, p, pad)
 
 
 def test_a_wrong_class_walk_fails_the_point_row_check():
     """The class of degree 0 walked from w_o in place of its z = e covers every column of the
-    point row, so the Hecke row reads 0 where the chain search reads more."""
+    point row, so the Hecke row reads 0 where the chain search reads more.  The rows above it
+    stream first: the check runs before the point row is yielded."""
     group = WeylGroup(build_root_system("B", 2))
     borel = Parabolic(2, frozenset())
     classes = _z_classes(group, borel, 2)
@@ -610,8 +615,10 @@ def test_a_wrong_class_walk_fails_the_point_row_check():
     group.memo[key] = tuple(
         replace(c, z=group.w_o) if i == zero else c for i, c in enumerate(classes)
     )
+    rows = _pairs_table(group, borel, 2)
+    assert [i for i, _ in itertools.islice(rows, 7)] == list(range(7))
     with pytest.raises(InvariantViolationError, match="chain and Hecke fronts differ at u#7"):
-        _pairs_table(group, borel, 2)
+        next(rows)
 
 
 @pytest.mark.parametrize("letter,rank", PAIR_SYSTEMS + [("D", 4)])
@@ -690,7 +697,7 @@ def test_pairs_table_against_the_quantum_bruhat_graph(letter, rank):
     """The pair table equals the QBG oracle's minimal path weights; every front is one degree."""
     group = WeylGroup(build_root_system(letter, rank))
     for p in all_parabolics(rank):
-        table = _pairs_table(group, p, 2)
+        table = pairs_dict(group, p, 2)
         qbg = qbg_pairs_oracle(group, p)
         assert table.keys() == qbg.keys()
         for pair, front in table.items():
@@ -706,7 +713,7 @@ def test_pairs_table_runs_one_chain_search_per_parabolic(monkeypatch):
     group = WeylGroup(build_root_system("B", 3))
     parabolics = list(all_parabolics(3))
     for p in parabolics:
-        _pairs_table(group, p, 2)
+        pairs_dict(group, p, 2)
     assert len(calls) == len(parabolics)
     assert [key for key in group.memo if key[0] == "search"] == [
         ("search", p.delta_p, len(group.cosets(p)) - 1, "up", 2) for p in parabolics

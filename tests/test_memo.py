@@ -32,13 +32,13 @@ MEMOISED = {
     "coset_duals": core.coset_duals,
     "labels": core._labels,
     "search": core._search,
-    "pairs-table": suites._pairs_table,
     "degrees": degreelattice._degree_table,
     "greedy": degreelattice._greedy_step,
     "maximal-roots": degreelattice._maximal_roots,
     "d_x": cascade.d_x,
     "z-min": curveneighborhood._z_min,
     "z-max": curveneighborhood._z_max,
+    "hecke-box": curveneighborhood._kept_box,
     "self-fronts": suites._self_fronts,
 }
 
@@ -61,8 +61,10 @@ def test_a_parabolic_of_another_rank_reads_and_stores_nothing():
     p, other = Parabolic(3, frozenset({0})), Parabolic(2, frozenset({0}))
     for m in group.cosets(p):
         qdeg.delta_w(group, p, m)
-    suites._pairs_table(group, p, 2)
+    for _ in suites._pairs_table(group, p, 2):
+        pass
     suites._self_fronts(group, p, 2)
+    curveneighborhood.equalwx_criterion(group, p, qdeg.Degree.zero(p))
     asked = set()
     for owner in (system, group):
         for key in list(owner.memo):

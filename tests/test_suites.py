@@ -76,41 +76,52 @@ def test_negative_pad_is_rejected():
         verify_suite("main", "G", 2, Parabolic(2, frozenset()), pad=-1, mode="pairs")
 
 
-def _empty_the_point_front(group, parabolic):
-    """Put () at (pt, pt) in the memoised pad-2 pair table: a pair with no degree in its box."""
-    top = len(group.cosets(parabolic)) - 1
-    table = dict(_pairs_table(group, parabolic, 2))
-    table[(top, top)] = ()
-    group.memo[("pairs-table", parabolic.delta_p, 2)] = table
+def _doctor_pair_fronts(monkeypatch, fronts):
+    """Make the suites read fronts[(Delta_P, i, j)] in place of the streamed front of pair (i, j).
+
+    The rows are doctored after ``_pairs_table`` yields them, so after its point-row check."""
+    real = suites._pairs_table
+
+    def doctored(group, parabolic, pad):
+        for i, row in real(group, parabolic, pad):
+            yield i, [fronts.get((parabolic.delta_p, i, j), front) for j, front in enumerate(row)]
+
+    monkeypatch.setattr(suites, "_pairs_table", doctored)
 
 
-def test_main_pairs_counts_an_empty_front_as_a_failure():
+def _empty_the_point_front(monkeypatch, group, *parabolics):
+    """Stream () at (pt, pt) for these parabolics: a pair with no degree in its box."""
+    tops = {p.delta_p: len(group.cosets(p)) - 1 for p in parabolics}
+    _doctor_pair_fronts(monkeypatch, {(dp, top, top): () for dp, top in tops.items()})
+
+
+def test_main_pairs_counts_an_empty_front_as_a_failure(monkeypatch):
     """At pad -1 some pairs need a degree outside the box, and the scan's re-check raises;
     an empty front in a table fails main."""
     group = WeylGroup(build_root_system("G", 2))
     borel = Parabolic(2, frozenset())
     with pytest.raises(VerificationError, match="unstable at box boundary"):
         tuple(_suite_main(group, borel, -1, "pairs"))
-    _empty_the_point_front(group, borel)
+    _empty_the_point_front(monkeypatch, group, borel)
     (check,) = _suite_main(group, borel, 2, "pairs")
     assert not check.passed
     assert check.counterexample.endswith("empty front")
 
 
-def test_delta2_counts_an_empty_front_as_a_failure():
+def test_delta2_counts_an_empty_front_as_a_failure(monkeypatch):
     """The same pairs must not let pair-degrees-are-self-front pass."""
     group = WeylGroup(build_root_system("G", 2))
     borel = Parabolic(2, frozenset())
     with pytest.raises(VerificationError, match="unstable at box boundary"):
         tuple(_suite_delta2(group, borel, -1))
-    _empty_the_point_front(group, borel)
+    _empty_the_point_front(monkeypatch, group, borel)
     (check,) = _suite_delta2(group, borel, 2)
     assert not check.passed
     assert check.counterexample.endswith("empty front")
     assert check.checked == 144
 
 
-def test_pair_properties_count_an_empty_front_as_a_failure():
+def test_pair_properties_count_an_empty_front_as_a_failure(monkeypatch):
     """No claim over the pair fronts may pass on an empty front."""
     group = WeylGroup(build_root_system("G", 2))
     borel = Parabolic(2, frozenset())
@@ -118,8 +129,8 @@ def test_pair_properties_count_an_empty_front_as_a_failure():
         with pytest.raises(VerificationError, match="unstable at box boundary"):
             tuple(suite(group, borel, -1))
     # final-cor reads the tables of the maximal parabolics
-    for p in (borel, Parabolic(2, frozenset({0})), Parabolic(2, frozenset({1}))):
-        _empty_the_point_front(group, p)
+    maximal = (Parabolic(2, frozenset({0})), Parabolic(2, frozenset({1})))
+    _empty_the_point_front(monkeypatch, group, borel, *maximal)
     props = {c.name: c for c in itertools.islice(_suite_delta2_props(group, borel, 2), 5)}
     final = {c.name: c for c in _suite_final_cor(group, borel, 2)}
     for check in (
@@ -132,20 +143,18 @@ def test_pair_properties_count_an_empty_front_as_a_failure():
         assert check.counterexample.endswith("empty front")
 
 
-def test_pair_claims_see_an_overestimated_front():
+def test_pair_claims_see_an_overestimated_front(monkeypatch):
     """A front raised to the cap at one pair must fail main and pair-monotone.
 
-    The claims read the memoised pair table as it is, so the capped front is
-    put into the table itself: a corrupted chain search is caught earlier, by
-    the table's own cross-check (next test).
+    The claims read the streamed rows as they are, so the capped front is put
+    into the stream after the table's own cross-check: a corrupted chain
+    search is caught by that check (next test).
     """
     group = WeylGroup(build_root_system("B", 2))
     borel = Parabolic(2, frozenset())
     top = len(group.cosets(borel)) - 1
-    table = _pairs_table(group, borel, 2)
     labels = _labels(group, borel, 2)
-    key = ("pairs-table", borel.delta_p, 2)
-    group.memo[key] = {**table, (top, 1): (labels.unpack(labels.cap),)}
+    _doctor_pair_fronts(monkeypatch, {(borel.delta_p, top, 1): (labels.unpack(labels.cap),)})
     (check,) = _suite_main(group, borel, 2, "pairs")
     assert not check.passed
     assert check.counterexample == f"u#{top} v#1 d=(4, 3)"
@@ -164,7 +173,7 @@ def test_an_overestimated_chain_front_trips_the_pair_table_cross_check():
     fronts[coset_duals(group, borel)[1]] = {result.labels.cap}
     group.memo[("search", borel.delta_p, top, "up", 2)] = replace(result, fronts=fronts)
     with pytest.raises(InvariantViolationError, match=f"u#{top} v#1$"):
-        _pairs_table(group, borel, 2)
+        list(_pairs_table(group, borel, 2))
 
 
 def test_description_names_the_first_coset_whose_fronts_differ():
@@ -277,6 +286,9 @@ def test_reflection_front_claims_fail_on_a_wrong_root_degree(
 def test_one_order_bound_switches_every_unasked_pair_table(monkeypatch):
     """B2 (order 8) builds pair tables unasked until PAIR_TABLE_ORDER drops below 8."""
     borel = Parabolic(2, frozenset())
+    calls = []
+    real = suites._pairs_table
+    monkeypatch.setattr(suites, "_pairs_table", lambda *args: calls.append(args[1]) or real(*args))
     for bound, built in [(8, True), (7, False)]:
         monkeypatch.setattr(suites, "PAIR_TABLE_ORDER", bound)
         group = WeylGroup(build_root_system("B", 2))
@@ -284,35 +296,34 @@ def test_one_order_bound_switches_every_unasked_pair_table(monkeypatch):
         names = [c.name for c in _suite_final_cor(group, borel, 2)]
         assert (main.name == "minimal-degrees-bounded-by-dx") == built
         assert ("interval-identity-pairs" in names) == built
-        group = WeylGroup(build_root_system("B", 2))
-        coverage = suites.front_coverage(group, borel)
-        assert (("pairs-table", borel.delta_p, 2) in group.memo) == built
+        calls.clear()
+        coverage = suites.front_coverage(WeylGroup(build_root_system("B", 2)), borel)
+        assert calls == ([borel] if built else [])
         assert coverage.nonsingleton_pairs == ()
 
 
-def test_a_cap_below_dx_empties_the_point_front_and_fails_main():
-    """At pad -1 the box stops below d_X, which (pt, pt) needs: the table raises and is not
-    kept.  An empty (pt, pt) front fails main there."""
+def test_a_cap_below_dx_empties_the_point_front_and_fails_main(monkeypatch):
+    """At pad -1 the box stops below d_X, which (pt, pt) needs: the stream raises.  An empty
+    (pt, pt) front fails main there."""
     group = WeylGroup(build_root_system("G", 2))
     borel = Parabolic(2, frozenset())
     top = len(group.cosets(borel)) - 1
     with pytest.raises(VerificationError, match="unstable at box boundary"):
-        _pairs_table(group, borel, -1)
-    assert not any(key[0] == "pairs-table" for key in group.memo)
-    _empty_the_point_front(group, borel)
+        list(_pairs_table(group, borel, -1))
+    _empty_the_point_front(monkeypatch, group, borel)
     (check,) = _suite_main(group, borel, 2, "pairs")
     assert not check.passed
     assert check.counterexample == f"u#{top} v#{top} empty front"
 
 
 def test_the_hecke_suite_refuses_an_oversized_table_before_enumeration(monkeypatch):
-    """|W|^2 past the cap raises ResourceError before W is enumerated (B2: 64 pairs)."""
+    """|W|^3 past the cap raises ResourceError before W is enumerated (B2: 512 triples)."""
     group = WeylGroup(build_root_system("B", 2))
-    monkeypatch.setattr(suites, "ENUMERATION_CAP", 63)
-    with pytest.raises(ResourceError, match="hecke table of 64 pairs"):
+    monkeypatch.setattr(suites, "ENUMERATION_CAP", 511)
+    with pytest.raises(ResourceError, match="hecke suite of 512 triples"):
         verify_suite("hecke", "B", 2, group=group)
     assert not any(key[0] == "elements" for key in group.memo)
-    monkeypatch.setattr(suites, "ENUMERATION_CAP", 64)
+    monkeypatch.setattr(suites, "ENUMERATION_CAP", 512)
     assert verify_suite("hecke", "B", 2, group=group).passed
 
 
