@@ -179,14 +179,7 @@ def _cmd_z(args) -> int:
         "z_min": encode_element(group, result.z_min),
         "z_max": encode_element(group, result.z_max),
     }
-    _emit(
-        doc,
-        args.json,
-        [
-            f"z_min reduced word: {encode_element(group, result.z_min)}",
-            f"z_max reduced word: {encode_element(group, result.z_max)}",
-        ],
-    )
+    _emit(doc, args.json, [f"z_min reduced word: {doc['z_min']}", f"z_max reduced word: {doc['z_max']}"])
     return 0
 
 

@@ -12,9 +12,8 @@ Gamma_d(uW_P) = u Gamma_d(eW_P) iff u^-1 W_P lies in Gamma_d(eW_P), so
 {u <= z_d^P w_P} is closed under inversion, and so is its longest element
 (Gamma_d(X_w) = X_{w . z_d}: Buch-Mihalcea, J. Differential Geom. 99, 2015).
 As alpha_2, ..., alpha_k is the greedy decomposition of d - d(alpha_1),
-Y(0) = w_P and
-Y(d) = Y(d - d(alpha_1)) . s_alpha_1: one Hecke step per degree, along the word
-of one reflection.
+Y(0) = w_P and Y(d) = Y(d - d(alpha_1)) . s_alpha_1: one Hecke step per
+degree, along the word of one reflection.
 
 That step is ``hecke_word`` along ``system.reflection_word(alpha_1)``, the
 palindrome j1..jm k jm..j1 with beta_0 = alpha_1, j_r the least j with
@@ -38,22 +37,23 @@ pass over the raw tuples of ``box_points`` and keeps it in a local dict.  The
 box is a down-set, and lex order is a linear extension of the coefficientwise
 order, so the tail d - d(alpha_1), which lies below d and is not d
 (d(alpha_1) != 0 outside R_P), is a box point visited before d: each point
-costs one greedy step and one Hecke step.  Its Y(d_X) is checked against
-``z`` at d_X.  ``equalwx_criterion`` alone, which asks for one box per
-degree, reads a fold memoised per (parabolic, pad).
-z_min = ``coset_min(z_max)`` depends on (parabolic, z_max) alone and is
-memoised through ``memoised``, so a scan box pays one per z-class.
+costs one first-fit lookup and one Hecke step.  Its Y(d_X) is checked
+against ``z`` at d_X, which compares two greedy algorithms, first fit and
+the ``maximal_roots`` sweep.  ``equalwx_criterion`` alone, which asks for
+one box per degree, reads a fold memoised per (parabolic, pad).  z_min =
+``coset_min(z_max)`` depends on (parabolic, z_max) alone and is memoised
+through ``memoised``, so a scan box pays one per z-class.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from operator import le, sub
 
 from .cascade import coroot_sum as _coroot_sum, d_x as _d_x
 from .degreelattice import (
     Degree,
-    _greedy_step,
+    _degree_table,
     box_points,
     d_of_root,
     greedy_decomposition,
@@ -100,18 +100,23 @@ def _z_max(group: WeylGroup, parabolic: Parabolic, coeffs: tuple) -> Weyl:
 def hecke_box(group: WeylGroup, parabolic: Parabolic, pad: int) -> dict:
     """{coefficients of d: Y(d) = z_d^P w_P} over the box d_X + pad, in lex order.
 
-    One greedy step and one Hecke step per point, from the tail's Y in this
-    dict.  The greedy steps stay in ``system.memo``; ``group.memo`` gains only
-    the entries of ``z`` at d_X, whose z_max must be the fold's Y(d_X), or
-    InvariantViolationError is raised.
+    One first-fit lookup and one Hecke step per point, from the tail's Y in
+    this dict.  alpha_1 is the first root outside R_P, lex-descending, with
+    d(alpha) <= d: the lex-largest root of S = {alpha : d(alpha) <= d}, so
+    maximal in S (a root above it is lex-larger), and max(maximal_roots(d)),
+    the root of the greedy step.
+    Nothing is stored in ``system.memo`` per point; ``group.memo`` gains
+    only the entries of ``z`` at d_X, whose z_max must be the fold's Y(d_X),
+    or InvariantViolationError is raised.
     """
     system = group.system
     corner = _d_x(system, parabolic)
+    steps = tuple((d, system.reflection_word(a)) for a, d in _degree_table(system, parabolic)[1])
     ys = {}
     for coeffs in box_points(corner.coeffs, pad):
-        if any(coeffs):
-            alpha, tail = _greedy_step(system, parabolic, coeffs)
-            ys[coeffs] = group.hecke_word(ys[tail], system.reflection_word(alpha))
+        fit = _first_fit(steps, coeffs)  # None at d = 0 alone: d(alpha_j) is a unit vector, j free
+        if fit:
+            ys[coeffs] = group.hecke_word(ys[tuple(map(sub, coeffs, fit[0]))], fit[1])
         else:
             ys[coeffs] = group.longest_element(parabolic)
     if z(group, parabolic, corner).z_max != ys[corner.coeffs]:
@@ -119,6 +124,14 @@ def hecke_box(group: WeylGroup, parabolic: Parabolic, pad: int) -> dict:
             f"box fold and z disagree at d_X on Delta_P = {sorted(parabolic.delta_p)}"
         )
     return ys
+
+
+def _first_fit(steps: tuple, coeffs: tuple):
+    """The first (d(alpha), word) of ``steps`` with d(alpha) <= coeffs, or None."""
+    for step in steps:
+        if all(map(le, step[0], coeffs)):
+            return step
+    return None
 
 
 #: the fold kept per (parabolic, pad) for ``equalwx_criterion``, which reads one box per degree
@@ -163,17 +176,9 @@ def is_very_cosmall(group: WeylGroup, parabolic: Parabolic, alpha) -> bool:
         return False
     for beta in parabolic.free:
         p_beta = parabolic.maximal_above(beta)
-        if in_r_p(system, p_beta, alpha):
-            return False
-        if not is_cosmall(group, p_beta, alpha):
+        if in_r_p(system, p_beta, alpha) or not is_cosmall(group, p_beta, alpha):
             return False
     return True
-
-
-def _lift_box(group: WeylGroup, parabolic: Parabolic, pad: int):
-    """Componentwise caps (d_{G/B})_beta + pad over the Delta_P coordinates."""
-    dgb = _coroot_sum(group.system)
-    return {b: dgb[b] + pad for b in sorted(parabolic.delta_p)}
 
 
 def z_lift_check(group: WeylGroup, parabolic: Parabolic, d: Degree, pad: int = 3) -> bool:
@@ -186,22 +191,17 @@ def z_lift_check(group: WeylGroup, parabolic: Parabolic, d: Degree, pad: int = 3
     b = Parabolic(system.rank, frozenset())
     target = z(group, parabolic, d).z_max
     base = induce(system, d, b)
-    caps = _lift_box(group, parabolic, pad)
     members = sorted(parabolic.delta_p)
+    dgb = _coroot_sum(system)
     grid = []
-    for extra in itertools.product(*(range(caps[m] + 1) for m in members)):
+    for extra in box_points(tuple(dgb[m] for m in members), pad):  # caps (d_{G/B})_beta + pad
         coeffs = list(base.coeffs)
         for m, n in zip(members, extra):
             coeffs[m] += n
         grid.append((extra, Degree(b, tuple(coeffs))))
     hits = {extra for extra, e in grid if z(group, b, e).z_min == target}
     for witness in sorted(hits):
-        above = [
-            extra
-            for extra, _ in grid
-            if all(x >= y for x, y in zip(extra, witness))
-        ]
-        if all(extra in hits for extra in above):
+        if all(extra in hits for extra, _ in grid if coeffs_leq(witness, extra)):
             return True
     raise VerificationError(
         f"no stable witness for z_d^P w_P = z_e^B within pad {pad} of {d.coeffs}"

@@ -19,7 +19,9 @@ the list per distinct clamped degree min(d, top), memoised under
 A greedy step d -> (alpha_1, d - d(alpha_1)), alpha_1 the lex-largest
 maximal root of d, is memoised the same way under ("greedy", Delta_P,
 coefficients).  ``greedy_decomposition`` walks d down to 0 over these steps in
-a loop.  Each step lowers sum(d) by at least 1 and keeps memo entries, so a
+a loop; ``curveneighborhood.hecke_box`` takes none, as it finds each box
+point's alpha_1 by first fit over the lex-descending list, and compares the
+two at d_X.  Each step lowers sum(d) by at least 1 and keeps memo entries, so a
 degree with sum(d) over GREEDY_CAP is refused before the walk, as
 ``box_points`` refuses a box of more than ENUMERATION_CAP points before it
 yields a single point.  ``degree_box`` is the same box as Degrees.

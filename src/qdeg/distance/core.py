@@ -8,14 +8,15 @@ theorem and the central cross-check of this package.
 
 The scan box d_X + pad + 1 is grouped by z_d^P once per (parabolic, pad):
 ``curveneighborhood.hecke_box`` folds z_d^P w_P over the whole box, one
-Hecke step per point, and each class keeps the raw minima of its points over
-the inner box d_X + pad and over the whole box, computed the first time some
-coset lies below its z.  delta_w(m) is then the set of
-classes whose z lies above m, and one front per distinct set: the minima of
-its classes' minima.  When the group has already enumerated W/W_P, a class
-is hit iff the bit of m is set in the down-set of its z on the coset table
-below; otherwise it is one Bruhat test per class, so a single query such as
-w_o builds no table.
+first-fit lookup and one Hecke step per point (the two greedy algorithms,
+first fit and the ``maximal_roots`` sweep, are compared at d_X), and each
+class keeps the raw minima of its points over the inner box d_X + pad and
+over the whole box, computed the first time some coset lies below its z.
+delta_w(m) is then the set of classes whose z lies above m, and one front
+per distinct set: the minima of its classes' minima.  When the group has
+already enumerated W/W_P, a class is hit iff the bit of m is set in the
+down-set of its z on the coset table below; otherwise it is one Bruhat test
+per class, so a single query such as w_o builds no table.
 
 The adjacency graph is undirected with equal weights both ways (d(alpha) is
 W_P-invariant), so a chain read backwards is a chain of the same degree.

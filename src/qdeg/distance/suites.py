@@ -190,15 +190,15 @@ def _each_pair_degree(rows, ok):
 def _self_fronts(group: WeylGroup, parabolic: Parabolic, pad: int) -> frozenset:
     """{coefficients of d in the box d_X + pad : d in delta_P(z_d^P)}.
 
-    A point d of a z-class lies in delta_P(z_d^P) iff it is in the front of
-    the class's z, so each class with a point in the box pays one ``delta_w``.
+    It is the union of the fronts delta_P(z) of the z-classes with a point in
+    the box, one ``delta_w`` each.  A self-front d is in its own class's
+    front; conversely, if d is in delta_P(z), then z <= z_d^P, and any d' <= d
+    with z_d^P <= z_{d'}^P has z <= z_{d'}^P, so d' = d: d is a self-front.
     """
     out = set()
     for c in _z_classes(group, parabolic, pad):
         if c.minima[0]:  # a point in the box d_X + pad
-            points = set(c.points)
-            front = delta_w(group, parabolic, c.z, pad).degrees
-            out.update(d.coeffs for d in front if d.coeffs in points)
+            out.update(d.coeffs for d in delta_w(group, parabolic, c.z, pad).degrees)
     return frozenset(out)
 
 

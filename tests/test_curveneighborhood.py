@@ -109,33 +109,78 @@ def test_the_box_fold_matches_z_point_by_point(letter, rank):
 
 
 def test_a_wrong_fold_step_fails_the_check_at_d_x(monkeypatch):
-    """A fold that steps along a simple root in place of alpha_1 misses z_max at d_X."""
+    """A fold that steps along alpha_1 in place of the first-fit root misses z_max at d_X."""
     group = fresh_group("B", 3)
     b = Parabolic(3, frozenset())
-    step = curveneighborhood._greedy_step
+    first_fit = curveneighborhood._first_fit
 
-    def wrong(system, parabolic, coeffs):
-        return system.simple_roots[0], step(system, parabolic, coeffs)[1]
+    def wrong(steps, coeffs):
+        step = first_fit(steps, coeffs)
+        return step and (step[0], group.system.reflection_word(group.system.simple_roots[0]))
 
-    monkeypatch.setattr(curveneighborhood, "_greedy_step", wrong)
+    monkeypatch.setattr(curveneighborhood, "_first_fit", wrong)
     with pytest.raises(InvariantViolationError, match=r"at d_X on Delta_P = \[\]"):
         _z_classes(group, b, 0)
     assert not any(key[0] == "z-classes" for key in group.memo)
 
 
+@pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)])
+def test_the_fold_steps_along_the_greedy_root_by_first_fit(monkeypatch, letter, rank):
+    """At every point of d_X + 3 the fold's first fit is (d(alpha_1), word of s_alpha_1) for
+    alpha_1 = max(maximal_roots(d)), the greedy step's root; on A3, B3 and G2 its Y(d) is
+    z's z_max at every point."""
+    fits = []
+    first_fit = curveneighborhood._first_fit
+
+    def recorded(steps, coeffs):
+        step = first_fit(steps, coeffs)
+        fits.append((coeffs, step))
+        return step
+
+    monkeypatch.setattr(curveneighborhood, "_first_fit", recorded)
+    group = fresh_group(letter, rank)
+    system = group.system
+    for p in all_parabolics(rank):
+        fits.clear()
+        ys = hecke_box(group, p, 3)
+        assert [coeffs for coeffs, _ in fits] == list(ys), p
+        for coeffs, step in fits:
+            if not any(coeffs):
+                assert step is None
+                continue
+            alpha = max(maximal_roots(system, p, Degree(p, coeffs)))
+            assert degreelattice._greedy_step(system, p, coeffs)[0] == alpha
+            assert step == (d_of_root(system, p, alpha).coeffs, system.reflection_word(alpha)), (
+                p,
+                coeffs,
+            )
+        if letter in "ABG":
+            for coeffs, y in ys.items():
+                assert z(group, p, Degree(p, coeffs)).z_max == y, (p, coeffs)
+
+
 @pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("G", 2)])
 def test_the_box_fold_keeps_z_and_hecke_chain_entries_of_d_x_alone(letter, rank):
     """After _z_classes on a fresh group, the only "z-max" entry is d_X's, and no greedy
-    tail has an entry of its own: there is no "z" or "hecke-chain" key."""
+    tail has an entry of its own: there is no "z" or "hecke-chain" key.  The fold's first
+    fits store nothing: the "greedy" and "maximal-roots" keys are those of z at d_X."""
     group = fresh_group(letter, rank)
+    at_d_x = fresh_group(letter, rank)
     for p in all_parabolics(rank):
         _z_classes(group, p, 2)
+        z(at_d_x, p, d_x(at_d_x.system, p))
 
         def stored(name):
             return {key[2] for key in group.memo if key[:2] == (name, p.delta_p)}
 
         assert stored("z-max") == {d_x(group.system, p).coeffs}, p
     assert not any(key[0] in ("z", "hecke-chain") for key in group.memo)
+
+    def degree_keys(g):
+        return {key for key in g.system.memo if key[0] in ("greedy", "maximal-roots")}
+
+    assert degree_keys(group) == degree_keys(at_d_x)
+    assert degree_keys(group)
 
 
 def test_z_and_greedy_answer_on_a_large_g2_degree():
@@ -221,6 +266,8 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_z_classes_make_one_greedy_step_per_box_degree(monkeypatch):
+    """At most one sweep per degree of the box; the fold's first fits make none, so
+    these are the sweeps of z at d_X."""
     group = fresh_group("B", 3)
     calls = _count_calls(monkeypatch, degreelattice, "maximal_roots")
     for p in all_parabolics(3):
@@ -245,7 +292,8 @@ class _CountingCache(dict):
 
 
 def test_z_classes_sweep_once_per_clamped_bound_and_pay_one_coset_min_per_class(monkeypatch):
-    """On a fresh B3, every parabolic's scan box d_X + 3: 40 sweeps, 43 coset_mins."""
+    """On a fresh B3, every parabolic's scan box d_X + 3: the fold's first fits sweep
+    nothing, so the 13 sweeps are those of z at d_X; 43 coset_mins."""
     group = fresh_group("B", 3)
     cache = group.system.__dict__["memo"] = _CountingCache()
     calls = _count_calls(monkeypatch, degreelattice, "maximal_roots")
@@ -256,7 +304,7 @@ def test_z_classes_sweep_once_per_clamped_bound_and_pay_one_coset_min_per_class(
         (p.delta_p, tuple(map(min, d.coeffs, degreelattice._degree_table(system, p)[3])))
         for system, p, d in calls
     }
-    assert len(sweeps) == len(set(sweeps)) == len(bounds) == 40
+    assert len(sweeps) == len(set(sweeps)) == len(bounds) == 13
     assert len(calls) > len(bounds)
     assert len(coset_mins) == classes == 43
 
