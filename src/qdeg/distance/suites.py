@@ -98,12 +98,16 @@ class SuiteReport:
 
 
 def _check(name: str, items) -> CheckResult:
-    """Count (ok, info) items; the first failing item's info is the counterexample."""
+    """Count (ok, info) items; the first failing item's info is the counterexample.
+
+    An info may be a callable that builds the text: it is called only for the
+    first failure, while its item is current, so passing items format nothing.
+    """
     n, bad = 0, None
     for ok, info in items:
         n += 1
         if not ok and bad is None:
-            bad = str(info)
+            bad = str(info() if callable(info) else info)
     return CheckResult(name, bad is None, n, bad)
 
 
@@ -237,6 +241,18 @@ def _to_ambient(group: WeylGroup, comp, local_group: WeylGroup, w: Weyl) -> Weyl
     return group.from_word(comp.nodes[j] for j in local_group.reduced_word(w))
 
 
+class _Ambient(dict):
+    """``_to_ambient`` for one component, each local element mapped once, on first read."""
+
+    def __init__(self, group: WeylGroup, comp, local_group: WeylGroup):
+        super().__init__()
+        self.group, self.comp, self.local_group = group, comp, local_group
+
+    def __missing__(self, w: Weyl) -> Weyl:
+        image = self[w] = _to_ambient(self.group, self.comp, self.local_group, w)
+        return image
+
+
 def _reflection_fronts(group: WeylGroup, parabolic: Parabolic, pad: int, roots, label="alpha={}".format):
     """(delta_P(s_alpha) == {d(alpha)}, label(alpha)) for each root alpha in roots."""
     for a in roots:
@@ -269,7 +285,10 @@ def _suite_hecke(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
 
     yield _check(
         "monoid-identity",
-        ((table[(u, group.identity)] == u and table[(group.identity, u)] == u, _word_str(group, u)) for u in els),
+        (
+            (table[(u, group.identity)] == u and table[(group.identity, u)] == u, lambda: _word_str(group, u))
+            for u in els
+        ),
     )
     yield _check(
         "monoid-associative",
@@ -318,12 +337,12 @@ def _suite_hecke(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
                     and group.multiply(u2, v) == uv
                     and table[(u2, v)] == uv
                 )
-                yield ok, f"u={_word_str(group, u)} v={_word_str(group, v)}"
+                yield ok, lambda: f"u={_word_str(group, u)} v={_word_str(group, v)}"
     yield _check("hecke-v-reduction", _hecke_v())
     def _max_rep():
         for w in els:
             is_max = group.coset_max_rep(w, parabolic).element == w
-            yield (is_max == (table[(w, w_p)] == w)), _word_str(group, w)
+            yield (is_max == (table[(w, w_p)] == w)), lambda: _word_str(group, w)
     yield _check("max-rep-fixed-point", _max_rep())
     def _min_rep():
         for w in els:
@@ -333,7 +352,7 @@ def _suite_hecke(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
             yield (
                 top == table[(w, w_p)]
                 and group.coset_max_rep(w, parabolic).element == top
-            ), _word_str(group, w)
+            ), lambda: _word_str(group, w)
     yield _check("min-rep-product", _min_rep())
     def _wpodot():
         for w in els:
@@ -342,7 +361,7 @@ def _suite_hecke(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Checks:
                 group.coset_max_rep(w, parabolic).element == top
                 and group.coset_min(w, parabolic) == group.multiply(top, w_p)
             )
-            yield ok, _word_str(group, w)
+            yield ok, lambda: _word_str(group, w)
     yield _check("wpodot", _wpodot())
     coset_rel = [
         (v, v2)
@@ -575,8 +594,7 @@ def _suite_description(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Che
         for m in group.cosets(parabolic):
             scan = delta_w(group, parabolic, m, pad)
             chain = delta_uv(group, parabolic, m, group.w_o, pad)
-            ok = scan.degrees == chain.degrees
-            yield ok, None if ok else (
+            yield scan.degrees == chain.degrees, lambda: (
                 f"u={_word_str(group, m)} scan={[d.coeffs for d in scan.degrees]}"
                 f" chain={[d.coeffs for d in chain.degrees]}"
             )
@@ -603,14 +621,17 @@ def _suite_delta_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Che
     yield _check(
         "wp-invariance",
         (
-            (front(group.multiply(u, m)).degrees == front(m).degrees, _word_str(group, m))
+            (front(group.multiply(u, m)).degrees == front(m).degrees, lambda: _word_str(group, m))
             for m in cosets
             for u in wp_els
         ),
     )
     yield _check(
         "inverse-invariance",
-        ((front(w).degrees == front(group.inverse(w)).degrees, _word_str(group, w)) for w in els),
+        (
+            (front(w).degrees == front(group.inverse(w)).degrees, lambda: _word_str(group, w))
+            for w in els
+        ),
     )
     def _monotone():
         for m in cosets:
@@ -620,7 +641,7 @@ def _suite_delta_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Che
                 for d in front(m2).degrees:
                     yield (
                         any(d2.leq(d) for d2 in front(m).degrees),
-                        f"{_word_str(group, m)} <= {_word_str(group, m2)} d={d.coeffs}",
+                        lambda: f"{_word_str(group, m)} <= {_word_str(group, m2)} d={d.coeffs}",
                     )
     yield _check("bruhat-monotone", _monotone())
     def _triangle():
@@ -634,7 +655,7 @@ def _suite_delta_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Che
                         total = d + d2
                         yield (
                             any(d3.leq(total) for d3 in fuv),
-                            f"u={_word_str(group, u)} v={_word_str(group, v)}",
+                            lambda: f"u={_word_str(group, u)} v={_word_str(group, v)}",
                         )
     yield _check("triangle", _triangle())
     def _projection():
@@ -644,7 +665,7 @@ def _suite_delta_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Che
                 for d in front(m).degrees:
                     yield (
                         any(e.leq(restrict(d, q)) for e in fq),
-                        f"{_word_str(group, m)} Q={sorted(q.delta_p)}",
+                        lambda: f"{_word_str(group, m)} Q={sorted(q.delta_p)}",
                     )
     yield _check("projection", _projection())
     outside = outside_roots(system, parabolic)
@@ -675,7 +696,7 @@ def _suite_delta_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Che
     yield _check(
         "front-degree-self-membership",
         (
-            (_self_front(group, parabolic, d, pad), f"{_word_str(group, m)} d={d.coeffs}")
+            (_self_front(group, parabolic, d, pad), lambda: f"{_word_str(group, m)} d={d.coeffs}")
             for m in cosets
             for d in front(m).degrees
         ),
@@ -708,7 +729,7 @@ def _suite_delta2_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Ch
                 if base is None:
                     base = flat
                 ok = flat == base and all(len(cs) == 1 for cs in labels.values())
-                yield ok, f"coset={_word_str(group, m)} rep-shift={_word_str(group, u)}"
+                yield ok, lambda: f"coset={_word_str(group, m)} rep-shift={_word_str(group, u)}"
     yield _check("adjacency-rep-independence", _rep_independence())
 
     pairs = [(i, j, front) for i, row in enumerate(table) for j, front in enumerate(row)]
@@ -806,7 +827,7 @@ def _suite_inductive(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Check
                 for d2 in dual_front.degrees:
                     yield (
                         dx.leq(d + d2),
-                        f"{_word_str(group, m)} d={d.coeffs} d*={d2.coeffs}",
+                        lambda: f"{_word_str(group, m)} d={d.coeffs} d*={d2.coeffs}",
                     )
     yield _check("dual-sum-dominates-dx", _geqdx())
     def _cor():
@@ -815,7 +836,7 @@ def _suite_inductive(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Check
             if any((d + d2) == dx for d in f1.degrees for d2 in f2.degrees):
                 yield (
                     len(f1.degrees) == 1 and len(f2.degrees) == 1,
-                    _word_str(group, m),
+                    lambda: _word_str(group, m),
                 )
     yield _check("tight-sum-forces-singletons", _cor())
 
@@ -873,12 +894,14 @@ def _suite_compatibility(group: WeylGroup, parabolic: Parabolic, pad: int) -> _C
     system = group.system
     supports = sorted({system.support(phi) for phi in system.positive_roots}, key=sorted)
     locally_high = [a for a in system.positive_roots if _is_locally_high(system, a)]
-    contexts = [
-        (f"S={sorted(x + 1 for x in s)}", s, *_local_context(group, parabolic, s)) for s in supports
-    ]
+    contexts = []
+    for s in supports:
+        comp, local_group, local_p = _local_context(group, parabolic, s)
+        to_w = _Ambient(group, comp, local_group)
+        contexts.append((f"S={sorted(x + 1 for x in s)}", s, comp, local_group, local_p, to_w))
 
     def _delta_agree():
-        for tag, _, comp, local_group, local_p in contexts:
+        for tag, _, comp, local_group, local_p, to_w in contexts:
             for m in local_group.cosets(local_p):
                 local_front = delta_w(local_group, local_p, m, pad)
                 mapped = []
@@ -887,41 +910,39 @@ def _suite_compatibility(group: WeylGroup, parabolic: Parabolic, pad: int) -> _C
                     for i, c in zip(local_p.free, d.coeffs):
                         coeffs[comp.nodes[i]] = c
                     mapped.append(Degree(parabolic, tuple(coeffs[b] for b in parabolic.free)))
-                ambient = delta_w(group, parabolic, _to_ambient(group, comp, local_group, m), pad)
+                ambient = delta_w(group, parabolic, to_w[m], pad)
                 yield (
                     tuple(sorted(mapped, key=lambda d: d.coeffs)) == ambient.degrees,
-                    f"{tag} u={_word_str(local_group, m)}",
+                    lambda: f"{tag} u={_word_str(local_group, m)}",
                 )
     yield _check("delta-local-equals-global", _delta_agree())
 
     def _coset_inclusion():
-        for tag, _, comp, local_group, local_p in contexts:
+        for tag, _, _, local_group, local_p, to_w in contexts:
             els = local_group.elements()
             for u in els:
                 for v in els:
                     local_same = local_group.coset_min(u, local_p) == local_group.coset_min(v, local_p)
-                    ua, va = _to_ambient(group, comp, local_group, u), _to_ambient(group, comp, local_group, v)
+                    ua, va = to_w[u], to_w[v]
                     ambient_same = group.coset_min(ua, parabolic) == group.coset_min(va, parabolic)
                     yield local_same == ambient_same, tag
     yield _check("coset-inclusion", _coset_inclusion())
 
     def _hecke_compat():
-        for tag, _, comp, local_group, local_p in contexts:
+        for tag, _, _, local_group, _, to_w in contexts:
             els = local_group.elements()
             for u in els:
                 for v in els:
-                    local = _to_ambient(group, comp, local_group, local_group.hecke_product(u, v))
-                    ambient = group.hecke_product(
-                        _to_ambient(group, comp, local_group, u), _to_ambient(group, comp, local_group, v)
-                    )
+                    local = to_w[local_group.hecke_product(u, v)]
+                    ambient = group.hecke_product(to_w[u], to_w[v])
                     yield local == ambient, tag
     yield _check("hecke-compatibility", _hecke_compat())
 
     def _chain_closure():
         outside = outside_roots(system, parabolic)
-        for tag, s, comp, local_group, local_p in contexts:
+        for tag, s, _, local_group, local_p, to_w in contexts:
             image = {
-                group.coset_min(_to_ambient(group, comp, local_group, m), parabolic)
+                group.coset_min(to_w[m], parabolic)
                 for m in local_group.cosets(local_p)
             }
             for m in image:

@@ -143,6 +143,19 @@ class RootSystem:
             for i in range(self.rank)
         )
 
+    @cached_property
+    def neighbours(self) -> tuple:
+        """Per simple root j, the pairs (k, a_jk) over the Dynkin neighbours k of j.
+
+        Row j of the Cartan matrix is 2 at j, a_jk there, and 0 elsewhere, so
+        a simple reflection changes a weight, or the pairings of a root with
+        the simple coroots, at j and at these one to three places alone.
+        """
+        return tuple(
+            tuple((k, self.cartan[j][k]) for k in sorted(self.adjacency[j]))
+            for j in range(self.rank)
+        )
+
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"RootSystem({self.type_letter}{self.rank})"
 
@@ -218,8 +231,11 @@ class RootSystem:
         j1 is the least j with <beta, alpha_j^vee> > 0 for beta > 0, and the
         rest is the word of s_j1(beta), a root of lower height; then
         s_beta = s_j1 s_{s_j1 beta} s_j1, and l(s_{s_j1 beta}) = l(s_beta) - 2
-        (the proof is in curveneighborhood), so the word is reduced.
-        Memoised in ``memo`` per positive root.
+        (the proof is in curveneighborhood), so the word is reduced.  The
+        pairings p_k = <beta, alpha_k^vee> are summed once; a step s_j lowers
+        the height by p_j and changes the pairings only at j (p_j -> -p_j) and
+        at the neighbours k of j (p_k -= p_j a_jk).  Memoised in ``memo`` per
+        positive root.
         """
         beta = tuple(beta)
         if any(c < 0 for c in beta):
@@ -227,23 +243,23 @@ class RootSystem:
         key = ("reflection-word", beta)
         word = self.memo.get(key)
         if word is None:
-            root = self.check_root(beta)
+            root = list(self.check_root(beta))
+            pairing = [self.pair_simple_coroot(root, k) for k in range(self.rank)]
+            height = sum(root)
             path = []
-            while sum(root) > 1:
-                j = next(j for j in range(self.rank) if self.pair_simple_coroot(root, j) > 0)
+            while height > 1:
+                j = 0
+                while pairing[j] <= 0:
+                    j += 1
+                p = pairing[j]
                 path.append(j)
-                root = self.reflect_simple(root, j)
+                root[j] -= p
+                height -= p
+                pairing[j] = -p
+                for k, a in self.neighbours[j]:
+                    pairing[k] -= p * a
             word = self.memo[key] = (*path, root.index(1), *reversed(path))
         return word
-
-    def reflect_simple(self, a, j: int):
-        """s_j(a) = a - <a, alpha_j^vee> alpha_j."""
-        p = self.pair_simple_coroot(a, j)
-        if p == 0:
-            return tuple(a)
-        out = list(a)
-        out[j] -= p
-        return tuple(out)
 
     # -- distinguished roots --------------------------------------------------
 
@@ -332,8 +348,8 @@ def memoised(name: str):
     value that f returned is stored: a build that raises stores nothing.
 
     Stores left hand-written: WeylGroup's element-keyed kernel dicts
-    (``_word``, ``_bruhat``, ``_multiples``, ``_inverse``, ``_longest``,
-    ``_reflection``), keyed without a parabolic on the kernel's hottest paths;
+    (``_word``, ``_bruhat``, ``_inverse``, ``_longest``, ``_reflection``),
+    keyed without a parabolic on the kernel's hottest paths;
     ``WeylGroup._enumerated``'s pair of entries (read by ``numbered_cosets``),
     which one BFS stores under a key without the cap; and the subset-keyed
     lookups ``cascade``, ``highest_root_of_support``, ``subsystem`` and

@@ -17,17 +17,20 @@ on these facts:
   negative exactly when w(alpha_j) < 0, i.e. when s_j is a right descent of
   w (GTM 231, 4.4.6).  It is never 0; a 0 met by a step raises
   InvariantViolationError, as the tuple is no x_w.
-- x_{w s_j} = s_j(x_w) = x_w - (x_w)_j alpha_j: one rank-length update by
-  a multiple of row j, with no neighbour rows.  ``multiply`` keeps each
-  multiple it has used.  A general product x_{uv} folds u along
-  ``reduced_word(v)``, one right step per letter.
+- x_{w s_j} = s_j(x_w) = x_w - (x_w)_j alpha_j.  Row j of the Cartan matrix
+  is 2 at j and nonzero elsewhere only at the Dynkin neighbours k of j
+  (``system.neighbours``), so the step negates coordinate j and subtracts
+  (x_w)_j a_jk at each k: one to three more coordinates, none stored.  A
+  general product x_{uv} folds u along ``reduced_word(v)``, one right step
+  per letter.
 - s_alpha is an involution, so x_{s_alpha} = s_alpha(rho)
   = rho - <rho, alpha^vee> alpha, and <rho, alpha^vee> is the sum of the
   coefficients of the coroot.
 
 Lengths, words and inverses come from the descent walk of ``reduced_word``;
 Bruhat order is the lifting recursion on a right descent of v
-(``bruhat_leq``).  Each level reads signs and takes at most two steps.
+(``bruhat_leq``).  Each level reads signs (``_descent``) and takes at most
+two steps.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import sub
 from typing import Iterable
 
 from .errors import DomainError, InvariantViolationError, ResourceError
@@ -108,7 +110,7 @@ class WeylGroup:
         self.identity: Weyl = (1,) * system.rank  # rho
         self._simple = tuple(tuple(1 - a for a in row) for row in system.cartan)
         self._simple_index = {s: j for j, s in enumerate(self._simple)}
-        self._multiples: tuple = tuple({} for _ in system.cartan)  # [j][c]: c alpha_j
+        self._neighbours = system.neighbours  # [j]: (k, a_jk) per Dynkin neighbour k
         self._inverse: dict = {self.identity: self.identity}
         self._word: dict = {self.identity: ()}
         self._bruhat: dict = {}
@@ -119,14 +121,21 @@ class WeylGroup:
     # -- basic action ----------------------------------------------------------
 
     def _reflect(self, x: tuple, j: int) -> tuple:
-        """s_j(x) = x - x_j alpha_j for a weight x with x_j != 0."""
+        """s_j(x) = x - x_j alpha_j for a weight x with x_j != 0.
+
+        Coordinate j becomes -x_j, and each Dynkin neighbour k of j loses
+        x_j a_jk; every other coordinate is unchanged.  x_j = 0 raises
+        InvariantViolationError: no x_w has a zero coordinate, and the
+        coset BFS never steps along a wall it lies on.
+        """
         c = x[j]
-        step = self._multiples[j].get(c)
-        if step is None:
-            if not c:
-                raise InvariantViolationError(f"{x} has coordinate {j + 1} equal to 0")
-            step = self._multiples[j][c] = tuple(c * a for a in self.system.cartan[j])
-        return tuple(map(sub, x, step))
+        if not c:
+            raise InvariantViolationError(f"{x} has coordinate {j + 1} equal to 0")
+        y = list(x)
+        y[j] = -c
+        for k, a in self._neighbours[j]:
+            y[k] -= c * a
+        return tuple(y)
 
     def simple_reflection(self, j: int) -> Weyl:
         if not 0 <= j < self.system.rank:
@@ -170,10 +179,7 @@ class WeylGroup:
         if word is None:
             steps = []
             x = w
-            while True:
-                j = next((j for j, c in enumerate(x) if c < 0), None)
-                if j is None:
-                    break
+            while (j := _descent(x)) is not None:
                 steps.append(j)
                 x = self.multiply(x, self._simple[j])
             if x != self.identity:
@@ -256,7 +262,7 @@ class WeylGroup:
         cached = self._bruhat.get(key)
         if cached is not None:
             return cached
-        j = next((j for j, c in enumerate(v) if c < 0), None)
+        j = _descent(v)
         if j is None:  # v = e, and u != v
             result = False
         else:
@@ -440,6 +446,14 @@ class WeylGroup:
         if len(out) > cap:
             raise ResourceError(f"enumeration exceeded the cap of {cap}")
         return out
+
+
+def _descent(x: tuple) -> int | None:
+    """The least j with x_j < 0, i.e. the least right descent of w for x = x_w; None at e."""
+    for j, c in enumerate(x):
+        if c < 0:
+            return j
+    return None
 
 
 def weyl_group(type_letter: str, rank: int) -> WeylGroup:

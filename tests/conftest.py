@@ -40,6 +40,45 @@ def pair(system, x, c):
     return sum(cj * system.pair_simple_coroot(x, j) for j, cj in enumerate(c) if cj)
 
 
+def reflect_simple(system, a, j: int) -> tuple:
+    """s_j(a) = a - <a, alpha_j^vee> alpha_j, by the full pairing sum (test oracle)."""
+    out = list(a)
+    out[j] -= system.pair_simple_coroot(a, j)
+    return tuple(out)
+
+
+#: the kernel oracles' systems: every type at rank 8, and each exceptional one
+KERNEL_SYSTEMS = [
+    ("A", 8), ("B", 8), ("C", 8), ("D", 8), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)
+]
+
+
+def full_pairing_word(system, beta):
+    """reflection_word by the walk it replaced: every pairing re-summed per step (test oracle)."""
+    root = tuple(beta)
+    if min(root) < 0:
+        root = tuple(-c for c in root)
+    path = []
+    while sum(root) > 1:
+        j = next(j for j in range(system.rank) if system.pair_simple_coroot(root, j) > 0)
+        path.append(j)
+        root = reflect_simple(system, root, j)
+    return (*path, root.index(1), *reversed(path))
+
+
+def word_mismatches(system) -> list:
+    """The positive roots whose reflection_word is not the oracle's, raising or not."""
+    out = []
+    for beta in system.positive_roots:
+        try:
+            word = system.reflection_word(beta)
+        except (IndexError, ValueError):  # a doctored table can walk off the roots
+            word = None
+        if word != full_pairing_word(system, beta):
+            out.append(beta)
+    return out
+
+
 def reduction_identity_holds(system, beta):
     """Type-A reduction: d_{G/B} = alpha^vee + d_{G(theta-beta)/B(theta-beta)} (test oracle)."""
     theta = system.highest_root

@@ -10,7 +10,9 @@ from hypothesis import given, strategies as st
 from qdeg.errors import ConfigurationError, DomainError, InvariantViolationError
 from qdeg.rootsystem import POSITIVE_ROOT_COUNT, build_root_system, coeffs_leq, pareto, subsystem
 
-from conftest import gram_coroot, pair
+from conftest import (
+    KERNEL_SYSTEMS, full_pairing_word, gram_coroot, pair, reflect_simple, word_mismatches
+)
 
 
 def all_admissible(max_rank=8):
@@ -179,8 +181,30 @@ def test_reflection_closure():
         system = build_root_system(letter, rank)
         for a in system.positive_roots:
             for j in range(rank):
-                image = system.reflect_simple(a, j)
+                image = reflect_simple(system, a, j)
                 assert system.is_root(image)
+
+
+@pytest.mark.parametrize("letter,rank", KERNEL_SYSTEMS)
+def test_neighbour_table_is_the_sparse_cartan_matrix(letter, rank):
+    system = build_root_system(letter, rank)
+    for j, row in enumerate(system.cartan):
+        dense = [0] * rank
+        dense[j] = 2
+        for k, a in system.neighbours[j]:
+            assert k != j and a < 0
+            dense[k] = a
+        assert tuple(dense) == row
+        assert {k for k, _ in system.neighbours[j]} == system.adjacency[j]
+
+
+@pytest.mark.parametrize("letter,rank", KERNEL_SYSTEMS)
+def test_reflection_word_matches_the_full_pairing_walk_on_every_root(letter, rank):
+    system = build_root_system(letter, rank)
+    assert word_mismatches(system) == []
+    for beta in system.positive_roots:
+        negative = tuple(-c for c in beta)
+        assert system.reflection_word(negative) == full_pairing_word(system, negative)
 
 
 def test_coroot_duality():

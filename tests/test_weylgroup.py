@@ -8,6 +8,7 @@ representatives, Bruhat relations, Hecke products and coset tables in both.
 """
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -17,9 +18,11 @@ from hypothesis import given, settings, strategies as st
 
 from qdeg.errors import DomainError, InvariantViolationError, ResourceError
 from qdeg.rootsystem import build_root_system
-from qdeg.weylgroup import Parabolic, WeylGroup, weyl_group
+from qdeg.weylgroup import Parabolic, WeylGroup, _descent, weyl_group
 
-from conftest import all_parabolics, gram_coroot, pair
+from conftest import (
+    KERNEL_SYSTEMS, all_parabolics, gram_coroot, pair, reflect_simple, word_mismatches
+)
 
 
 def is_negative(coeffs) -> bool:
@@ -30,7 +33,7 @@ def is_negative(coeffs) -> bool:
 def act(group, w, beta) -> tuple:
     """w(beta) for beta in the root basis, one simple reflection per letter of w's word."""
     for j in reversed(group.reduced_word(w)):
-        beta = group.system.reflect_simple(beta, j)
+        beta = reflect_simple(group.system, beta, j)
     return tuple(beta)
 
 
@@ -48,7 +51,7 @@ class MatrixKernel:
         rank = system.rank
         self.identity = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
         self.simple = tuple(
-            tuple(tuple(system.reflect_simple(a, j)) for a in system.simple_roots)
+            tuple(reflect_simple(system, a, j) for a in system.simple_roots)
             for j in range(rank)
         )
         self.neighbor_rows = tuple(
@@ -355,6 +358,51 @@ def test_the_zero_coordinate_check_survives_optimization():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert out.stdout.strip() == "raised", out.stderr
+
+
+def dense_step(system, x, j) -> tuple:
+    """s_j(x) = x - x_j (row j of the Cartan matrix), every coordinate (test oracle)."""
+    return tuple(c - x[j] * a for c, a in zip(x, system.cartan[j]))
+
+
+def kernel_mismatches(group, seed=0, words=20, length=80) -> list:
+    """(x, j) along random words where the sparse step or ``_descent`` differs from its oracle.
+
+    Each walk starts at rho and follows the dense step, so every x is an
+    element even where the kernel is wrong.
+    """
+    rng = random.Random(seed)
+    system = group.system
+    out = []
+    for _ in range(words):
+        x = group.identity
+        for _ in range(length):
+            if _descent(x) != next((j for j, c in enumerate(x) if c < 0), None):
+                out.append((x, None))
+            j = rng.randrange(system.rank)
+            y = dense_step(system, x, j)
+            if group.multiply(x, group.simple_reflection(j)) != y:
+                out.append((x, j))
+            x = y
+    return out
+
+
+@pytest.mark.parametrize("letter,rank", KERNEL_SYSTEMS)
+def test_sparse_step_and_descent_match_the_dense_oracles(letter, rank):
+    group = WeylGroup(build_root_system(letter, rank))
+    assert kernel_mismatches(group) == []
+    assert _descent(group.identity) is None
+
+
+@pytest.mark.parametrize("letter,rank", KERNEL_SYSTEMS)
+def test_a_neighbour_table_missing_one_entry_fails_the_oracles(letter, rank):
+    """Drop alpha_1's first neighbour: both the Weyl step and the reflection words must notice."""
+    system = build_root_system(letter, rank)
+    table = list(system.neighbours)
+    table[0] = table[0][1:]
+    system.__dict__["neighbours"] = tuple(table)  # a cached_property, doctored before use
+    assert kernel_mismatches(WeylGroup(system))
+    assert word_mismatches(system)
 
 
 def test_coset_max_rep_checks_lengths_without_assert():
