@@ -61,9 +61,13 @@ Pair tables read the scan: delta_P(u, v) = min{d : vW_P <= (w_o u) . z_d^P W_P}
 (Fulton-Woodward, J. Algebraic Geom. 13, 2004, with Buch-Mihalcea 2015),
 whose row at u = w_o is delta_w.  ``hecke_rows`` walks each z-class of the
 scan box along the left descents of the coset table, one read of ``left``
-per (class, coset), and builds each row's fronts with ``_scan_front``.
-The suites' ``_pairs_table`` streams these rows and checks the point-class
-row against the chain search seeded at the cosets above it, read at w_o u_j
+per (class, coset), and does not spell a row out column by column: a row is
+a few parts (mask, front), one per set of covering classes, the mask an int
+bitset of its columns and the front read once per set with ``_scan_front``.
+A claim over every pair of a row then costs one step per (part, degree),
+and counts its pairs by ``mask.bit_count()``.  The suites' ``_pairs_table``
+streams these rows and checks the point-class row, expanded into columns,
+against the chain search seeded at the cosets above it, read at w_o u_j
 W_P: the fronts of a search seeded at an up-set are monotone in Bruhat order.
 """
 
@@ -217,7 +221,7 @@ def _scan_front(group: WeylGroup, parabolic: Parabolic, pad: int, hit: tuple) ->
 
 
 def hecke_rows(group: WeylGroup, parabolic: Parabolic, pad: int):
-    """For each coset index i in turn, delta_P(u_i, u_j) for every j, as raw tuples.
+    """For each coset index i in turn, delta_P(u_i, u_j) for every j, as parts of the row.
 
     The 0-Hecke monoid acts on W/W_P from the left: s_j . yW_P is s_j yW_P
     when the length rises, else yW_P.  For each z-class c, h_c[r], the index
@@ -227,6 +231,11 @@ def hecke_rows(group: WeylGroup, parabolic: Parabolic, pad: int):
     down[h_c[duals[i]]].  The columns are split by the classes that cover
     them, and each part reads ``_scan_front``, with its pad + 1 stability
     re-check, once per distinct set of classes.
+
+    A row is a tuple of parts (mask, front): mask is the int bitset of the
+    columns j covered by one set of classes, front their shared
+    delta_P(u_i, u_j) as raw coefficient tuples.  Every column is in exactly
+    one part, no mask is empty, and the parts are ordered by lowest column.
     """
     table = _coset_table(group, parabolic)
     left, lengths, down = table.left, table.lengths, table.down
@@ -253,15 +262,15 @@ def hecke_rows(group: WeylGroup, parabolic: Parabolic, pad: int):
                 if inside != mask:
                     split.append((mask ^ inside, hit))
             parts = split
-        row = [None] * n
+        row = []
         for mask, hit in parts:
             front = fronts.get(hit)
             if front is None:
                 degrees = _scan_front(group, parabolic, pad, hit).degrees
                 front = fronts[hit] = tuple(d.coeffs for d in degrees)
-            for j in _bits(mask):
-                row[j] = front
-        yield row
+            row.append((mask, front))
+        row.sort(key=lambda part: part[0] & -part[0])  # the lowest column's bit
+        yield tuple(row)
 
 
 # -- adjacency graph and chain search ------------------------------------------

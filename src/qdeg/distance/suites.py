@@ -102,11 +102,14 @@ def _check(name: str, items) -> CheckResult:
 
     An info may be a callable that builds the text: it is called only for the
     first failure, while its item is current, so passing items format nothing.
+    An item (ok, info, count) stands for count checks with one verdict, such
+    as the pairs of one part of a pair row, and counts count times.
     """
     n, bad = 0, None
-    for ok, info in items:
-        n += 1
-        if not ok and bad is None:
+    for item in items:
+        n += item[2] if len(item) > 2 else 1
+        if not item[0] and bad is None:
+            info = item[1]
             bad = str(info() if callable(info) else info)
     return CheckResult(name, bad is None, n, bad)
 
@@ -131,20 +134,23 @@ def _min_tuples(labels: PackedLabels, packed) -> tuple:
 
 
 def _pairs_table(group: WeylGroup, parabolic: Parabolic, pad: int):
-    """(i, row i of ``hecke_rows``) for each coset index i, streamed: nothing n^2 is kept.
+    """(i, parts of row i of ``hecke_rows``) for each coset index i, streamed: nothing n^2 is kept.
 
-    row[j] is delta_P(u_i, u_j) as raw coefficient tuples: the minimal
-    degrees d with u_j W_P <= (w_o u_i) . z_d^P W_P in the box d_X + pad
-    (Fulton-Woodward, On the quantum product of Schubert classes, J.
-    Algebraic Geom. 13, 2004; Buch-Mihalcea, Curve neighborhoods of Schubert
-    varieties, J. Differential Geom. 99, 2015), re-checked at pad + 1 as
-    ``delta_w`` is, so a minimal degree outside the box raises
-    VerificationError.  Pairs that read the same set of z-classes share one
-    front tuple.
+    A part (mask, front) gives delta_P(u_i, u_j), as raw coefficient tuples,
+    for every column j in the int bitset mask: the minimal degrees d with
+    u_j W_P <= (w_o u_i) . z_d^P W_P in the box d_X + pad (Fulton-Woodward,
+    On the quantum product of Schubert classes, J. Algebraic Geom. 13, 2004;
+    Buch-Mihalcea, Curve neighborhoods of Schubert varieties, J.
+    Differential Geom. 99, 2015), re-checked at pad + 1 as ``delta_w`` is, so
+    a minimal degree outside the box raises VerificationError.  The parts
+    cover every column once, no mask is empty, and they are ordered by
+    lowest column, so a claim counts a part's pairs as mask.bit_count() and
+    names its lowest column where the per-pair scan would name its first.
 
     Before it is yielded, the row of the top coset (the point class) is
-    checked against the chain search seeded at the cosets above it, read at
-    w_o u_j W_P; a pair where the two differ raises InvariantViolationError.
+    expanded into columns (``_dense``) and checked against the chain search
+    seeded at the cosets above it, read at w_o u_j W_P; a pair where the two
+    differ raises InvariantViolationError.
     The chain read is exact: the curve neighborhood of a Schubert variety is
     a Schubert variety (Buch-Mihalcea 2015), so the cosets reached within
     degree d from an up-set form an up-set, and a chain of degree at most
@@ -156,38 +162,59 @@ def _pairs_table(group: WeylGroup, parabolic: Parabolic, pad: int):
     n = group.order() // group.order(parabolic.delta_p)
     if n * n > 4 * ENUMERATION_CAP:
         raise ResourceError(f"pair table of {n * n} pairs exceeded the cap of {4 * ENUMERATION_CAP}")
-    for i, row in enumerate(hecke_rows(group, parabolic, pad)):
+    for i, parts in enumerate(hecke_rows(group, parabolic, pad)):
         if i == n - 1:
             chain = _search(group, parabolic, i, "up", pad)
+            row = _dense(parts, n)
             for j, y in enumerate(coset_duals(group, parabolic)):
                 if _min_tuples(chain.labels, chain.fronts[y]) != row[j]:
                     raise InvariantViolationError(f"chain and Hecke fronts differ at u#{i} v#{j}")
-        yield i, row
+        yield i, parts
+
+
+def _dense(parts, n: int) -> list:
+    """The row of n columns that the parts of a pair row describe: row[j] is the front of column j."""
+    row = [None] * n
+    for mask, front in parts:
+        for j in _bits(mask):
+            row[j] = front
+    return row
+
+
+def _first(mask: int) -> int:
+    """The lowest column of a part's mask."""
+    return (mask & -mask).bit_length() - 1
 
 
 def _empty_fronts(rows):
-    """A failing item for each empty front of the (i, row) pairs, so no pair check passes on none."""
-    for i, row in rows:
-        for j, front in enumerate(row):
+    """A failing item per empty part of the (i, parts) rows, counting its pairs, so no pair check
+    passes on none."""
+    for i, parts in rows:
+        for mask, front in parts:
             if not front:
-                yield False, f"u#{i} v#{j} empty front"
+                yield False, f"u#{i} v#{_first(mask)} empty front", mask.bit_count()
 
 
 def _each_pair_degree(rows, ok):
-    """(ok(coeffs), info) for each degree of each front of the streamed rows; an empty front fails.
+    """(ok(coeffs), info, pairs) for each degree of each part of the streamed rows; an empty
+    front fails.
 
-    ok must be pure in coeffs (both callers are): it runs once per distinct
+    pairs is the part's mask.bit_count(), and info names its lowest column:
+    as the parts are ordered by lowest column, the count and the first
+    counterexample are those of a scan of every pair in column order.  ok
+    must be pure in coeffs (both callers are): it runs once per distinct
     tuple, and info is formatted only for a failing item.
     """
     verdicts: dict = {}
-    for i, row in rows:
-        yield from _empty_fronts([(i, row)])
-        for j, front in enumerate(row):
+    for i, parts in rows:
+        yield from _empty_fronts([(i, parts)])
+        for mask, front in parts:
+            pairs = mask.bit_count()
             for coeffs in front:
                 good = verdicts.get(coeffs)
                 if good is None:
                     good = verdicts[coeffs] = ok(coeffs)
-                yield good, None if good else f"u#{i} v#{j} d={coeffs}"
+                yield good, None if good else f"u#{i} v#{_first(mask)} d={coeffs}", pairs
 
 
 @memoised("self-fronts")
@@ -708,7 +735,8 @@ def _suite_delta2_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Ch
     graph = adjacency_graph(group, parabolic)
     cosets = graph.cosets
     up = coset_order(group, parabolic)
-    table = [row for _, row in _pairs_table(group, parabolic, pad)]  # kept: (j, i), Bruhat pairs
+    rows = list(_pairs_table(group, parabolic, pad))  # kept: (j, i), Bruhat pairs
+    table = [_dense(parts, len(cosets)) for _, parts in rows]
     duals = coset_duals(group, parabolic)
 
     def _rep_independence():
@@ -734,7 +762,7 @@ def _suite_delta2_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Ch
 
     pairs = [(i, j, front) for i, row in enumerate(table) for j, front in enumerate(row)]
     def _symmetry():
-        yield from _empty_fronts(enumerate(table))
+        yield from _empty_fronts(rows)
         for i, j, front in pairs:
             yield front == table[j][i], f"u#{i} v#{j}"
     yield _check("symmetry", _symmetry())
@@ -744,7 +772,7 @@ def _suite_delta2_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Ch
         (((front == zero) == bool(up[i] >> duals[j] & 1), f"u#{i} v#{j}") for i, j, front in pairs),
     )
     def _pair_monotone():
-        yield from _empty_fronts(enumerate(table))
+        yield from _empty_fronts(rows)
         comparable = [(i, i2) for i, above in enumerate(up) for i2 in _bits(above)]
         for i, i2 in comparable:
             for j, j2 in comparable:
@@ -755,7 +783,7 @@ def _suite_delta2_props(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Ch
                     )
     yield _check("pair-monotone", _pair_monotone())
     def _endpoints():
-        yield from _empty_fronts(enumerate(table))
+        yield from _empty_fronts(rows)
         for i, j, front in pairs:
             for coeffs in front:
                 d = Degree(parabolic, coeffs)
@@ -919,13 +947,14 @@ def _suite_compatibility(group: WeylGroup, parabolic: Parabolic, pad: int) -> _C
 
     def _coset_inclusion():
         for tag, _, _, local_group, local_p, to_w in contexts:
-            els = local_group.elements()
-            for u in els:
-                for v in els:
-                    local_same = local_group.coset_min(u, local_p) == local_group.coset_min(v, local_p)
-                    ua, va = to_w[u], to_w[v]
-                    ambient_same = group.coset_min(ua, parabolic) == group.coset_min(va, parabolic)
-                    yield local_same == ambient_same, tag
+            # (local coset, ambient coset) per element, each coset_min taken once per context
+            cosets = [
+                (local_group.coset_min(u, local_p), group.coset_min(to_w[u], parabolic))
+                for u in local_group.elements()
+            ]
+            for local_u, ambient_u in cosets:
+                for local_v, ambient_v in cosets:
+                    yield (local_u == local_v) == (ambient_u == ambient_v), tag
     yield _check("coset-inclusion", _coset_inclusion())
 
     def _hecke_compat():
@@ -1004,9 +1033,9 @@ def _suite_final_cor(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Check
         def _interval_pairs():
             for b, p_b, top in maximal:
                 got = set()
-                for i, row in _pairs_table(group, p_b, pad):
-                    yield from _empty_fronts([(i, row)])
-                    got.update(c[0] for front in row for c in front)
+                for i, parts in _pairs_table(group, p_b, pad):
+                    yield from _empty_fronts([(i, parts)])
+                    got.update(c[0] for _, front in parts for c in front)
                 yield got == set(range(top + 1)), f"beta={b + 1} got={sorted(got)}"
         yield _check("interval-identity-pairs", _interval_pairs())
 
@@ -1042,7 +1071,7 @@ def _suite_g2_examples(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Che
     dgb = _d_x(system, b)
     e = Degree(b, (2, 1))
     expected_greedy = ((3, 1), (1, 0))
-    absent = all(e.coeffs not in front for _, row in _pairs_table(group, b, pad) for front in row)
+    absent = all(e.coeffs not in front for _, parts in _pairs_table(group, b, pad) for _, front in parts)
     yield _check(
         "example-inclusionstrict",
         [
@@ -1085,9 +1114,10 @@ def front_coverage(group: WeylGroup, parabolic: Parabolic, pad: int = 2) -> Fron
     nonsingleton: list = []
     if group.order() <= PAIR_TABLE_ORDER:
         from_pairs = set()
-        for i, row in _pairs_table(group, parabolic, pad):
-            from_pairs.update(c for front in row for c in front)
-            nonsingleton += [(i, j) for j, front in enumerate(row) if len(front) > 1]
+        for i, parts in _pairs_table(group, parabolic, pad):
+            from_pairs.update(c for _, front in parts for c in front)
+            wide = sum(mask for mask, front in parts if len(front) > 1)  # the masks are disjoint
+            nonsingleton += [(i, j) for j in _bits(wide)]
         if from_pairs != {d.coeffs for d in achieved}:
             raise InvariantViolationError("pair-front union disagrees with the self-front characterization")
     return FrontCoverage(achieved, gaps, tuple(nonsingleton))

@@ -84,13 +84,29 @@ def test_z_json_matches_pinned_digests(case, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_b4_pair_tables_match_the_readme_digest():
-    """Every pair front of every B4 parabolic, as the README's `main --mode pairs` run pins it."""
-    argv = ["verify", "--suite", "main", "--type", "B", "--rank", "4", "--mode", "pairs"]
+def pairs_digest(letter, rank):
+    """sha256 of `verify --suite main --mode pairs --parabolic all --json`, run in a child."""
+    argv = ["verify", "--suite", "main", "--type", letter, "--rank", rank, "--mode", "pairs"]
     done = run_process([*argv, "--parabolic", "all", "--json"])
     assert done.returncode == 0 and done.stderr == ""
-    digest = "4f05481cf7d5ec2bef755ad3ba25d6a51ab2e6b91cdb32b18dafa954a6c7440e"
-    assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest
+    return hashlib.sha256(done.stdout.encode()).hexdigest()
+
+
+def test_b4_pair_tables_match_the_readme_digest():
+    """Every pair front of every B4 parabolic, as the README's `main --mode pairs` run pins it."""
+    assert pairs_digest("B", "4") == "4f05481cf7d5ec2bef755ad3ba25d6a51ab2e6b91cdb32b18dafa954a6c7440e"
+
+
+@pytest.mark.parametrize(
+    "letter,rank,digest",
+    [
+        ("F", "4", "e5a1cf31af123d42d8b07240f3b378eb523a58548521827ce36775149804f70a"),
+        ("D", "5", "fa437338c11c82f1b0bbb3043445cbc05ff0e62281f5c4c6ab6ec2b448f544d2"),
+    ],
+)
+def test_f4_and_d5_pair_tables_match_the_readme_digests(letter, rank, digest):
+    """Every pair front of every F4 and D5 parabolic, as the README pins them."""
+    assert pairs_digest(letter, rank) == digest
 
 
 def test_verify_g2_examples_exit_zero():

@@ -32,7 +32,7 @@ from qdeg.distance.core import (
     coset_duals,
     hecke_rows,
 )
-from qdeg.distance.suites import _min_tuples, _pairs_table
+from qdeg.distance.suites import _dense, _min_tuples, _pairs_table
 from qdeg.errors import DomainError, InvariantViolationError, VerificationError
 from qdeg.rootsystem import build_root_system, coeffs_leq
 from qdeg.weylgroup import Parabolic, WeylGroup, weyl_group
@@ -576,9 +576,10 @@ def test_adjacency_invariants_at_the_identity_coset_raise():
 
 
 def pairs_dict(group, parabolic, pad):
-    """The streamed pair rows as one {(i, j): front} dict, in row order."""
+    """The streamed pair rows, each expanded by ``_dense``, as one {(i, j): front} dict, in row order."""
+    n = len(group.cosets(parabolic))
     rows = _pairs_table(group, parabolic, pad)
-    return {(i, j): front for i, row in rows for j, front in enumerate(row)}
+    return {(i, j): front for i, parts in rows for j, front in enumerate(_dense(parts, n))}
 
 
 def direct_pairs_oracle(group, parabolic, pad):
@@ -594,13 +595,58 @@ def direct_pairs_oracle(group, parabolic, pad):
     return table
 
 
+def row_parts_fault(parts, n):
+    """Why the parts of a pair row of n columns break its invariant, or None.
+
+    The masks must be nonempty and disjoint, cover range(n), and be ordered
+    by lowest column.
+    """
+    seen, last = 0, -1
+    for mask, _ in parts:
+        if not mask:
+            return "empty mask"
+        if mask & seen:
+            return "overlapping masks"
+        low = (mask & -mask).bit_length() - 1
+        if low <= last:
+            return "not ordered by lowest column"
+        seen, last = seen | mask, low
+    return None if seen == (1 << n) - 1 else "uncovered column"
+
+
 @pytest.mark.parametrize("letter,rank", PAIR_SYSTEMS + [("D", 4)])
 def test_pairs_table_matches_the_direct_read(letter, rank):
-    """The Hecke table in value and (i, j) order against the chain read over every chain end."""
+    """The Hecke table in value and (i, j) order against the chain read over every chain end;
+    every row's parts keep the row invariant."""
     group = WeylGroup(build_root_system(letter, rank))
     for p in all_parabolics(rank):
+        n = len(group.cosets(p))
         for pad in (0, 1, 2):
-            assert list(pairs_dict(group, p, pad).items()) == direct_pairs_oracle(group, p, pad)
+            rows = list(_pairs_table(group, p, pad))
+            assert [i for i, _ in rows] == list(range(n))
+            assert [row_parts_fault(parts, n) for _, parts in rows] == [None] * n, (p, pad)
+            dense = [((i, j), f) for i, parts in rows for j, f in enumerate(_dense(parts, n))]
+            assert dense == direct_pairs_oracle(group, p, pad)
+
+
+def test_a_dropped_column_or_an_overlapping_mask_breaks_the_row_invariant():
+    """The invariant check sees each fault, on the point row of B3 with the Borel."""
+    group = WeylGroup(build_root_system("B", 3))
+    borel = Parabolic(3, frozenset())
+    n = len(group.cosets(borel))
+    *_, parts = hecke_rows(group, borel, 2)
+    assert row_parts_fault(parts, n) is None
+    k = next(k for k, (mask, _) in enumerate(parts) if mask.bit_count() > 1)
+    mask, front = parts[k]
+    top = 1 << (mask.bit_length() - 1)  # a column of the part above its lowest one
+    faults = {
+        "uncovered column": parts[:k] + ((mask ^ top, front),) + parts[k + 1 :],
+        "overlapping masks": parts + ((top, front),),
+        "not ordered by lowest column": parts[::-1],
+        "empty mask": ((0, ()),) + parts,
+    }
+    for fault, doctored in faults.items():
+        assert row_parts_fault(doctored, n) == fault
 
 
 def test_a_wrong_class_walk_fails_the_point_row_check():
@@ -736,6 +782,6 @@ def test_one_pair_by_the_scan_the_chain_search_and_the_quantum_bruhat_graph(data
     chain = tuple(d.coeffs for d in delta_uv(group, p, u, group.w_o).degrees)
     i = _coset_table(group, p).index[group.coset_min(u, p)]
     top = len(group.cosets(p)) - 1
-    hecke = next(itertools.islice(hecke_rows(group, p, 2), i, None))[top]
+    hecke = _dense(next(itertools.islice(hecke_rows(group, p, 2), i, None)), top + 1)[top]
     qbg = minimal_elements(qbg_pairs_oracle(group, p)[(i, top)])
     assert scan == chain == hecke == qbg, (letter, p, group.reduced_word(u))

@@ -13,6 +13,9 @@ from qdeg.degreelattice import Degree
 from qdeg.distance import suite_names, suites, verify_suite
 from qdeg.distance.core import DegreeFront, _labels, _search, coset_duals
 from qdeg.distance.suites import (
+    _check,
+    _dense,
+    _each_pair_degree,
     _minimal_degrees,
     _pairs_table,
     _self_fronts,
@@ -79,12 +82,19 @@ def test_negative_pad_is_rejected():
 def _doctor_pair_fronts(monkeypatch, fronts):
     """Make the suites read fronts[(Delta_P, i, j)] in place of the streamed front of pair (i, j).
 
-    The rows are doctored after ``_pairs_table`` yields them, so after its point-row check."""
+    Each doctored column leaves its part and becomes a part of its own, so the
+    row keeps its invariant: disjoint masks that cover every column, ordered
+    by lowest column.  The rows are doctored after ``_pairs_table`` yields
+    them, so after its point-row check."""
     real = suites._pairs_table
 
     def doctored(group, parabolic, pad):
-        for i, row in real(group, parabolic, pad):
-            yield i, [fronts.get((parabolic.delta_p, i, j), front) for j, front in enumerate(row)]
+        for i, parts in real(group, parabolic, pad):
+            cut = {j: f for (dp, row, j), f in fronts.items() if (dp, row) == (parabolic.delta_p, i)}
+            drop = sum(1 << j for j in cut)
+            kept = [(mask & ~drop, front) for mask, front in parts if mask & ~drop]
+            kept += [(1 << j, front) for j, front in cut.items()]
+            yield i, tuple(sorted(kept, key=lambda part: part[0] & -part[0]))
 
     monkeypatch.setattr(suites, "_pairs_table", doctored)
 
@@ -106,6 +116,7 @@ def test_main_pairs_counts_an_empty_front_as_a_failure(monkeypatch):
     (check,) = _suite_main(group, borel, 2, "pairs")
     assert not check.passed
     assert check.counterexample.endswith("empty front")
+    assert check.checked == 144
 
 
 def test_delta2_counts_an_empty_front_as_a_failure(monkeypatch):
@@ -133,14 +144,15 @@ def test_pair_properties_count_an_empty_front_as_a_failure(monkeypatch):
     _empty_the_point_front(monkeypatch, group, borel, *maximal)
     props = {c.name: c for c in itertools.islice(_suite_delta2_props(group, borel, 2), 5)}
     final = {c.name: c for c in _suite_final_cor(group, borel, 2)}
-    for check in (
-        props["symmetry"],
-        props["pair-monotone"],
-        props["chain-endpoint-transfer"],
-        final["interval-identity-pairs"],
+    for check, checked in (
+        (props["symmetry"], 145),
+        (props["pair-monotone"], 5186),
+        (props["chain-endpoint-transfer"], 477),
+        (final["interval-identity-pairs"], 4),
     ):
         assert not check.passed
         assert check.counterexample.endswith("empty front")
+        assert check.checked == checked
 
 
 def test_pair_claims_see_an_overestimated_front(monkeypatch):
@@ -157,10 +169,32 @@ def test_pair_claims_see_an_overestimated_front(monkeypatch):
     _doctor_pair_fronts(monkeypatch, {(borel.delta_p, top, 1): (labels.unpack(labels.cap),)})
     (check,) = _suite_main(group, borel, 2, "pairs")
     assert not check.passed
-    assert check.counterexample == f"u#{top} v#1 d=(4, 3)"
+    assert (check.checked, check.counterexample) == (64, f"u#{top} v#1 d=(4, 3)")
     props = {c.name: c for c in itertools.islice(_suite_delta2_props(group, borel, 2), 4)}
     assert not props["pair-monotone"].passed
+    assert props["pair-monotone"].checked == 1089
     assert props["pair-monotone"].counterexample == f"({top},1) <= ({top},3) d=(1, 1)"
+
+
+def test_counted_pair_items_match_a_scan_of_every_pair():
+    """Parts of several columns, empty or not: the counted items give the count and the first
+    counterexample of a scan of every pair in column order."""
+    a, b = ((1,), (2,)), ((2,),)
+    for rows in (
+        [(0, ((0b1001, a), (0b0110, ())))],
+        [(0, ((0b1111, ((1,),)),)), (1, ((0b0101, a), (0b1010, b)))],
+        [(0, ((0b0001, ((0,),)), (0b1110, b)))],
+    ):
+        ok = lambda c: c != (2,)
+        scanned, first = 0, None
+        for i, parts in rows:
+            row = _dense(parts, 4)
+            bad = [f"u#{i} v#{j} empty front" for j, f in enumerate(row) if not f]
+            bad += [f"u#{i} v#{j} d={c}" for j, f in enumerate(row) for c in f if not ok(c)]
+            scanned += sum(len(f) or 1 for f in row)
+            first = first or next(iter(bad), None)
+        check = _check("c", _each_pair_degree(rows, ok))
+        assert (check.passed, check.checked, check.counterexample) == (first is None, scanned, first)
 
 
 def test_an_overestimated_chain_front_trips_the_pair_table_cross_check():
@@ -313,7 +347,7 @@ def test_a_cap_below_dx_empties_the_point_front_and_fails_main(monkeypatch):
     _empty_the_point_front(monkeypatch, group, borel)
     (check,) = _suite_main(group, borel, 2, "pairs")
     assert not check.passed
-    assert check.counterexample == f"u#{top} v#{top} empty front"
+    assert (check.checked, check.counterexample) == (144, f"u#{top} v#{top} empty front")
 
 
 def test_the_hecke_suite_refuses_an_oversized_table_before_enumeration(monkeypatch):
