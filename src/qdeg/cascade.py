@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .degreelattice import Degree
+from .degreelattice import Degree, restrict
 from .errors import DomainError, InvariantViolationError
 from .rootsystem import RootSystem, coeffs_leq, memoised
 from .weylgroup import Parabolic, Weyl, WeylGroup
@@ -136,11 +136,14 @@ def coroot_sum(system: RootSystem, s: Iterable | None = None) -> tuple:
 def d_x(system: RootSystem, parabolic: Parabolic) -> Degree:
     """The unique minimal degree in pt * pt on G/P, by both closed formulas.
 
-    Computes the coroot-sum restriction and the per-maximal-parabolic sum and
-    insists they agree, once per (system, parabolic); the Degree is kept in
-    ``system.memo`` through ``memoised`` under ("d_x", Delta_P).
+    Both formulas read coordinate beta off something of beta alone (d_{G/B}
+    and d_{G/P_beta}), so they are compared once per system, at the Borel over
+    every coordinate, and every other P restricts that Degree.  Each is kept
+    in ``system.memo`` through ``memoised`` under ("d_x", Delta_P).
     """
-    by_cascade = tuple(coroot_sum(system)[b] for b in parabolic.free)
+    if parabolic.delta_p:
+        return restrict(d_x(system, Parabolic(system.rank, frozenset())), parabolic)
+    by_cascade = coroot_sum(system)
     by_quotients = tuple(d_gpbeta(system, b) for b in parabolic.free)
     if by_cascade != by_quotients:
         raise InvariantViolationError(f"d_X formulas disagree: {by_cascade} vs {by_quotients}")

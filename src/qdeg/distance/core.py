@@ -10,10 +10,13 @@ The scan box d_X + pad + 1 is grouped by z_d^P once per (parabolic, pad):
 ``curveneighborhood.hecke_box`` folds z_d^P w_P over the whole box, one
 first-fit lookup and one Hecke step per point (the two greedy algorithms,
 first fit and the ``maximal_roots`` sweep, are compared at d_X), and each
-class keeps the raw minima of its points over the inner box d_X + pad and
-over the whole box, computed the first time some coset lies below its z.
-delta_w(m) is then the set of classes whose z lies above m, and one front
-per distinct set: the minima of its classes' minima.  When the group has
+class keeps the raw minima of its points, one sweep the first time some
+coset lies below its z.  delta_w(m) is then the set of classes whose z lies
+above m, and one front per distinct set: one sweep over its classes'
+minima.  The inner box d_X + pad is a down-set, so for any set of degrees
+the minima inside it are its minima that lie in it: the pad + 1 stability
+check fails exactly when a whole-box front degree lies outside the inner
+box, and no second sweep is needed.  When the group has
 already enumerated W/W_P, a class is hit iff the bit of m is set in the
 down-set of its z on the coset table below; otherwise it is one Bruhat test
 per class, so a single query such as w_o builds no table.
@@ -62,8 +65,9 @@ Pair tables read the scan: delta_P(u, v) = min{d : vW_P <= (w_o u) . z_d^P W_P}
 whose row at u = w_o is delta_w.  ``hecke_rows`` walks each z-class of the
 scan box along the left descents of the coset table, one read of ``left``
 per (class, coset), and does not spell a row out column by column: a row is
-a few parts (mask, front), one per set of covering classes, the mask an int
-bitset of its columns and the front read once per set with ``_scan_front``.
+a few parts (mask, front), one per set of covering classes (split once per
+covering coset, which its classes share), the mask an int bitset of its
+columns and the front read once per set with ``_scan_front``.
 A claim over every pair of a row then costs one step per (part, degree),
 and counts its pairs by ``mask.bit_count()``.  The suites' ``_pairs_table``
 streams these rows and checks the point-class row, expanded into columns,
@@ -143,9 +147,10 @@ class _ZClass:
 
     @cached_property
     def minima(self) -> tuple:
-        """(minima over the inner box, minima over the whole box), on first use."""
-        inner = minimal_elements(d for d in self.points if coeffs_leq(d, self.inner))
-        return inner, minimal_elements(self.points)
+        """(minima over the inner box, minima over the whole box), on first use: one
+        sweep, as the inner box is a down-set, so its minima are the whole box's in it."""
+        whole = minimal_elements(self.points)
+        return tuple(d for d in whole if coeffs_leq(d, self.inner)), whole
 
 
 @memoised("z-classes")
@@ -207,15 +212,15 @@ def _class_masks(group: WeylGroup, parabolic: Parabolic, pad: int) -> tuple:
 def _scan_front(group: WeylGroup, parabolic: Parabolic, pad: int, hit: tuple) -> DegreeFront:
     """The front of the z-classes numbered in hit, memoised per (Delta_P, pad, hit).
 
-    Raises VerificationError, unmemoised, when the minima over the inner box
-    and over the whole box differ.
+    One sweep, over the classes' whole-box minima.  The inner box is a
+    down-set, so the front over it is the whole-box front's degrees that lie
+    in it, and the two differ iff some whole-box front degree lies outside:
+    then VerificationError, unmemoised, names the first.
     """
     classes = _z_classes(group, parabolic, pad)
-    minima = [classes[i].minima for i in hit]
-    front = minimal_elements(d for inner, _ in minima for d in inner)
-    stable = minimal_elements(d for _, whole in minima for d in whole)
-    if front != stable:
-        extra = next(d for d in stable if d not in front)
+    front = minimal_elements(d for i in hit for d in classes[i].minima[1])
+    extra = next((d for d in front if not coeffs_leq(d, classes[0].inner)), None)
+    if extra is not None:
         raise VerificationError(f"delta_w front unstable at box boundary: degree {extra}")
     return DegreeFront(tuple(Degree(parabolic, d) for d in front), "scan")
 
@@ -228,9 +233,10 @@ def hecke_rows(group: WeylGroup, parabolic: Parabolic, pad: int):
     of u_r . z_c W_P, follows the left descent u_r = s_j u_k, k = left[j][r]:
     h_c[0] is the index of z_c and h_c[r] = s_j . h_c[k].  Class c covers
     column j of row i when u_j W_P <= (w_o u_i) . z_c W_P, a bit of
-    down[h_c[duals[i]]].  The columns are split by the classes that cover
-    them, and each part reads ``_scan_front``, with its pad + 1 stability
-    re-check, once per distinct set of classes.
+    down[h_c[x]], x = duals[i].  Classes with one h_c[x] share its down-set,
+    so a row groups its classes by that coset, a set of classes an int mask,
+    and splits the columns once per coset.  Each part reads ``_scan_front``,
+    with its pad + 1 stability re-check, once per distinct set of classes.
 
     A row is a tuple of parts (mask, front): mask is the int bitset of the
     columns j covered by one set of classes, front their shared
@@ -251,14 +257,17 @@ def hecke_rows(group: WeylGroup, parabolic: Parabolic, pad: int):
         walks.append(h)
     fronts: dict = {}
     for x in coset_duals(group, parabolic):
-        parts = [((1 << n) - 1, ())]
+        by_coset: dict = {}
         for c, h in enumerate(walks):
-            cover = down[h[x]]
+            by_coset[h[x]] = by_coset.get(h[x], 0) | 1 << c
+        parts = [((1 << n) - 1, 0)]
+        for y, classes in by_coset.items():
+            cover = down[y]
             split = []
             for mask, hit in parts:
                 inside = mask & cover
                 if inside:
-                    split.append((inside, hit + (c,)))
+                    split.append((inside, hit | classes))
                 if inside != mask:
                     split.append((mask ^ inside, hit))
             parts = split
@@ -266,7 +275,7 @@ def hecke_rows(group: WeylGroup, parabolic: Parabolic, pad: int):
         for mask, hit in parts:
             front = fronts.get(hit)
             if front is None:
-                degrees = _scan_front(group, parabolic, pad, hit).degrees
+                degrees = _scan_front(group, parabolic, pad, tuple(_bits(hit))).degrees
                 front = fronts[hit] = tuple(d.coeffs for d in degrees)
             row.append((mask, front))
         row.sort(key=lambda part: part[0] & -part[0])  # the lowest column's bit

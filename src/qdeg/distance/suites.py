@@ -20,7 +20,6 @@ from ..cascade import (
 )
 from ..curveneighborhood import (
     equalwx_criterion,
-    hecke_box,
     is_cosmall,
     is_very_cosmall,
     z,
@@ -29,6 +28,7 @@ from ..curveneighborhood import (
 from ..degreelattice import (
     Degree,
     all_greedy_decompositions,
+    box_points,
     d_of_root,
     degree_box,
     extended_support,
@@ -588,10 +588,12 @@ def _suite_uniqueness(group: WeylGroup, parabolic: Parabolic, pad: int) -> _Chec
         "z-at-dx-is-wx",
         [(z(group, parabolic, dx).z_min == group.w_x(parabolic), f"d={dx.coeffs}")],
     )
-    def _below():  # z_d^P = w_X iff Y(d) = z_d^P w_P is w_o, the maximal element of w_X W_P
-        for coeffs, y in hecke_box(group, parabolic, 0).items():
+    def _below():  # the points of w_X's z-class, in the scan box that delta_w(w_o) grouped
+        w_x = group.w_x(parabolic)
+        top = {d for c in _z_classes(group, parabolic, pad) if c.z == w_x for d in c.points}
+        for coeffs in box_points(dx.coeffs):
             if coeffs != dx.coeffs:
-                yield y != group.w_o, f"d={coeffs}"
+                yield coeffs not in top, f"d={coeffs}"
     yield _check("z-below-dx-not-wx", _below())
 
 

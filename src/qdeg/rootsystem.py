@@ -334,7 +334,10 @@ def pareto(items, key=None, maximal=False) -> list:
     keys: list = []
     for item in sorted(set(items), key=key, reverse=maximal):
         k = item if key is None else key(item)
-        if not any(all(map(order, c, k)) for c in keys):
+        for c in keys:
+            if all(map(order, c, k)):
+                break
+        else:
             kept.append(item)
             keys.append(k)
     return kept

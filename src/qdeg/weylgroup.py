@@ -181,7 +181,7 @@ class WeylGroup:
             x = w
             while (j := _descent(x)) is not None:
                 steps.append(j)
-                x = self.multiply(x, self._simple[j])
+                x = self._reflect(x, j)
             if x != self.identity:
                 raise InvariantViolationError(f"{w} is not the image of rho under W")
             word = self._word[w] = tuple(reversed(steps))
@@ -211,7 +211,7 @@ class WeylGroup:
                 ascent = next((j for j in sorted(s) if w[j] > 0), None)
                 if ascent is None:
                     break
-                w = self.multiply(w, self._simple[ascent])
+                w = self._reflect(w, ascent)
             self._longest[s] = w
         return self._longest[s]
 
@@ -227,7 +227,7 @@ class WeylGroup:
             descent = next((j for j in members if w[j] < 0), None)
             if descent is None:
                 return w
-            w = self.multiply(w, self._simple[descent])
+            w = self._reflect(w, descent)
 
     def coset_max_rep(self, w: Weyl, parabolic: Parabolic) -> CosetRep:
         m = self.coset_min(w, parabolic)
@@ -266,10 +266,9 @@ class WeylGroup:
         if j is None:  # v = e, and u != v
             result = False
         else:
-            s = self._simple[j]
             if u[j] < 0:
-                u = self.multiply(u, s)
-            result = self.bruhat_leq(u, self.multiply(v, s))
+                u = self._reflect(u, j)
+            result = self.bruhat_leq(u, self._reflect(v, j))
         self._bruhat[key] = result
         return result
 
@@ -290,7 +289,7 @@ class WeylGroup:
         """
         for j in word:
             if u[j] > 0:
-                u = self.multiply(u, self._simple[j])
+                u = self._reflect(u, j)
         return u
 
     def hecke_coset(self, u: Weyl, v: Weyl, parabolic: Parabolic) -> Weyl:

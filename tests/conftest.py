@@ -4,9 +4,10 @@ import pytest
 
 from qdeg.cascade import alpha_beta_phi, coroot_sum, d_x, vec_add
 from qdeg.curveneighborhood import z
-from qdeg.degreelattice import degree_box, extended_support, greedy_decomposition
-from qdeg.distance import delta_w
-from qdeg.errors import DomainError
+from qdeg.degreelattice import Degree, degree_box, extended_support, greedy_decomposition, minimal_elements
+from qdeg.distance import core, delta_w
+from qdeg.errors import DomainError, VerificationError
+from qdeg.rootsystem import coeffs_leq
 from qdeg.weylgroup import Parabolic, weyl_group
 
 
@@ -120,3 +121,53 @@ def self_fronts_oracle(group, parabolic, pad):
         for d in degree_box(parabolic, d_x(group.system, parabolic), pad)
         if d in delta_w(group, parabolic, z(group, parabolic, d).z_min, pad)
     }
+
+
+def minima_oracle(c):
+    """A z-class's (inner-box minima, whole-box minima) by two sweeps, one per box (test oracle)."""
+    return minimal_elements(d for d in c.points if coeffs_leq(d, c.inner)), minimal_elements(c.points)
+
+
+def scan_front_oracle(group, parabolic, pad, hit):
+    """The front of the z-classes numbered in hit, by one sweep over each box (test oracle)."""
+    minima = [minima_oracle(c) for i, c in enumerate(core._z_classes(group, parabolic, pad)) if i in hit]
+    front = minimal_elements(d for inner, _ in minima for d in inner)
+    stable = minimal_elements(d for _, whole in minima for d in whole)
+    if front != stable:
+        extra = next(d for d in stable if d not in front)
+        raise VerificationError(f"delta_w front unstable at box boundary: degree {extra}")
+    return tuple(Degree(parabolic, d) for d in front)
+
+
+def hecke_rows_oracle(group, parabolic, pad):
+    """hecke_rows with the columns split class by class, a hit set a tuple (test oracle)."""
+    table = core._coset_table(group, parabolic)
+    left, lengths, down = table.left, table.lengths, table.down
+    n = len(lengths)
+    walks = []
+    for c in core._z_classes(group, parabolic, pad):
+        h = [table.index[c.z]]
+        for r in range(1, n):
+            j = table.descents[r]
+            y = h[left[j][r]]
+            s = left[j][y]
+            h.append(s if lengths[s] > lengths[y] else y)
+        walks.append(h)
+    fronts = {}
+    for x in core.coset_duals(group, parabolic):
+        parts = [((1 << n) - 1, ())]
+        for c, h in enumerate(walks):
+            cover = down[h[x]]
+            split = []
+            for mask, hit in parts:
+                inside = mask & cover
+                if inside:
+                    split.append((inside, hit + (c,)))
+                if inside != mask:
+                    split.append((mask ^ inside, hit))
+            parts = split
+        for _, hit in parts:
+            if hit not in fronts:
+                fronts[hit] = tuple(d.coeffs for d in scan_front_oracle(group, parabolic, pad, hit))
+        row = [(mask, fronts[hit]) for mask, hit in parts]
+        yield tuple(sorted(row, key=lambda part: part[0] & -part[0]))

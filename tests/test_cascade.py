@@ -18,9 +18,10 @@ from qdeg.cascade import (
     w_o_of,
 )
 from qdeg.degreelattice import Degree, greedy_decomposition
+from qdeg.distance import verify_suite
 from qdeg.errors import DomainError, InvariantViolationError
 from qdeg.rootsystem import build_root_system
-from qdeg.weylgroup import Parabolic, weyl_group
+from qdeg.weylgroup import Parabolic, WeylGroup, weyl_group
 
 from conftest import all_parabolics, reduction_identity_holds
 from test_rootsystem import all_admissible
@@ -154,6 +155,28 @@ def test_d_x_formulas_still_compared_on_first_call(monkeypatch):
     monkeypatch.setattr(module, "d_gpbeta", lambda system, beta: d_gpbeta(system, beta) + 1)
     with pytest.raises(InvariantViolationError):
         d_x(build_root_system("G", 2), Parabolic.from_indices(2, set()))
+
+
+def test_d_x_formulas_are_compared_over_every_coordinate(monkeypatch):
+    """A d_gpbeta wrong only at a coordinate of Delta_P makes d_x of P fail: P restricts the
+    Borel's d_X, whose two formulas are compared at every coordinate."""
+    module = importlib.import_module("qdeg.cascade")
+    monkeypatch.setattr(module, "d_gpbeta", lambda system, beta: d_gpbeta(system, beta) + (beta == 0))
+    with pytest.raises(InvariantViolationError, match="d_X formulas disagree"):
+        d_x(build_root_system("B", 3), Parabolic.from_indices(3, {0}))
+
+
+def test_d_x_formulas_run_once_per_system(monkeypatch):
+    """Across a `--parabolic all` suite the coroot sum runs once and d_{G/P_beta} once per beta."""
+    module = importlib.import_module("qdeg.cascade")
+    calls = []
+    for name in ("coroot_sum", "d_gpbeta"):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    group = WeylGroup(build_root_system("B", 3))
+    for p in all_parabolics(3):
+        assert verify_suite("uniqueness", "B", 3, p, group=group).passed
+    assert sorted(calls) == ["coroot_sum"] + ["d_gpbeta"] * 3
 
 
 def test_alpha_beta_phi():

@@ -84,9 +84,9 @@ def test_z_json_matches_pinned_digests(case, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def pairs_digest(letter, rank):
-    """sha256 of `verify --suite main --mode pairs --parabolic all --json`, run in a child."""
-    argv = ["verify", "--suite", "main", "--type", letter, "--rank", rank, "--mode", "pairs"]
+def suite_digest(suite, letter, rank, *options):
+    """sha256 of `verify --suite S --type T --rank R [options] --parabolic all --json`, run in a child."""
+    argv = ["verify", "--suite", suite, "--type", letter, "--rank", rank, *options]
     done = run_process([*argv, "--parabolic", "all", "--json"])
     assert done.returncode == 0 and done.stderr == ""
     return hashlib.sha256(done.stdout.encode()).hexdigest()
@@ -94,7 +94,8 @@ def pairs_digest(letter, rank):
 
 def test_b4_pair_tables_match_the_readme_digest():
     """Every pair front of every B4 parabolic, as the README's `main --mode pairs` run pins it."""
-    assert pairs_digest("B", "4") == "4f05481cf7d5ec2bef755ad3ba25d6a51ab2e6b91cdb32b18dafa954a6c7440e"
+    digest = suite_digest("main", "B", "4", "--mode", "pairs")
+    assert digest == "4f05481cf7d5ec2bef755ad3ba25d6a51ab2e6b91cdb32b18dafa954a6c7440e"
 
 
 @pytest.mark.parametrize(
@@ -106,7 +107,22 @@ def test_b4_pair_tables_match_the_readme_digest():
 )
 def test_f4_and_d5_pair_tables_match_the_readme_digests(letter, rank, digest):
     """Every pair front of every F4 and D5 parabolic, as the README pins them."""
-    assert pairs_digest(letter, rank) == digest
+    assert suite_digest("main", letter, rank, "--mode", "pairs") == digest
+
+
+@pytest.mark.parametrize(
+    "suite,letter,rank,digest",
+    [
+        ("uniqueness", "F", "4", "add583088e7ea1845a3c20c18c79fdbcc47c14e82310dea25f253cd8f3f7cf52"),
+        ("description", "F", "4", "79d4df18c97a3916a50c917101fbd7f0318ad119dd65da01f1f7137dbec9d827"),
+        ("description", "B", "4", "083cb867c95a4d9901d3ca6f265d68fb943513b66d094d4a362b58a142f989eb"),
+        ("uniqueness", "D", "5", "17f5a5546072d1867880f9738893396a00b4b6fa295d55001765ba5badd09026"),
+        ("description", "D", "5", "20651d139b1818e4b4eabba5ca6d9acf1732cde6f3cf1cfa6bb7879088efd5e8"),
+    ],
+)
+def test_rank_four_and_five_suites_match_their_pinned_digests(suite, letter, rank, digest):
+    """The scan of claim 1 and the scan-versus-chain description on every F4, B4 and D5 parabolic."""
+    assert suite_digest(suite, letter, rank) == digest
 
 
 def test_verify_g2_examples_exit_zero():

@@ -37,11 +37,12 @@ from qdeg.errors import DomainError, InvariantViolationError, VerificationError
 from qdeg.rootsystem import build_root_system, coeffs_leq
 from qdeg.weylgroup import Parabolic, WeylGroup, weyl_group
 
-from conftest import all_parabolics
+from conftest import all_parabolics, hecke_rows_oracle, minima_oracle, scan_front_oracle
 from test_curveneighborhood import _count_calls
 from test_weylgroup import subword_leq
 
 PAIR_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("G", 2)]
+ORACLE_SYSTEMS = PAIR_SYSTEMS + [("D", 4)]
 
 
 def test_delta_w_trivial():
@@ -111,6 +112,33 @@ def test_delta_w_matches_the_per_point_scan():
             assert ("class-masks", p.delta_p, 2) in table.memo
             assert not recursion.enumerated(p)
             assert ("coset-table", p.delta_p) not in recursion.memo
+
+
+@pytest.mark.parametrize("letter,rank", ORACLE_SYSTEMS)
+def test_one_sweep_minima_and_fronts_match_the_two_sweep_oracles(letter, rank):
+    """Each z-class's minima, and the front or unstable-box error of every delta_w hit set and
+    of every single class, against one minimal_elements sweep per box.  Pad -1 makes most
+    boxes unstable, so the error path is compared too."""
+    group = weyl_group(letter, rank)
+    front = lambda *a: core._scan_front(*a).degrees
+    for p in all_parabolics(rank):
+        cosets = group.cosets(p)
+        for pad in (-1, 0, 1, 2):
+            classes = _z_classes(group, p, pad)
+            assert [c.minima for c in classes] == [minima_oracle(c) for c in classes], (p, pad)
+            hits = {tuple(i for i, c in enumerate(classes) if group.bruhat_leq(m, c.z)) for m in cosets}
+            for hit in sorted(hits | {(i,) for i in range(len(classes))}):
+                expected = _outcome(scan_front_oracle, group, p, pad, hit)
+                assert _outcome(front, group, p, pad, hit) == expected, (p, pad, hit)
+
+
+@pytest.mark.parametrize("letter,rank", ORACLE_SYSTEMS)
+def test_hecke_rows_match_the_per_class_split(letter, rank):
+    """Rows split by covering coset, a hit set an int mask, against the split class by class."""
+    group = weyl_group(letter, rank)
+    for p in all_parabolics(rank):
+        for pad in (0, 1, 2):
+            assert list(hecke_rows(group, p, pad)) == list(hecke_rows_oracle(group, p, pad)), (p, pad)
 
 
 @pytest.mark.parametrize("letter,rank,beta", [("E", 7, 6), ("E", 8, 7), ("E", 8, 0)])

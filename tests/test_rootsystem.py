@@ -84,6 +84,21 @@ def test_pareto_matches_the_quadratic_filter_both_ways(items):
     assert [a for _, a in keyed] == maximal
 
 
+@given(st.lists(st.integers(0, 63), max_size=30), st.booleans())
+def test_pareto_keeps_no_dominated_item_with_or_without_a_key(codes, maximal):
+    """Against the quadratic filter: minimal or maximal, on repeated items, as tuples and
+    as ints keyed by their base-4 digits."""
+    digits = lambda n: (n // 16, n // 4 % 4, n % 4)
+    items = [digits(n) for n in codes + codes[::2]]
+    order = (lambda a, b: a >= b) if maximal else (lambda a, b: a <= b)
+    expected = sorted(
+        {a for a in items if not any(b != a and all(map(order, b, a)) for b in items)},
+        reverse=maximal,
+    )
+    assert pareto(items, maximal=maximal) == expected
+    assert [digits(n) for n in pareto(codes + codes[::2], key=digits, maximal=maximal)] == expected
+
+
 @pytest.mark.parametrize("letter,rank", [("E", 8), ("F", 4), ("B", 4), ("C", 4), ("G", 2)])
 def test_highest_roots_match_the_quadratic_filter(letter, rank):
     system = build_root_system(letter, rank)

@@ -10,7 +10,7 @@ import pytest
 import qdeg.curveneighborhood as curveneighborhood
 from qdeg.cascade import d_x
 from qdeg.degreelattice import Degree
-from qdeg.distance import suite_names, suites, verify_suite
+from qdeg.distance import core, suite_names, suites, verify_suite
 from qdeg.distance.core import DegreeFront, _labels, _search, coset_duals
 from qdeg.distance.suites import (
     _check,
@@ -271,17 +271,31 @@ def test_uniqueness_fails_when_the_fold_reaches_w_o_below_d_x(monkeypatch):
     borel = Parabolic(3, frozenset())
     corner = d_x(group.system, borel).coeffs
     below = (corner[0] - 1,) + corner[1:]
-    real = suites.hecke_box
+    real = core.hecke_box
 
     def doctored(group, parabolic, pad):
         ys = real(group, parabolic, pad)
         ys[below] = group.w_o
         return ys
 
-    monkeypatch.setattr(suites, "hecke_box", doctored)
+    monkeypatch.setattr(core, "hecke_box", doctored)
     report = verify_suite("uniqueness", "B", 3, borel, group=group)
     check = next(c for c in report.checks if c.name == "z-below-dx-not-wx")
     assert not check.passed and check.counterexample == f"d={below}"
+
+
+def test_uniqueness_folds_one_box_per_parabolic(monkeypatch):
+    """z-below-dx-not-wx reads the z-classes that delta_w(w_o) built: no second fold."""
+    calls = []
+    real = curveneighborhood.hecke_box
+    counted = lambda group, parabolic, pad: calls.append((parabolic, pad)) or real(group, parabolic, pad)
+    for module in (curveneighborhood, core, suites):
+        if hasattr(module, "hecke_box"):
+            monkeypatch.setattr(module, "hecke_box", counted)
+    group = WeylGroup(build_root_system("B", 3))
+    for p in all_parabolics(3):
+        assert verify_suite("uniqueness", "B", 3, p, group=group).passed
+    assert calls == [(p, 3) for p in all_parabolics(3)]
 
 
 def test_a_self_front_test_outside_its_box_is_refused():
