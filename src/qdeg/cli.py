@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from multiprocessing import Pool
 
 from .cascade import cascade as _cascade_of, d_x as _d_x, delta_circ as _delta_circ
 from .curveneighborhood import z
@@ -280,6 +279,8 @@ def _cmd_verify(args) -> int:
         for s in subsets
     ]
     if args.jobs > 1 and len(tasks) > 1:
+        from multiprocessing import Pool  # loaded by --jobs alone
+
         with Pool(min(args.jobs, len(tasks))) as pool:
             reports = pool.map(_run_one_suite, tasks)
     else:

@@ -8,15 +8,15 @@ theorem and the central cross-check of this package.
 
 The scan box d_X + pad + 1 is grouped by z_d^P once per (parabolic, pad):
 ``curveneighborhood.hecke_box`` folds z_d^P w_P over the whole box, one
-first-fit lookup and one Hecke step per point (the two greedy algorithms,
-first fit and the ``maximal_roots`` sweep, are compared at d_X), and each
-class keeps the raw minima of its points, one sweep the first time some
-coset lies below its z.  delta_w(m) is then the set of classes whose z lies
-above m, and one front per distinct set: one sweep over its classes'
-minima.  The inner box d_X + pad is a down-set, so for any set of degrees
-the minima inside it are its minima that lie in it: the pad + 1 stability
-check fails exactly when a whole-box front degree lies outside the inner
-box, and no second sweep is needed.  When the group has
+first-fit lookup per point and one Hecke step per distinct (Y(tail), word)
+pair (the two greedy algorithms, first fit and the ``maximal_roots`` sweep,
+are compared at d_X), and each class keeps the raw minima of its points, one
+sweep the first time some coset lies below its z.  delta_w(m) is then the
+set of classes whose z lies above m, and one front per distinct set: one
+sweep over its classes' minima.  The inner box d_X + pad is a down-set, so
+for any set of degrees the minima inside it are its minima that lie in it:
+the pad + 1 stability check fails exactly when a whole-box front degree lies
+outside the inner box, and no second sweep is needed.  When the group has
 already enumerated W/W_P, a class is hit iff the bit of m is set in the
 down-set of its z on the coset table below; otherwise it is one Bruhat test
 per class, so a single query such as w_o builds no table.

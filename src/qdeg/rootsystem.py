@@ -11,9 +11,8 @@ normalization is observationally irrelevant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, wraps
-from math import gcd
+from math import gcd, lcm
 from operator import ge, le, mul
 from typing import Iterable, NewType
 
@@ -95,25 +94,33 @@ def _cartan_matrix(letter: str, rank: int) -> tuple:
 
 
 def _symmetrizer(cartan: tuple) -> tuple:
-    """Positive integers d_i with d_i*a_ij = d_j*a_ji, short roots at d = 1."""
+    """Positive integers d_i with d_i*a_ij = d_j*a_ji, short roots at d = 1.
+
+    Each d_i is found as an integer pair (numerator, denominator) in lowest
+    terms, d_0 = 1/1; the pairs are then brought to one denominator by lcm.
+    """
     rank = len(cartan)
-    d: list[Fraction | None] = [None] * rank
-    d[0] = Fraction(1)
+    d: list[tuple[int, int] | None] = [None] * rank
+    d[0] = (1, 1)
     queue = [0]
     while queue:
         i = queue.pop()
+        num, den = d[i]
         for j in range(rank):
             if i != j and cartan[i][j] != 0 and d[j] is None:
                 # (alpha_i, alpha_j) = d_j a_ij = d_i a_ji
-                d[j] = d[i] * cartan[j][i] / cartan[i][j]
+                num_j, den_j = abs(num * cartan[j][i]), abs(den * cartan[i][j])
+                g = gcd(num_j, den_j)
+                d[j] = (num_j // g, den_j // g)
                 queue.append(j)
     if any(x is None for x in d):
         raise ConfigurationError("Dynkin diagram is not connected")
-    low = min(d)
-    scaled = [x / low for x in d]
-    if any(x.denominator != 1 for x in scaled):
+    common = lcm(*(den for _, den in d))
+    whole = [num * (common // den) for num, den in d]
+    low = min(whole)
+    if any(x % low for x in whole):
         raise ConfigurationError("non-integral symmetrizer")
-    return tuple(int(x) for x in scaled)
+    return tuple(x // low for x in whole)
 
 
 @dataclass(frozen=True)
@@ -386,15 +393,26 @@ def _highest(items, error: Exception):
 
 
 def _generate_positive_roots(cartan: tuple) -> tuple:
+    """The positive roots, by height and then lex, walked up from the simple roots.
+
+    A step s_j raises a root a with p = <a, alpha_j^vee> < 0 to a - p alpha_j.
+    Each root keeps its pairings with the simple coroots (row j of the Cartan
+    matrix for alpha_j); the step changes them at j (p -> -p) and at the
+    Dynkin neighbours k of j (p_k -= p a_jk) alone, as in ``reflection_word``.
+    """
     rank = len(cartan)
-    simple = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
-    seen = set(simple)
-    frontier = list(simple)
+    neighbours = [
+        [(k, cartan[j][k]) for k in range(rank) if k != j and cartan[j][k] != 0]
+        for j in range(rank)
+    ]
+    frontier = [
+        (tuple(1 if i == j else 0 for i in range(rank)), list(cartan[j])) for j in range(rank)
+    ]
+    seen = {root for root, _ in frontier}
     while frontier:
         fresh = []
-        for a in frontier:
-            for j in range(rank):
-                p = sum(a[i] * cartan[i][j] for i in range(rank))
+        for a, pairing in frontier:
+            for j, p in enumerate(pairing):
                 if p >= 0:
                     continue  # reflection can only move up when the pairing is negative
                 b = list(a)
@@ -402,7 +420,11 @@ def _generate_positive_roots(cartan: tuple) -> tuple:
                 b = tuple(b)
                 if b not in seen:
                     seen.add(b)
-                    fresh.append(b)
+                    moved = pairing.copy()
+                    moved[j] = -p
+                    for k, a_jk in neighbours[j]:
+                        moved[k] -= p * a_jk
+                    fresh.append((b, moved))
         frontier = fresh
     return tuple(sorted(seen, key=lambda r: (sum(r), r)))
 

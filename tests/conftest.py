@@ -1,10 +1,13 @@
 import itertools
+from operator import sub
 
 import pytest
 
 from qdeg.cascade import alpha_beta_phi, coroot_sum, d_x, vec_add
 from qdeg.curveneighborhood import z
-from qdeg.degreelattice import Degree, degree_box, extended_support, greedy_decomposition, minimal_elements
+from qdeg.degreelattice import (
+    Degree, d_of_root, degree_box, extended_support, greedy_decomposition, minimal_elements
+)
 from qdeg.distance import core, delta_w
 from qdeg.errors import DomainError, VerificationError
 from qdeg.rootsystem import coeffs_leq
@@ -111,6 +114,44 @@ def z_classes_oracle(group, parabolic, pad):
     for d in degree_box(parabolic, d_x(group.system, parabolic), pad + 1):
         classes.setdefault(z(group, parabolic, d).z_min, []).append(d.coeffs)
     return tuple((zd, tuple(points)) for zd, points in classes.items())
+
+
+def hecke_box_oracle(group, parabolic, pad):
+    """hecke_box with no memo: one Hecke step per point of d_X + pad, from the tail's Y, along
+    the first root of the greedy decomposition (test oracle)."""
+    system = group.system
+    ys = {}
+    for d in degree_box(parabolic, d_x(system, parabolic), pad):
+        if d.is_zero():
+            ys[d.coeffs] = group.longest_element(parabolic)
+            continue
+        alpha = greedy_decomposition(system, parabolic, d)[0]
+        tail = tuple(map(sub, d.coeffs, d_of_root(system, parabolic, alpha).coeffs))
+        ys[d.coeffs] = group.hecke_word(ys[tail], system.reflection_word(alpha))
+    return ys
+
+
+def rank_sum_positive_roots(cartan):
+    """The positive roots by the BFS ``_generate_positive_roots`` replaced: every pairing
+    summed over the rank, per root and per j (test oracle)."""
+    rank = len(cartan)
+    simple = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
+    seen = set(simple)
+    frontier = list(simple)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for j in range(rank):
+                p = sum(a[i] * cartan[i][j] for i in range(rank))
+                if p < 0:
+                    b = list(a)
+                    b[j] -= p
+                    b = tuple(b)
+                    if b not in seen:
+                        seen.add(b)
+                        fresh.append(b)
+        frontier = fresh
+    return tuple(sorted(seen, key=lambda r: (sum(r), r)))
 
 
 def self_fronts_oracle(group, parabolic, pad):

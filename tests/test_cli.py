@@ -457,8 +457,6 @@ def test_jobs_below_one_exit_two():
 
 def test_jobs_start_at_most_one_worker_per_parabolic(monkeypatch):
     """The pool is never larger than the task list; a fake Pool records its size."""
-    from qdeg import cli
-
     started = []
 
     class RecordingPool:
@@ -474,7 +472,7 @@ def test_jobs_start_at_most_one_worker_per_parabolic(monkeypatch):
         def map(self, fn, tasks):
             return [fn(t) for t in tasks]
 
-    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    monkeypatch.setattr("multiprocessing.Pool", RecordingPool)  # cli imports it under --jobs
     argv = ["verify", "--suite", "uniqueness", "--type", "B", "--rank", "2", "--json"]
     code, out = run_capture(argv + ["--parabolic", "all", "--jobs", "100000"])
     assert code == 0 and started == [4]

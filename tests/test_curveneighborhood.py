@@ -31,7 +31,7 @@ from qdeg.errors import DomainError, InvariantViolationError
 from qdeg.rootsystem import build_root_system
 from qdeg.weylgroup import Parabolic, WeylGroup, weyl_group
 
-from conftest import all_parabolics, z_classes_oracle
+from conftest import all_parabolics, hecke_box_oracle, z_classes_oracle
 
 
 def fresh_group(letter, rank):
@@ -181,6 +181,18 @@ def test_the_box_fold_keeps_z_and_hecke_chain_entries_of_d_x_alone(letter, rank)
 
     assert degree_keys(group) == degree_keys(at_d_x)
     assert degree_keys(group)
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
+def test_the_stepped_fold_matches_one_hecke_step_per_point(letter, rank):
+    """hecke_box, which takes one Hecke step per distinct (Y(tail), word), gives the Y(d) of a
+    fold that steps at every point along the greedy decomposition's first root, in the same
+    order, on every parabolic at pads 0 to 2."""
+    group, oracle_group = fresh_group(letter, rank), fresh_group(letter, rank)
+    for p in all_parabolics(rank):
+        for pad in range(3):
+            expected = hecke_box_oracle(oracle_group, p, pad)
+            assert list(hecke_box(group, p, pad).items()) == list(expected.items()), (p, pad)
 
 
 def test_z_and_greedy_answer_on_a_large_g2_degree():

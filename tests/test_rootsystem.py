@@ -8,10 +8,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qdeg.errors import ConfigurationError, DomainError, InvariantViolationError
-from qdeg.rootsystem import POSITIVE_ROOT_COUNT, build_root_system, coeffs_leq, pareto, subsystem
+from qdeg.rootsystem import (
+    POSITIVE_ROOT_COUNT,
+    _cartan_matrix,
+    _generate_positive_roots,
+    _symmetrizer,
+    build_root_system,
+    coeffs_leq,
+    pareto,
+    subsystem,
+)
 
 from conftest import (
-    KERNEL_SYSTEMS, full_pairing_word, gram_coroot, pair, reflect_simple, word_mismatches
+    KERNEL_SYSTEMS,
+    full_pairing_word,
+    gram_coroot,
+    pair,
+    rank_sum_positive_roots,
+    reflect_simple,
+    word_mismatches,
 )
 
 
@@ -30,6 +45,45 @@ def test_positive_root_counts(letter, rank):
     system = build_root_system(letter, rank)
     assert len(system.positive_roots) == POSITIVE_ROOT_COUNT[letter](rank)
     assert len(system.positive_set) == len(system.positive_roots)
+
+
+@pytest.mark.parametrize("letter,rank", all_admissible())
+def test_positive_roots_match_the_rank_sum_walk(letter, rank):
+    """Each root carries its pairings, updated at j and its Dynkin neighbours on a step s_j;
+    the walk that re-sums a rank-length row per (root, j) finds the same tuple."""
+    cartan = _cartan_matrix(letter, rank)
+    assert _generate_positive_roots(cartan) == rank_sum_positive_roots(cartan)
+
+
+def hand_symmetrizer(letter, rank):
+    """d_i by the Dynkin pictures: long roots of B, C, F and G at their length ratio."""
+    if letter == "B":
+        return (2,) * (rank - 1) + (1,)
+    if letter == "C":
+        return (1,) * (rank - 1) + (2,)
+    return {"F": (2, 2, 1, 1), "G": (1, 3)}.get(letter, (1,) * rank)
+
+
+@pytest.mark.parametrize("letter,rank", all_admissible())
+def test_symmetrizer_matches_the_hand_table(letter, rank):
+    assert _symmetrizer(_cartan_matrix(letter, rank)) == hand_symmetrizer(letter, rank)
+    assert build_root_system(letter, rank).symmetrizer == hand_symmetrizer(letter, rank)
+
+
+@pytest.mark.parametrize(
+    "blocks", [(("A", 2), ("A", 1)), (("B", 2), ("G", 2)), (("A", 1), ("C", 3))]
+)
+def test_a_disconnected_cartan_matrix_has_no_symmetrizer(blocks):
+    """A block-diagonal Cartan matrix, one block per simple type, is refused."""
+    rank = sum(r for _, r in blocks)
+    cartan = [[0] * rank for _ in range(rank)]
+    offset = 0
+    for letter, r in blocks:
+        for i, row in enumerate(_cartan_matrix(letter, r)):
+            cartan[offset + i][offset:offset + r] = row
+        offset += r
+    with pytest.raises(ConfigurationError, match="not connected"):
+        _symmetrizer(tuple(map(tuple, cartan)))
 
 
 def test_small_counts():
