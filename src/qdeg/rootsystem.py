@@ -96,8 +96,8 @@ def _cartan_matrix(letter: str, rank: int) -> tuple:
 def _symmetrizer(cartan: tuple) -> tuple:
     """Positive integers d_i with d_i*a_ij = d_j*a_ji, short roots at d = 1.
 
-    Each d_i is found as an integer pair (numerator, denominator) in lowest
-    terms, d_0 = 1/1; the pairs are then brought to one denominator by lcm.
+    Each d_i is found as an integer pair (numerator, denominator), d_0 = 1/1;
+    the pairs are then brought to one denominator by lcm.
     """
     rank = len(cartan)
     d: list[tuple[int, int] | None] = [None] * rank
@@ -109,9 +109,7 @@ def _symmetrizer(cartan: tuple) -> tuple:
         for j in range(rank):
             if i != j and cartan[i][j] != 0 and d[j] is None:
                 # (alpha_i, alpha_j) = d_j a_ij = d_i a_ji
-                num_j, den_j = abs(num * cartan[j][i]), abs(den * cartan[i][j])
-                g = gcd(num_j, den_j)
-                d[j] = (num_j // g, den_j // g)
+                d[j] = (abs(num * cartan[j][i]), abs(den * cartan[i][j]))
                 queue.append(j)
     if any(x is None for x in d):
         raise ConfigurationError("Dynkin diagram is not connected")
