@@ -36,11 +36,13 @@ weight, with a guard bit above it; coefficient 0 sits in the highest field,
 so int order is lexicographic order on coefficient tuples.  Adding degrees is
 one ``+``, ``a <= b`` coefficientwise is ``((b | G) - a) & G == G`` for the
 guard mask G (a field's guard survives the subtraction iff it borrows
-nothing), and the cap test is the same check against the packed cap.  Int
-order is a linear extension of <=, so a Pareto filter is ``sorted()`` and one
-sweep.  ``Degree`` is created only for the labels that survive.  Every
-structure built here, codecs included, is kept in ``group.memo`` through
-``memoised``, under (name, Delta_P, ...).
+nothing), and the cap test is the same check against the packed cap.  The
+search's front at each vertex is an antichain as it is built, each label
+mapped to its parent, so the front is the search's only record: a witness
+walks back through the fronts, and a reader sorts a front (int order is lex
+order) without filtering it again.  ``Degree`` is created only for the
+labels read.  Every structure built here, codecs included, is kept in
+``group.memo`` through ``memoised``, under (name, Delta_P, ...).
 
 The coset structures of W/W_P rest on one table per parabolic, which the
 BFS of group.cosets records (``WeylGroup.numbered_cosets``): left[j][i], the
@@ -113,11 +115,6 @@ class DegreeFront:
 
     def __contains__(self, d: Degree) -> bool:
         return d in self.degrees
-
-    def singleton(self) -> Degree:
-        if len(self.degrees) != 1:
-            raise InvariantViolationError("front is not a singleton")
-        return self.degrees[0]
 
 
 @dataclass(frozen=True)
@@ -482,19 +479,6 @@ class PackedLabels:
             )
         return out
 
-    def minimal(self, labels) -> list:
-        """The Pareto-minimal labels, ascending (lex order on their coefficients)."""
-        guard = self.guard
-        kept: list[int] = []
-        for t in sorted(set(labels)):
-            high = t | guard
-            for k in kept:
-                if (high - k) & guard == guard:
-                    break
-            else:
-                kept.append(t)
-        return kept
-
 
 @memoised("labels")
 def _labels(group: WeylGroup, parabolic: Parabolic, pad: int) -> PackedLabels:
@@ -506,23 +490,29 @@ def _labels(group: WeylGroup, parabolic: Parabolic, pad: int) -> PackedLabels:
 @dataclass
 class _SearchResult:
     labels: PackedLabels
-    fronts: list  # per vertex: set of packed labels (an antichain)
-    parents: dict  # (vertex, label) -> (prev vertex, prev label, root) or None
+    fronts: list  # per vertex: {packed label: (prev vertex, prev label, root), or None at a seed}
     cap_hit: bool = False
 
 
 def _pareto_search(labels: PackedLabels, seeds) -> _SearchResult:
-    """Label-correcting search in FIFO order; labels per vertex form antichains under <=."""
+    """Label-correcting search in FIFO order; each vertex's labels form an antichain under <=.
+
+    Each front maps its labels to their parents, and keeps no other record.
+    A label once dominated is never inserted again (some label at most it
+    stays in the front), so its first parent is its only one.  The parent
+    of a surviving label L at j survives too: had the parent label at v
+    been dominated by some smaller one, that one plus the edge weight would
+    be below L and at most the cap, and would have removed L from j.  So a
+    witness walked back from a front finds every step in a front.
+    """
     edges = labels.edges
     guard = labels.guard
     cap = labels.cap | guard
-    fronts: list[set] = [set() for _ in edges]
-    parents: dict = {}
-    result = _SearchResult(labels, fronts, parents)
+    fronts: list[dict] = [{} for _ in edges]
+    result = _SearchResult(labels, fronts)
     queue = deque()
     for s in seeds:
-        fronts[s].add(0)
-        parents[(s, 0)] = None
+        fronts[s][0] = None
         queue.append((s, 0))
     while queue:
         v, deg = queue.popleft()
@@ -544,9 +534,9 @@ def _pareto_search(labels: PackedLabels, seeds) -> _SearchResult:
                 if ((old | guard) - cand) & guard == guard:
                     dominated.append(old)
             else:
-                front.difference_update(dominated)
-                front.add(cand)
-                parents.setdefault((j, cand), (v, deg, alpha))
+                for old in dominated:
+                    del front[old]
+                front[cand] = (v, deg, alpha)
                 queue.append((j, cand))
     return result
 
@@ -569,9 +559,10 @@ def _search(group: WeylGroup, parabolic: Parabolic, source: int, mode: str, pad:
     return _pareto_search(_labels(group, parabolic, pad), seeds)
 
 
-def _front(parabolic: Parabolic, result: _SearchResult, packed) -> DegreeFront:
-    labels = result.labels
-    degrees = tuple(Degree(parabolic, labels.unpack(t)) for t in labels.minimal(packed))
+def _front(parabolic: Parabolic, result: _SearchResult, vertex: int) -> DegreeFront:
+    """The search's front at vertex, an antichain already, in lex order."""
+    unpack = result.labels.unpack
+    degrees = tuple(Degree(parabolic, unpack(t)) for t in sorted(result.fronts[vertex]))
     return DegreeFront(degrees, "chain", result.cap_hit)
 
 
@@ -585,7 +576,7 @@ def delta_uv(group: WeylGroup, parabolic: Parabolic, u: Weyl, v: Weyl, pad: int 
     """
     index = adjacency_graph(group, parabolic).index
     result = _search(group, parabolic, index[group.coset_min(v, parabolic)], "ends", pad)
-    return _front(parabolic, result, result.fronts[index[group.coset_min(u, parabolic)]])
+    return _front(parabolic, result, index[group.coset_min(u, parabolic)])
 
 
 def chain_front_exact(group: WeylGroup, parabolic: Parabolic, x: Weyl, y: Weyl, pad: int = 2) -> DegreeFront:
@@ -594,19 +585,22 @@ def chain_front_exact(group: WeylGroup, parabolic: Parabolic, x: Weyl, y: Weyl, 
     xi = graph.index[group.coset_min(x, parabolic)]
     yi = graph.index[group.coset_min(y, parabolic)]
     result = _search(group, parabolic, xi, "exact", pad)
-    return _front(parabolic, result, result.fronts[yi])
+    return _front(parabolic, result, yi)
 
 
 def _backtrack(graph: AdjacencyGraph, result: _SearchResult, vertex: int, label: int) -> tuple:
+    """The cosets and roots of the chain that reached label at vertex, read off the fronts."""
     cosets = [graph.cosets[vertex]]
     roots = []
-    state = (vertex, label)
-    while result.parents[state] is not None:
-        prev_vertex, prev_label, alpha = result.parents[state]
-        cosets.append(graph.cosets[prev_vertex])
+    while True:
+        front = result.fronts[vertex]
+        if label not in front:
+            raise InvariantViolationError(f"a witness step left the search front at coset #{vertex}")
+        if front[label] is None:
+            return tuple(reversed(cosets)), tuple(reversed(roots))
+        vertex, label, alpha = front[label]
+        cosets.append(graph.cosets[vertex])
         roots.append(alpha)
-        state = (prev_vertex, prev_label)
-    return tuple(reversed(cosets)), tuple(reversed(roots))
 
 
 def chain_witness(

@@ -51,9 +51,9 @@ from .core import (
     delta_w,
     delta_uv,
     hecke_rows,
-    PackedLabels,
     _bits,
     _search,
+    _SearchResult,
     _z_classes,
 )
 
@@ -128,9 +128,9 @@ def _supersets(parabolic: Parabolic):
             yield Parabolic(parabolic.rank, parabolic.delta_p | frozenset(extra))
 
 
-def _min_tuples(labels: PackedLabels, packed) -> tuple:
-    """The Pareto-minimal packed labels, unpacked into sorted coefficient tuples."""
-    return tuple(map(labels.unpack, labels.minimal(packed)))
+def _min_tuples(result: _SearchResult, vertex: int) -> tuple:
+    """A chain search's front at vertex, unpacked into sorted coefficient tuples."""
+    return tuple(map(result.labels.unpack, sorted(result.fronts[vertex])))
 
 
 def _pairs_table(group: WeylGroup, parabolic: Parabolic, pad: int):
@@ -167,7 +167,7 @@ def _pairs_table(group: WeylGroup, parabolic: Parabolic, pad: int):
             chain = _search(group, parabolic, i, "up", pad)
             row = _dense(parts, n)
             for j, y in enumerate(coset_duals(group, parabolic)):
-                if _min_tuples(chain.labels, chain.fronts[y]) != row[j]:
+                if _min_tuples(chain, y) != row[j]:
                     raise InvariantViolationError(f"chain and Hecke fronts differ at u#{i} v#{j}")
         yield i, parts
 

@@ -329,10 +329,8 @@ def pareto(items, key=None, maximal=False) -> list:
     With maximal=True, the maximal ones, lex-descending; key defaults to the
     item, a coefficient tuple.  One sweep in lex order, a linear extension of
     <=: an item can be dominated only by items before it, and by a dropped
-    one only through a kept one.  The chain search and ``PackedLabels.minimal``
-    keep their own sweeps on packed ints: routing the pair table's filter
-    through this one, with an unpack and a pack per label, raised the
-    ``pair-table`` benchmark's wall time by about 13 %.
+    one only through a kept one.  The chain search needs no sweep: its
+    fronts, packed ints, are antichains as it builds them.
     """
     order = ge if maximal else le
     kept: list = []

@@ -125,6 +125,15 @@ def test_rank_four_and_five_suites_match_their_pinned_digests(suite, letter, ran
     assert suite_digest(suite, letter, rank) == digest
 
 
+def test_d4_delta2_props_matches_its_pinned_digest():
+    """Its chain-endpoint-transfer count follows the chain witnesses, so this pins their identity."""
+    argv = ["verify", "--suite", "delta2-props", "--type", "D", "--rank", "4", "--parabolic", "1,3"]
+    done = run_process([*argv, "--json"])
+    assert done.returncode == 0 and done.stderr == ""
+    digest = hashlib.sha256(done.stdout.encode()).hexdigest()
+    assert digest == "27c7dfd9ec9e5688876d2d586818b953ab1790efd8629c488cdb57a6a3bf457c"
+
+
 def test_verify_g2_examples_exit_zero():
     code, _ = run_capture(["verify", "--suite", "g2-examples", "--type", "G", "--rank", "2"])
     assert code == 0

@@ -23,16 +23,16 @@ from qdeg.distance import (
 )
 from qdeg.distance import core
 from qdeg.distance.core import (
+    DegreeFront,
     _bits,
     _chain_ends,
     _coset_table,
-    _front,
     _search,
     _z_classes,
     coset_duals,
     hecke_rows,
 )
-from qdeg.distance.suites import _dense, _min_tuples, _pairs_table
+from qdeg.distance.suites import _dense, _pairs_table
 from qdeg.errors import DomainError, InvariantViolationError, VerificationError
 from qdeg.rootsystem import build_root_system, coeffs_leq
 from qdeg.weylgroup import Parabolic, WeylGroup, weyl_group
@@ -281,9 +281,10 @@ def test_reversed_chain_search_matches_the_forward_one():
             ends = [_chain_ends(group, p, j) for j in range(len(cosets))]
             for i, u in enumerate(cosets):
                 forward = _search(group, p, i, "up", 2)
+                unpack = forward.labels.unpack
                 for j, v in enumerate(cosets):
-                    packed = (t for y in ends[j] for t in forward.fronts[y])
-                    expected = _front(p, forward, packed).degrees
+                    union = (Degree(p, unpack(t)) for y in ends[j] for t in forward.fronts[y])
+                    expected = minimal_elements(union)
                     assert delta_uv(group, p, u, v).degrees == expected, (letter, p, i, j)
                     pairs += 1
     assert pairs == 9848
@@ -294,7 +295,9 @@ def union_read_oracle(group, parabolic, u, v, pad):
     index = adjacency_graph(group, parabolic).index
     result = _search(group, parabolic, index[group.coset_min(v, parabolic)], "ends", pad)
     starts = _bits(coset_order(group, parabolic)[index[group.coset_min(u, parabolic)]])
-    return _front(parabolic, result, (t for x in starts for t in result.fronts[x]))
+    unpack = result.labels.unpack
+    union = (Degree(parabolic, unpack(t)) for x in starts for t in result.fronts[x])
+    return DegreeFront(minimal_elements(union), "chain", result.cap_hit)
 
 
 def test_delta_uv_read_at_u_alone_matches_the_union_above_u():
@@ -618,8 +621,8 @@ def direct_pairs_oracle(group, parabolic, pad):
     for i in range(n):
         result = _search(group, parabolic, i, "up", pad)
         for j in range(n):
-            packed = [t for y in ends[j] for t in result.fronts[y]]
-            table.append(((i, j), _min_tuples(result.labels, packed)))
+            union = (result.labels.unpack(t) for y in ends[j] for t in result.fronts[y])
+            table.append(((i, j), minimal_elements(union)))
     return table
 
 
