@@ -1,14 +1,15 @@
 """Command-line interface: construction, computation, and verification verbs.
 
-Exit codes: 0 = success / all checks passed, 1 = a verification suite found a
-counterexample (printed as JSON), 2 = usage, configuration, or resource error.
-Output is deterministic for fixed inputs and flags.
+Exit codes: 0 = success / all checks passed, 1 = a verification suite found a counterexample
+(printed as JSON) or stdout was closed early (quietly), 2 = usage, configuration, or resource
+error.  Output is deterministic for fixed inputs and flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -389,7 +390,13 @@ def run(argv) -> int:
 
 
 def main() -> None:  # console entry point
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:  # the Python docs' recipe: the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

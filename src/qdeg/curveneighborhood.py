@@ -40,8 +40,8 @@ order, so the tail d - d(alpha_1), which lies below d and is not d
 costs one first-fit lookup, and each distinct pair (Y(tail), word) one
 Hecke step, kept in a second local dict (F4 at pad 3 steps 543 distinct
 pairs for 4,835 stepped points over all parabolics).  Its Y(d_X) is checked
-against ``z`` at d_X, which compares two greedy algorithms, first fit and
-the ``maximal_roots`` sweep.  ``equalwx_criterion`` alone, which asks for
+against ``z`` at d_X: one step per point against one walk, whose alpha_1
+the ``maximal_roots`` sweep checks.  ``equalwx_criterion`` alone, which asks for
 one box per degree, reads a fold memoised per (parabolic, pad).  z_min =
 ``coset_min(z_max)`` depends on (parabolic, z_max) alone and is memoised
 through ``memoised``, so a scan box pays one per z-class.
@@ -106,8 +106,8 @@ def hecke_box(group: WeylGroup, parabolic: Parabolic, pad: int) -> dict:
     (Y(tail), word of s_alpha_1), from the tail's Y in this dict.  alpha_1 is
     the first root outside R_P, lex-descending, with d(alpha) <= d: the
     lex-largest root of S = {alpha : d(alpha) <= d}, so maximal in S (a root
-    above it is lex-larger), and max(maximal_roots(d)), the root of the
-    greedy step.
+    above it is lex-larger), and max(maximal_roots(d)), the first root of
+    ``greedy_decomposition``.
     Nothing is stored in ``system.memo`` per point; ``group.memo`` gains
     only the entries of ``z`` at d_X, whose z_max must be the fold's Y(d_X),
     or InvariantViolationError is raised.

@@ -8,21 +8,20 @@ of it, so ``maximal_roots`` and ``minimal_elements`` are each one sorted sweep
 
 d(alpha) is read from a table built once per (system, parabolic), on first
 use, and kept in ``system.memo`` through ``memoised`` under ("degrees",
-Delta_P): the raw d(alpha) tuple of every positive root, one coroot each,
-the roots with nonzero d(alpha), which are the roots outside R_P, in
-lex-descending order beside them, and top, the coefficientwise maximum of the
-d(alpha).  A frozen Degree is made the first time ``d_of_root`` asks for a
-root's, and memoised in the table.  ``maximal_roots`` costs one sweep over
-the list per distinct clamped degree min(d, top), memoised under
-("maximal-roots", Delta_P, min(d, top)); the proofs are in its docstring.
+Delta_P): the raw d(alpha) tuple of every positive root (its coroot
+projected onto the free coordinates), the roots with nonzero d(alpha), which
+are the roots outside R_P, in lex-descending order beside them, and top, the
+coefficientwise maximum of the d(alpha).  A frozen Degree is made the first
+time ``d_of_root`` asks for a root's, and memoised in the table.
+``maximal_roots`` costs one sweep over the list per distinct clamped degree
+min(d, top), memoised under ("maximal-roots", Delta_P, min(d, top)).
 
-A greedy step d -> (alpha_1, d - d(alpha_1)), alpha_1 the lex-largest
-maximal root of d, is memoised the same way under ("greedy", Delta_P,
-coefficients).  ``greedy_decomposition`` walks d down to 0 over these steps in
-a loop; ``curveneighborhood.hecke_box`` takes none, as it finds each box
-point's alpha_1 by first fit over the lex-descending list, and compares the
-two at d_X.  Each step lowers sum(d) by at least 1 and keeps memo entries, so a
-degree with sum(d) over GREEDY_CAP is refused before the walk, as
+``greedy_decomposition`` is one first-fit walk down the list, and keeps no
+memo entries; ``curveneighborhood.hecke_box`` finds each box point's alpha_1
+by the same first fit.  The ``maximal_roots`` sweep is their independent
+partner: the walk checks its alpha_1 against it, and the fold is checked
+against ``z``, which walks, at d_X.  A walk takes at most sum(d) roots, so a
+degree with sum(d) over GREEDY_CAP is refused before it starts, as
 ``box_points`` refuses a box of more than ENUMERATION_CAP points before it
 yields a single point.  ``degree_box`` is the same box as Degrees.
 """
@@ -32,14 +31,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import le
+from operator import itemgetter, le, sub
 from typing import Iterable
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, InvariantViolationError, ResourceError
 from .rootsystem import RootSystem, coeffs_leq, memoised, pareto
 from .weylgroup import ENUMERATION_CAP, Parabolic
 
-#: the largest sum(d) a greedy walk takes; each step keeps memo entries
+#: the largest sum(d) a greedy walk takes: it bounds the walk's length and its output
 GREEDY_CAP = 10**4
 
 
@@ -114,10 +113,8 @@ def _degree_table(system: RootSystem, parabolic: Parabolic) -> tuple:
     """({alpha: d(alpha) coefficients} over R^+, ((alpha, d(alpha)) with d(alpha) != 0,
     lex-descending), {alpha: Degree} filled by d_of_root, top)."""
     free = parabolic.free
-    raw = {}
-    for alpha in system.positive_roots:
-        cov = system.coroot(alpha)
-        raw[alpha] = tuple([cov[i] for i in free])
+    project = itemgetter(*free) if len(free) > 1 else lambda cov: tuple([cov[i] for i in free])
+    raw = {a: project(system.coroot(a)) for a in system.positive_roots}
     # c_i > 0 iff the coroot's i-th coefficient is: the roots outside R_P
     outside = sorted(((a, d) for a, d in raw.items() if any(d)), reverse=True)
     top = max(raw.values())  # coefficientwise maximal too: see maximal_roots
@@ -174,30 +171,32 @@ def _maximal_roots(system: RootSystem, parabolic: Parabolic, bound: tuple) -> tu
     return tuple(reversed(pareto((a for a, d in outside if all(map(le, d, bound))), maximal=True)))
 
 
-@memoised("greedy")
-def _greedy_step(system: RootSystem, parabolic: Parabolic, coeffs: tuple) -> tuple:
-    """(alpha_1, coefficients of d - d(alpha_1)) for a nonzero d."""
-    alpha = max(maximal_roots(system, parabolic, Degree(parabolic, coeffs)))
-    d_alpha = d_of_root(system, parabolic, alpha).coeffs
-    return alpha, tuple(a - b for a, b in zip(coeffs, d_alpha))
-
-
 def greedy_decomposition(system: RootSystem, parabolic: Parabolic, d: Degree) -> tuple:
     """Greedy decomposition of d; ties broken by the lex-largest coefficient vector.
 
     The multiset of entries is independent of the tie-break (checked in the
-    property suites), so the choice only pins a deterministic representative.
-    The tail after alpha_1 is the greedy decomposition of d - d(alpha_1).
+    property suites), so the choice only pins a deterministic representative:
+    alpha_1, the lex-largest root of S(d) = {alpha outside R_P : d(alpha) <= d},
+    is maximal in S(d).  The tail is the greedy decomposition of d - d(alpha_1),
+    which lies below d, so the roots come lex-non-increasing, and a root that
+    fails a remainder fails every later, smaller one.  The walk is one pass
+    down the lex-descending roots outside R_P, taking each while its d(alpha)
+    fits (a taken root's read through ``d_of_root``); a nonzero remainder fits
+    some d(alpha_j) = e_j.  alpha_1 is checked against the ``maximal_roots`` sweep.
     """
     if d.parabolic != parabolic:
         raise DomainError("degrees over different parabolics")
     if sum(d.coeffs) > GREEDY_CAP:
         raise ResourceError(f"greedy walk of {d.coeffs} exceeded the cap of {GREEDY_CAP} steps")
-    out = []
-    coeffs = d.coeffs
-    while any(coeffs):
-        alpha, coeffs = _greedy_step(system, parabolic, coeffs)
-        out.append(alpha)
+    out, rest = [], d.coeffs
+    for alpha, d_alpha in _degree_table(system, parabolic)[1]:
+        if not any(rest):
+            break
+        while all(map(le, d_alpha, rest)):
+            out.append(alpha)
+            rest = tuple(map(sub, rest, d_of_root(system, parabolic, alpha).coeffs))
+    if out and out[0] != max(maximal_roots(system, parabolic, d)):
+        raise InvariantViolationError(f"first fit and the maximal_roots sweep disagree at {d.coeffs}")
     return tuple(out)
 
 

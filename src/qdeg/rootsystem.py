@@ -185,9 +185,11 @@ class RootSystem:
 
     # -- pairings -------------------------------------------------------------
 
+    cartan_columns = cached_property(lambda self: tuple(zip(*self.cartan)))
+
     def pair_simple_coroot(self, x, j: int) -> int:
         """<x, alpha_j^vee> for x written in the simple-root basis."""
-        return sum(x[i] * self.cartan[i][j] for i in range(self.rank))
+        return sum(map(mul, x, self.cartan_columns[j]))
 
     @cached_property
     def gram(self) -> tuple:
@@ -208,27 +210,32 @@ class RootSystem:
                 total += x * sum(map(mul, row, b))
         return total
 
-    def coroot(self, a) -> CorootVector:
-        """alpha^vee = 2*alpha/(alpha, alpha) in the simple-coroot basis, by one gcd.
+    @cached_property
+    def coroots(self) -> dict:
+        """{alpha: alpha^vee} over R^+, in the simple-coroot basis: one pass, one gcd a root.
 
         alpha_i = d_i alpha_i^vee, so alpha = sum c_i d_i alpha_i^vee and
         alpha^vee = sum (c_i d_i / g) alpha_i^vee with g = (alpha, alpha)/2.
-        alpha^vee is W-conjugate to a simple coroot, and W acts on the
-        coroot lattice by integer matrices with integer inverses, so
-        alpha^vee is primitive there: its coefficients have gcd 1.  Hence
-        g = gcd(c_i d_i), and no Gram product is needed.  The argument needs
-        d_i a_ij = d_j a_ji (``symmetrizes``, read once per system), and g,
-        the half squared length of a root, must then be one of the d_i;
-        either failing raises InvariantViolationError.
+        alpha^vee is W-conjugate to a simple coroot, and W acts on the coroot
+        lattice by integer matrices with integer inverses, so alpha^vee is
+        primitive there: g = gcd(c_i d_i), and no Gram product is needed.  The
+        argument needs d_i a_ij = d_j a_ji (``symmetrizes``), and g must then be
+        one of the d_i; either failing raises InvariantViolationError, and
+        nothing is kept.
         """
-        scaled = tuple(map(mul, self.check_root(a), self.symmetrizer))
-        g = gcd(*scaled)
-        if g not in self.symmetrizer or not self.symmetrizes:
-            raise InvariantViolationError(
-                f"the symmetrizer {self.symmetrizer} does not fit the Cartan matrix"
-                f" (gcd {g} for {tuple(a)})"
-            )
-        return tuple([x // g for x in scaled])
+        d, fits, out = self.symmetrizer, self.symmetrizes, {}
+        for a in self.positive_roots:
+            scaled = tuple(map(mul, a, d))
+            g = gcd(*scaled)
+            if g not in d or not fits:
+                raise InvariantViolationError(f"the symmetrizer {d} does not fit the Cartan matrix")
+            out[a] = scaled if g == 1 else tuple([x // g for x in scaled])
+        return out
+
+    def coroot(self, a) -> CorootVector:
+        """alpha^vee = 2*alpha/(alpha, alpha), read off ``coroots``; -alpha^vee for -alpha."""
+        cov = self.coroots.get(a := tuple(a))
+        return cov or tuple([-x for x in self.coroots[tuple([-c for c in self.check_root(a)])]])
 
     def reflection_word(self, beta) -> tuple:
         """The reduced word j1..jm k jm..j1 of s_beta, from beta = +-s_j1 ... s_jm alpha_k.
@@ -359,7 +366,8 @@ def memoised(name: str):
     ``WeylGroup._enumerated``'s pair of entries (read by ``numbered_cosets``),
     which one BFS stores under a key without the cap; and the subset-keyed
     lookups ``cascade``, ``highest_root_of_support``, ``subsystem`` and
-    ``reflection_word``, in the same ``RootSystem.memo``.
+    ``reflection_word``, in the same ``RootSystem.memo``.  ``RootSystem.coroots``,
+    keyed by no parabolic, is a cached property, as ``gram`` is.
     """
 
     missing = object()

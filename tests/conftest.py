@@ -1,4 +1,5 @@
 import itertools
+from math import gcd
 from operator import sub
 
 import pytest
@@ -37,6 +38,14 @@ def gram_coroot(system, a):
         assert r == 0, (a, square)
         out.append(q)
     return tuple(out)
+
+
+def gcd_coroot(system, a):
+    """alpha^vee = (c_i d_i / g) with g = gcd(c_i d_i), one root at a time: the per-root formula
+    that the per-system pass ``RootSystem.coroots`` replaced (test oracle)."""
+    scaled = [c * d for c, d in zip(a, system.symmetrizer)]
+    g = gcd(*scaled)
+    return tuple(x // g for x in scaled)
 
 
 def pair(system, x, c):

@@ -144,6 +144,37 @@ def test_d_x():
     assert d_x(a3, p).coeffs == (2,)
 
 
+def published_d_x():
+    """(type, rank, beta, d_X) for the (co)minuscule G/P_beta up to rank 8, beta 0-based.
+
+    Gr(k, n+1) = A_n/P_k: min(k, n+1-k) (Buch-Kresch-Tamvakis, JAMS 16, 2003).  The
+    quadrics B_n/P_1 and D_n/P_1: 2.  LG(n) = C_n/P_n: n.  P^{2n-1} = C_n/P_1: 1.  The
+    spinor varieties D_n/P_n, and D_n/P_{n-1} and B_{n-1}/P_{n-1} isomorphic to them:
+    floor(n/2).  E6/P1 and E6/P6: 2.  E7/P7: 3 (Chaput-Manivel-Perrin, Transform.
+    Groups 13, 2008).
+    """
+    cases = []
+    for n in range(1, 9):
+        cases += [("A", n, k - 1, min(k, n + 1 - k)) for k in range(1, n + 1)]
+    for n in range(2, 9):
+        cases += [("B", n, 0, 2), ("B", n, n - 1, (n + 1) // 2), ("C", n, n - 1, n), ("C", n, 0, 1)]
+    for n in range(3, 9):
+        cases += [("D", n, 0, 2), ("D", n, n - 1, n // 2), ("D", n, n - 2, n // 2)]
+    return cases + [("E", 6, 0, 2), ("E", 6, 5, 2), ("E", 7, 6, 3)]
+
+
+def test_d_x_matches_the_published_values_on_the_cominuscule_spaces():
+    cases = published_d_x()
+    assert len(cases) == 36 + 28 + 18 + 3
+    wrong = []
+    for letter, rank, beta, expected in cases:
+        system = build_root_system(letter, rank)
+        got = d_x(system, Parabolic(rank, frozenset(range(rank)) - {beta})).coeffs
+        if got != (expected,):
+            wrong.append((letter, rank, beta + 1, got, expected))
+    assert wrong == []
+
+
 def test_d_x_is_computed_once_per_parabolic():
     b3 = build_root_system("B", 3)
     for p in all_parabolics(3):

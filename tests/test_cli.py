@@ -23,15 +23,20 @@ from qdeg.weylgroup import ENUMERATION_CAP
 QDEG_PATH = str(Path(qdeg.__file__).resolve().parents[1])
 
 
+def child_env():
+    """The environment of a child interpreter that imports this qdeg."""
+    path = os.pathsep.join(filter(None, [QDEG_PATH, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_process(argv):
     """`python -m qdeg.cli argv` in a child interpreter that imports this qdeg."""
-    path = os.pathsep.join(filter(None, [QDEG_PATH, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "qdeg.cli", *argv],
         capture_output=True,
         text=True,
         timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
 
 
@@ -227,6 +232,22 @@ def test_an_oversized_pair_table_exits_two_at_once():
         assert "pair table of 2687385600 pairs exceeded the cap" in done.stderr
 
 
+def test_a_closed_stdout_exits_one_without_a_traceback():
+    """`qdeg exceptional --type F --rank 4 --json | head -c 10`, with the reader gone before
+    the child writes a byte: exit 1, and nothing on stderr."""
+    child = subprocess.Popen(
+        [sys.executable, "-m", "qdeg.cli", "exceptional", "--type", "F", "--rank", "4", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 1
+    assert err == b""
+
+
 def test_an_oversized_hecke_walk_exits_two_at_once():
     """B4's 384 ** 3 triples are refused before W is enumerated; the walk would run for minutes."""
     argv = ["verify", "--suite", "hecke", "--type", "B", "--rank", "4", "--parabolic", "1,2,3"]
@@ -238,7 +259,7 @@ def test_an_oversized_hecke_walk_exits_two_at_once():
 
 
 def test_a_degree_past_the_greedy_cap_exits_two_before_any_step():
-    """sum(d) bounds the greedy walk and the memo entries it keeps: GREEDY_CAP + 1
+    """sum(d) bounds the greedy walk and the decomposition it returns: GREEDY_CAP + 1
     is refused before the walk starts, and GREEDY_CAP itself answers."""
     group = qdeg.weyl_group("B", 3)
     system_memo, memo = dict(group.system.memo), dict(group.memo)

@@ -40,7 +40,8 @@ def fresh_group(letter, rank):
 
 
 def loop_greedy_oracle(system, parabolic, d):
-    """The greedy decomposition as a loop of maximal_roots sweeps, without the step memo."""
+    """The greedy decomposition as a loop of maximal_roots sweeps, one per step: the walk
+    greedy_decomposition replaced, kept as its oracle."""
     out = []
     while not d.is_zero():
         alpha = max(maximal_roots(system, parabolic, d))
@@ -86,6 +87,28 @@ def test_z_and_greedy_match_the_loop_oracle_in_any_order(letter, rank):
                 got = (greedy_decomposition(group.system, p, box[i]), result.z_min, result.z_max)
                 assert got == expected[i], (p, box[i].coeffs)
                 assert result.degree is box[i]
+
+
+@pytest.mark.parametrize("letter,rank", [("D", 5), ("F", 4), ("E", 6), ("E", 7), ("C", 8)])
+def test_the_walk_matches_the_loop_oracle_on_seeded_random_degrees(letter, rank):
+    """The point-query groups: 200 seeded (parabolic, degree) pairs each, coefficients 0-4."""
+    rng = random.Random(f"walk {letter}{rank}")
+    walk, oracle = build_root_system(letter, rank), build_root_system(letter, rank)
+    for _ in range(200):
+        p = Parabolic(rank, frozenset(i for i in range(rank) if rng.random() < 0.5))
+        d = Degree(p, tuple(rng.randint(0, 4) for _ in p.free))
+        assert greedy_decomposition(walk, p, d) == loop_greedy_oracle(oracle, p, d), (p, d.coeffs)
+
+
+def test_a_doctored_sweep_fails_the_check_of_the_first_root(monkeypatch):
+    """The walk takes alpha_1 by first fit and the maximal_roots sweep checks it: a sweep
+    that answers a smaller root of S(d) raises InvariantViolationError, and z stores nothing."""
+    group = fresh_group("B", 3)
+    b = Parabolic(3, frozenset())
+    monkeypatch.setattr(degreelattice, "maximal_roots", lambda system, parabolic, d: ((1, 0, 0),))
+    with pytest.raises(InvariantViolationError, match=r"sweep disagree at \(2, 3, 2\)"):
+        z(group, b, Degree(b, (2, 3, 2)))
+    assert not any(key[0] == "z-max" for key in group.memo)
 
 
 @pytest.mark.parametrize("letter,rank", ORACLE_SYSTEMS + [("F", 4), ("E", 6)])
@@ -149,7 +172,7 @@ def test_the_fold_steps_along_the_greedy_root_by_first_fit(monkeypatch, letter, 
                 assert step is None
                 continue
             alpha = max(maximal_roots(system, p, Degree(p, coeffs)))
-            assert degreelattice._greedy_step(system, p, coeffs)[0] == alpha
+            assert greedy_decomposition(system, p, Degree(p, coeffs))[0] == alpha
             assert step == (d_of_root(system, p, alpha).coeffs, system.reflection_word(alpha)), (
                 p,
                 coeffs,
@@ -163,7 +186,7 @@ def test_the_fold_steps_along_the_greedy_root_by_first_fit(monkeypatch, letter, 
 def test_the_box_fold_keeps_z_and_hecke_chain_entries_of_d_x_alone(letter, rank):
     """After _z_classes on a fresh group, the only "z-max" entry is d_X's, and no greedy
     tail has an entry of its own: there is no "z" or "hecke-chain" key.  The fold's first
-    fits store nothing: the "greedy" and "maximal-roots" keys are those of z at d_X."""
+    fits store nothing: the "maximal-roots" keys are those of z at d_X."""
     group = fresh_group(letter, rank)
     at_d_x = fresh_group(letter, rank)
     for p in all_parabolics(rank):
@@ -177,7 +200,7 @@ def test_the_box_fold_keeps_z_and_hecke_chain_entries_of_d_x_alone(letter, rank)
     assert not any(key[0] in ("z", "hecke-chain") for key in group.memo)
 
     def degree_keys(g):
-        return {key for key in g.system.memo if key[0] in ("greedy", "maximal-roots")}
+        return {key for key in g.system.memo if key[0] == "maximal-roots"}
 
     assert degree_keys(group) == degree_keys(at_d_x)
     assert degree_keys(group)
@@ -305,7 +328,8 @@ class _CountingCache(dict):
 
 def test_z_classes_sweep_once_per_clamped_bound_and_pay_one_coset_min_per_class(monkeypatch):
     """On a fresh B3, every parabolic's scan box d_X + 3: the fold's first fits sweep
-    nothing, so the 13 sweeps are those of z at d_X; 43 coset_mins."""
+    nothing, so the 7 sweeps are those of z at d_X, one per z (its alpha_1 check), on the
+    seven parabolics with d_X != 0; 43 coset_mins."""
     group = fresh_group("B", 3)
     cache = group.system.__dict__["memo"] = _CountingCache()
     calls = _count_calls(monkeypatch, degreelattice, "maximal_roots")
@@ -316,8 +340,7 @@ def test_z_classes_sweep_once_per_clamped_bound_and_pay_one_coset_min_per_class(
         (p.delta_p, tuple(map(min, d.coeffs, degreelattice._degree_table(system, p)[3])))
         for system, p, d in calls
     }
-    assert len(sweeps) == len(set(sweeps)) == len(bounds) == 13
-    assert len(calls) > len(bounds)
+    assert len(calls) == len(sweeps) == len(set(sweeps)) == len(bounds) == 7
     assert len(coset_mins) == classes == 43
 
 
@@ -336,7 +359,7 @@ def test_one_z_pays_one_coset_min_and_one_hecke_step_per_greedy_step(monkeypatch
         return len(coset_mins), len(hecke_steps), len(reflections), len(sweeps)
 
     z(group, b, d)
-    assert counts() == (1, k, 0, k)
+    assert counts() == (1, k, 0, 1)  # one sweep per z: the check of its first root
     # each step walks the reduced word of one reflection, from the last greedy root
     # up to the first, and no matrix of a reflection is built
     greedy = greedy_decomposition(group.system, b, d)
@@ -344,7 +367,7 @@ def test_one_z_pays_one_coset_min_and_one_hecke_step_per_greedy_step(monkeypatch
     assert [word for _, word in hecke_steps] == [reflection_word(a) for a in reversed(greedy)]
     # a second call is one memo read, and Y of a greedy tail is not stored by the walk
     z(group, b, d)
-    assert counts() == (1, k, 0, k)
+    assert counts() == (1, k, 0, 2)  # the second sweep is the greedy_decomposition call above
     assert not any(key[0] in ("z", "hecke-chain") for key in group.memo)
 
 

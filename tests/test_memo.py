@@ -33,7 +33,6 @@ MEMOISED = {
     "labels": core._labels,
     "search": core._search,
     "degrees": degreelattice._degree_table,
-    "greedy": degreelattice._greedy_step,
     "maximal-roots": degreelattice._maximal_roots,
     "d_x": cascade.d_x,
     "z-min": curveneighborhood._z_min,

@@ -22,6 +22,7 @@ from qdeg.rootsystem import (
 from conftest import (
     KERNEL_SYSTEMS,
     full_pairing_word,
+    gcd_coroot,
     gram_coroot,
     pair,
     rank_sum_positive_roots,
@@ -186,14 +187,25 @@ def test_coroots():
             assert system.coroot(beta) == tuple(1 if j == i else 0 for j in range(rank))
     with pytest.raises(DomainError):
         g2.coroot((1, 2))
+    # a negative root reads its negation, a list reads as its tuple, a non-root is refused
+    b3 = build_root_system("B", 3)
+    theta = b3.highest_root
+    assert b3.coroot([-c for c in theta]) == tuple(-c for c in b3.coroot(theta)) == (-1, -2, -1)
+    assert b3.coroot(list(b3.simple_roots[2])) == (0, 0, 1)
+    for bad in ((0, 0, 0), (1, 0, 1), (-1, 1, 0), (1, 2)):
+        with pytest.raises(DomainError, match="is not a root of B3"):
+            b3.coroot(bad)
 
 
 @pytest.mark.parametrize("letter,rank", all_admissible())
 def test_coroot_by_gcd_matches_the_gram_formula_on_every_root(letter, rank):
+    """The per-system pass against the per-root gcd and against 2 alpha / (alpha, alpha)."""
     system = build_root_system(letter, rank)
+    assert "coroots" not in system.__dict__  # construction builds no coroot
     for a in system.positive_roots:
         for root in (a, tuple(-c for c in a)):
-            assert system.coroot(root) == gram_coroot(system, root), root
+            assert system.coroot(root) == gcd_coroot(system, root) == gram_coroot(system, root), root
+    assert len(system.coroots) == len(system.positive_roots)
 
 
 @pytest.mark.parametrize(
@@ -210,8 +222,10 @@ def test_a_doctored_symmetrizer_raises(letter, rank, doctored):
     true = build_root_system(letter, rank)
     system = dataclasses.replace(true, symmetrizer=doctored)
     assert not system.symmetrizes
-    with pytest.raises(InvariantViolationError, match="does not fit the Cartan matrix"):
-        system.coroot(system.highest_root)
+    for _ in range(2):  # the first call raises and keeps nothing, so the second raises too
+        with pytest.raises(InvariantViolationError, match="does not fit the Cartan matrix"):
+            system.coroot(system.simple_roots[0])
+        assert "coroots" not in system.__dict__
     # the gcd is scale-free: a rescaled symmetrizer is still one
     rescaled = dataclasses.replace(true, symmetrizer=tuple(3 * d for d in true.symmetrizer))
     assert [rescaled.coroot(a) for a in true.positive_roots] == [
