@@ -205,9 +205,8 @@ def _cmd_delta2(args) -> int:
     word_u, word_v = _parse_word(args.rank, args.u), _parse_word(args.rank, args.v)
     group = weyl_group(args.type, args.rank)
     u, v = group.from_word(word_u), group.from_word(word_v)
-    group.cosets(parabolic, args.cap)  # enforce the enumeration cap up front
     front = delta_uv(group, parabolic, u, v, pad=args.box)
-    if front.cap_hit:  # a pruned label must not have changed this front
+    if front.cap_hit:  # a label past the cap must not have changed this front
         wider = delta_uv(group, parabolic, u, v, pad=args.box + 1)
         if wider.degrees != front.degrees:
             raise VerificationError(
@@ -338,13 +337,12 @@ def build_parser() -> _Parser:
     p_d2 = sub.add_parser(
         "delta2",
         description="delta_P(u, v), the minimal chain degrees from uW_P to vW_P.  The JSON "
-        "cap_hit is set when the chain search, one per v, pruned a label at its cap "
-        "anywhere in the graph; it is not a fact of this pair alone.  When it is set, the "
-        "front is computed again at --box + 1, and a different front is a verification "
-        "failure.",
+        "cap_hit is set when a label surviving in the chain search, one per v, has an edge "
+        "past its cap; it is not a fact of this pair alone.  When it is set, the front is "
+        "computed again at --box + 1, and a different front is a verification failure.  "
+        f"More than {ENUMERATION_CAP} cosets exit 2 before any is enumerated.",
     )
     common(p_d2, box=True)
-    p_d2.add_argument("--cap", type=int, default=ENUMERATION_CAP, help="enumeration cap")
     p_d2.add_argument("--u", default="")
     p_d2.add_argument("--v", default="")
     common(sub.add_parser("exceptional"), parabolic=False)

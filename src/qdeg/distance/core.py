@@ -22,13 +22,14 @@ down-set of its z on the coset table below; otherwise it is one Bruhat test
 per class, so a single query such as w_o builds no table.
 
 The adjacency graph is undirected with equal weights both ways (d(alpha) is
-W_P-invariant), so a chain read backwards is a chain of the same degree.
-delta_uv(u, v) therefore runs one search per v, seeded at the cosets below
-v*, and reads its front at u alone: the cosets it reaches within a degree
-form a down-set (Buch-Mihalcea 2015), so no coset above u adds a smaller
-degree.  The description suite's delta_P(m, w_o) is one search per
-parabolic.  chain_witness keeps the forward searches from u, so its
-witnesses are unchanged.
+W_P-invariant), and left multiplication by w_o maps it onto itself while it
+reverses Bruhat order.  So the chains from uW_P to the cosets below v*,
+read backwards and mapped by w_o, are the chains from the cosets above vW_P
+to w_o uW_P, of the same degrees: delta_uv(u, v) runs one "up" search per v
+and reads it at w_o uW_P alone.  The description suite's delta_P(m, w_o) is
+one search per parabolic, the one the pair table and chain_witness read.
+cap_hit is a fact of a search's fronts (``_pareto_search``), so a search
+and its mirror share it.
 
 Inside the chain search a degree label is one Python int (``PackedLabels``).
 Each coefficient has a bit field wide enough for cap + the largest edge
@@ -54,7 +55,7 @@ are int bitsets by the lifting property (Bjorner-Brenti, GTM 231, 2.2),
 D(i) = D(k) | s_j D(k), and the up-sets of ``coset_order`` are the duals of
 the down-sets of the duals, as w_o reverses Bruhat order.  ``_chain_ends``
 (the y with u_y W_P <= w_o u_j W_P, where a chain to u_j W_P may end) serves
-only the "ends" search and ``chain_witness``.
+``chain_witness`` alone.
 ``coset_duals`` walks each index along the word of w_o.  Only eW_P walks
 the word of each s_alpha (``RootSystem.reflection_word``, the word ``z``
 takes its Hecke steps along) for its adjacency edges; the edges of u_i W_P are
@@ -97,8 +98,8 @@ class DegreeFront:
     """An antichain of degrees together with the algorithm that produced it.
 
     cap_hit is a fact of the chain search the front was read from, not of the
-    pair: it is set when that search pruned some label at its cap anywhere in
-    the graph.  Fronts read from one search share it.
+    pair: it is set when a label surviving in that search has an edge past
+    its cap (``_pareto_search``).  Fronts read from one search share it.
     """
 
     degrees: tuple
@@ -423,12 +424,8 @@ def coset_duals(group: WeylGroup, parabolic: Parabolic) -> tuple:
 
 
 def _chain_ends(group: WeylGroup, parabolic: Parabolic, j: int) -> list:
-    """Where a chain to u_j W_P may end, ascending: y with u_y W_P <= w_o u_j W_P.
-
-    As w_o reverses Bruhat order on W/W_P, these are the duals of the cosets above u_j.
-    """
-    duals = coset_duals(group, parabolic)
-    return sorted(duals[x] for x in _bits(coset_order(group, parabolic)[j]))
+    """Where a chain to u_j W_P may end, ascending: y with u_y W_P <= w_o u_j W_P."""
+    return list(_bits(_coset_table(group, parabolic).down[coset_duals(group, parabolic)[j]]))
 
 
 @dataclass(frozen=True)
@@ -491,7 +488,7 @@ def _labels(group: WeylGroup, parabolic: Parabolic, pad: int) -> PackedLabels:
 class _SearchResult:
     labels: PackedLabels
     fronts: list  # per vertex: {packed label: (prev vertex, prev label, root), or None at a seed}
-    cap_hit: bool = False
+    cap_hit: bool  # some surviving label has an edge that leaves the cap
 
 
 def _pareto_search(labels: PackedLabels, seeds) -> _SearchResult:
@@ -504,12 +501,21 @@ def _pareto_search(labels: PackedLabels, seeds) -> _SearchResult:
     been dominated by some smaller one, that one plus the edge weight would
     be below L and at most the cap, and would have removed L from j.  So a
     witness walked back from a front finds every step in a front.
+
+    cap_hit: some surviving label has an edge past the cap, recorded at each
+    prune and tested at the end, as a label may be dominated after it was
+    expanded.  The fronts are the minimal chain degrees within the cap, so
+    the flag is a fact of them, not of the queue order.  A search whose
+    fronts miss a minimal degree is flagged: walk a chain of that degree;
+    each prefix within the cap lies above a surviving label at its end, so
+    were no surviving label's step past the cap, the walk would end within
+    the cap, below the missed degree.
     """
     edges = labels.edges
     guard = labels.guard
     cap = labels.cap | guard
     fronts: list[dict] = [{} for _ in edges]
-    result = _SearchResult(labels, fronts)
+    pruned = []
     queue = deque()
     for s in seeds:
         fronts[s][0] = None
@@ -521,7 +527,7 @@ def _pareto_search(labels: PackedLabels, seeds) -> _SearchResult:
         for j, weight, alpha in edges[v]:
             cand = deg + weight
             if (cap - cand) & guard != guard:
-                result.cap_hit = True
+                pruned.append((v, deg))
                 continue
             front = fronts[j]
             if cand in front:
@@ -538,22 +544,15 @@ def _pareto_search(labels: PackedLabels, seeds) -> _SearchResult:
                     del front[old]
                 front[cand] = (v, deg, alpha)
                 queue.append((j, cand))
-    return result
+    return _SearchResult(labels, fronts, any(deg in fronts[v] for v, deg in pruned))
 
 
 @memoised("search")
 def _search(group: WeylGroup, parabolic: Parabolic, source: int, mode: str, pad: int):
-    """The chain search for coset index `source`.
-
-    Its seeds are, by mode, the cosets above the source ("up"), the source
-    itself ("exact"), or the cosets below its dual, where a chain to it may
-    end ("ends": delta_uv's search, run backwards over the undirected graph).
-    """
+    """The chain search from the cosets above coset index `source` ("up") or from it alone ("exact")."""
     if mode == "up":
         # a frozenset's order: it fixes the FIFO search's parents, so chain_witness's witnesses
         seeds = frozenset(_bits(coset_order(group, parabolic)[source]))
-    elif mode == "ends":
-        seeds = _chain_ends(group, parabolic, source)
     else:
         seeds = (source,)
     return _pareto_search(_labels(group, parabolic, pad), seeds)
@@ -569,14 +568,16 @@ def _front(parabolic: Parabolic, result: _SearchResult, vertex: int) -> DegreeFr
 def delta_uv(group: WeylGroup, parabolic: Parabolic, u: Weyl, v: Weyl, pad: int = 2) -> DegreeFront:
     """Minimal total degrees of chains from uW_P to vW_P (chain definition).
 
-    One search per v, from the cosets below v*, read at uW_P alone: what it
-    reaches within a degree is a down-set, as curve neighborhoods of Schubert
+    One search per v, from the cosets above vW_P, read at w_o uW_P alone (the
+    mirror under w_o of the chains from uW_P to the cosets below v*): what it
+    reaches within a degree is an up-set, as curve neighborhoods of Schubert
     varieties are Schubert varieties (Buch-Mihalcea, J. Differential Geom.
-    99, 2015), so the cosets above u add nothing below the front at u.
+    99, 2015), so the cosets below w_o u add nothing below the front there.
     """
     index = adjacency_graph(group, parabolic).index
-    result = _search(group, parabolic, index[group.coset_min(v, parabolic)], "ends", pad)
-    return _front(parabolic, result, index[group.coset_min(u, parabolic)])
+    result = _search(group, parabolic, index[group.coset_min(v, parabolic)], "up", pad)
+    dual = coset_duals(group, parabolic)[index[group.coset_min(u, parabolic)]]
+    return _front(parabolic, result, dual)
 
 
 def chain_front_exact(group: WeylGroup, parabolic: Parabolic, x: Weyl, y: Weyl, pad: int = 2) -> DegreeFront:

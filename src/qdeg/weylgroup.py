@@ -43,7 +43,7 @@ from typing import Iterable
 from .errors import DomainError, InvariantViolationError, ResourceError
 from .rootsystem import RootSystem
 
-#: default enumeration cap (elements or cosets)
+#: the enumeration cap (elements or cosets), checked in closed form before any BFS
 ENUMERATION_CAP = 10**6
 
 Weyl = tuple  # x_w = w^-1(rho) in fundamental-weight coordinates
@@ -309,14 +309,14 @@ class WeylGroup:
 
     # -- enumeration -----------------------------------------------------------------
 
-    def elements(self, parabolic: Parabolic | None = None, cap: int = ENUMERATION_CAP) -> tuple:
+    def elements(self, parabolic: Parabolic | None = None) -> tuple:
         """All of W, or of W_P when a parabolic is given, sorted by (length, word)."""
         subset = frozenset(range(self.system.rank)) if parabolic is None else parabolic.delta_p
         return self._enumerated(
-            ("elements", subset), sorted(subset), frozenset(), cap, lambda: self.order(subset)
+            ("elements", subset), sorted(subset), frozenset(), lambda: self.order(subset)
         )
 
-    def cosets(self, parabolic: Parabolic, cap: int = ENUMERATION_CAP) -> tuple:
+    def cosets(self, parabolic: Parabolic) -> tuple:
         """All cosets of W/W_P as minimal representatives, each exactly once.
 
         For the Borel subgroup these are the elements of W, the same tuple.
@@ -333,12 +333,11 @@ class WeylGroup:
         """
         parabolic.check_rank(self.system.rank)
         if not parabolic.delta_p:
-            return self.elements(cap=cap)
+            return self.elements()
         return self._enumerated(
             self._cosets_key(parabolic),
             range(self.system.rank),
             parabolic.delta_p,
-            cap,
             lambda: self.order() // self.order(parabolic.delta_p),
         )
 
@@ -379,7 +378,7 @@ class WeylGroup:
             out *= (k + 1) ** (n - heights[k + 1])
         return out
 
-    def _enumerated(self, key, letters, stabilizer, cap, size) -> tuple:
+    def _enumerated(self, key, letters, stabilizer, size) -> tuple:
         """The closure of eW_P under u W_P -> s_j u W_P, j in letters, sorted by (length, word).
 
         u runs over minimal representatives; Delta_P is ``stabilizer`` (see
@@ -391,15 +390,13 @@ class WeylGroup:
         ("left", key): rows in the order of the letters, and each length,
         the BFS depth, checked against the length of the sorted word.
 
-        Memoised under a key without the cap: only a complete enumeration is
-        stored, and the cap is checked against its size on every call.  On a
-        miss, the closed-form size() is checked against the cap before the
-        BFS allocates anything, and against the BFS count after it.
+        On a miss, the closed-form size() is checked against ENUMERATION_CAP
+        before the BFS allocates anything, and against the BFS count after it.
         """
         if key not in self.memo:
             expected = size()
-            if expected > cap:
-                raise ResourceError(f"enumeration of {expected} exceeded the cap of {cap}")
+            if expected > ENUMERATION_CAP:
+                raise ResourceError(f"enumeration of {expected} exceeded the cap of {ENUMERATION_CAP}")
             rho_p = tuple(0 if k in stabilizer else 1 for k in range(self.system.rank))
             found = {rho_p: 0}
             weights = [rho_p]  # u(rho_P) per coset
@@ -441,10 +438,7 @@ class WeylGroup:
                 tuple(depth[p] for p in ranked),
             )
             self.memo[key] = tuple(order[p] for p in ranked)
-        out = self.memo[key]
-        if len(out) > cap:
-            raise ResourceError(f"enumeration exceeded the cap of {cap}")
-        return out
+        return self.memo[key]
 
 
 def _descent(x: tuple) -> int | None:

@@ -221,3 +221,10 @@ def hecke_rows_oracle(group, parabolic, pad):
                 fronts[hit] = tuple(d.coeffs for d in scan_front_oracle(group, parabolic, pad, hit))
         row = [(mask, fronts[hit]) for mask, hit in parts]
         yield tuple(sorted(row, key=lambda part: part[0] & -part[0]))
+
+
+def ends_search(group, parabolic, j, pad):
+    """The search from where a chain to u_j W_P may end, the cosets below w_o u_j W_P: the
+    mirror under w_o of the "up" search of j, which delta_uv runs."""
+    ends = core._chain_ends(group, parabolic, j)
+    return core._pareto_search(core._labels(group, parabolic, pad), ends)

@@ -162,7 +162,9 @@ def test_box_and_cap_only_on_the_verbs_that_read_them():
     assert code == 2 and out == ""
     code, _ = run_capture(["verify", "--suite", "main", "--type", "G", "--rank", "2", "--cap", "5"])
     assert code == 2
-    for verb in (["delta"], ["delta2", "--cap", "100"], ["verify", "--suite", "uniqueness"]):
+    code, _ = run_capture(["delta2", "--type", "G", "--rank", "2", "--cap", "100"])
+    assert code == 2
+    for verb in (["delta"], ["delta2"], ["verify", "--suite", "uniqueness"]):
         code, _ = run_capture(verb + ["--type", "G", "--rank", "2", "--box", "1"])
         assert code == 0
         code, _ = run_capture(verb + ["--type", "G", "--rank", "2", "--box", "-1"])
@@ -323,15 +325,19 @@ def test_delta2_verb_and_cap():
     code, _ = run_capture(
         ["delta2", "--type", "B", "--rank", "3", "--u", "", "--v", "", "--cap", "5"]
     )
-    assert code == 2  # coset enumeration exceeds the requested cap
+    assert code == 2  # no verb takes --cap: the enumeration cap is not the caller's to set
     args = build_parser().parse_args(["delta2", "--type", "B", "--rank", "3", "--u", "", "--v", ""])
-    assert args.cap == ENUMERATION_CAP
+    assert not hasattr(args, "cap")
+    done = run_process(["delta2", "--type", "E", "--rank", "7", "--u", "1", "--v", "2"])
+    assert done.returncode == 2 and done.stdout == ""
+    assert f"enumeration of 2903040 exceeded the cap of {ENUMERATION_CAP}" in done.stderr
 
 
 def test_delta2_rechecks_a_front_read_under_cap_hit(monkeypatch):
-    """G2, u = e, v = s1 s2 s1: the search prunes a label at its cap, so the front is
-    computed again at --box + 1; it is the same, and so is the output.  A front that
-    changes there is a verification failure."""
+    """G2, u = e, v = s2 s1 s2: a label surviving in the search has an edge past its cap,
+    so the front is computed again at --box + 1; it is the same, and so is the output.
+    v = s1 s2 s1 is not flagged and is read once.  A front that changes there is a
+    verification failure."""
     cli = importlib.import_module("qdeg.cli")
     delta_uv, pads = cli.delta_uv, []
 
@@ -342,9 +348,17 @@ def test_delta2_rechecks_a_front_read_under_cap_hit(monkeypatch):
     monkeypatch.setattr(cli, "delta_uv", counted)
     argv = ["delta2", "--type", "G", "--rank", "2", "--u", "", "--v", "1,2,1", "--json"]
     assert run_capture(argv) == (0, (
-        '{"cap_hit": true, "front": [{"coeffs": {"1": 0, "2": 0}, "parabolic": []}], '
+        '{"cap_hit": false, "front": [{"coeffs": {"1": 0, "2": 0}, "parabolic": []}], '
         '"provenance": "chain", "schema": "qdeg/1", "system": {"rank": 2, "type": "G"}, '
         '"u": [], "v": [1, 2, 1]}\n'
+    ))
+    assert pads == [2]
+    pads.clear()
+    argv[-2] = "2,1,2"
+    assert run_capture(argv) == (0, (
+        '{"cap_hit": true, "front": [{"coeffs": {"1": 0, "2": 0}, "parabolic": []}], '
+        '"provenance": "chain", "schema": "qdeg/1", "system": {"rank": 2, "type": "G"}, '
+        '"u": [], "v": [2, 1, 2]}\n'
     ))
     assert pads == [2, 3]
 

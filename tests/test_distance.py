@@ -37,7 +37,9 @@ from qdeg.errors import DomainError, InvariantViolationError, VerificationError
 from qdeg.rootsystem import build_root_system, coeffs_leq
 from qdeg.weylgroup import Parabolic, WeylGroup, weyl_group
 
-from conftest import all_parabolics, hecke_rows_oracle, minima_oracle, scan_front_oracle
+from conftest import (
+    all_parabolics, ends_search, hecke_rows_oracle, minima_oracle, scan_front_oracle
+)
 from test_curveneighborhood import _count_calls
 from test_weylgroup import subword_leq
 
@@ -272,7 +274,8 @@ def test_delta_uv_against_walk_enumeration():
 
 
 def test_reversed_chain_search_matches_the_forward_one():
-    """delta_uv searches from v's chain ends; the forward search from u's up-set agrees."""
+    """delta_uv searches from v's up-set, read at w_o u; the forward search from u's up-set,
+    read over v's chain ends, agrees."""
     pairs = 0
     for letter, rank in [("A", 3), ("B", 3), ("C", 3), ("G", 2)]:
         group = weyl_group(letter, rank)
@@ -291,9 +294,10 @@ def test_reversed_chain_search_matches_the_forward_one():
 
 
 def union_read_oracle(group, parabolic, u, v, pad):
-    """delta_uv read as the union of its search's fronts over the cosets above u (test oracle)."""
+    """delta_uv read as the union over the cosets above u of the fronts of the search from v's
+    chain ends, the mirror of delta_uv's (test oracle)."""
     index = adjacency_graph(group, parabolic).index
-    result = _search(group, parabolic, index[group.coset_min(v, parabolic)], "ends", pad)
+    result = ends_search(group, parabolic, index[group.coset_min(v, parabolic)], pad)
     starts = _bits(coset_order(group, parabolic)[index[group.coset_min(u, parabolic)]])
     unpack = result.labels.unpack
     union = (Degree(parabolic, unpack(t)) for x in starts for t in result.fronts[x])

@@ -1,5 +1,7 @@
-"""What ``import qdeg`` loads, and the names it serves from ``qdeg.distance`` on access."""
+"""What ``import qdeg`` loads, the names it serves from ``qdeg.distance`` on access, and
+what its source may not hold."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -66,3 +68,16 @@ def test_an_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         qdeg.no_such_name
     assert not hasattr(qdeg, "core")
+
+
+def test_no_module_rests_on_an_assert():
+    """``python -O`` strips assert statements, so no check of the package may be one."""
+    paths = sorted((SRC / "qdeg").rglob("*.py"))
+    assert len(paths) > 10
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -15,20 +15,24 @@ from qdeg.distance.core import (
     _chain_ends,
     _pareto_search,
     _search,
+    coset_duals,
 )
 from qdeg.errors import DomainError, InvariantViolationError, VerificationError
 from qdeg.rootsystem import build_root_system
 from qdeg.weylgroup import Parabolic, WeylGroup, weyl_group
 
-from conftest import all_parabolics
+from conftest import all_parabolics, ends_search
 
 
 def tuple_pareto_search(graph, seeds, cap):
-    """The chain search on coefficient tuples, as it was before labels were packed."""
+    """The chain search on coefficient tuples, as it was before labels were packed.
+
+    cap_hit: some label that survives in the fronts has an edge past the cap.
+    """
     n = len(graph.cosets)
     fronts = [set() for _ in range(n)]
     parents = {}
-    cap_hit = False
+    pruned = []
     zero = (0,) * len(cap)
     queue = deque()
     for s in seeds:
@@ -42,7 +46,7 @@ def tuple_pareto_search(graph, seeds, cap):
         for j, weight, alpha in graph.edges[v]:
             cand = tuple(x + y for x, y in zip(deg, weight))
             if any(c > t for c, t in zip(cand, cap)):
-                cap_hit = True
+                pruned.append((v, deg))
                 continue
             front = fronts[j]
             if cand in front or any(coeffs_leq(old, cand) for old in front):
@@ -51,7 +55,7 @@ def tuple_pareto_search(graph, seeds, cap):
             front.add(cand)
             parents.setdefault((j, cand), (v, deg, alpha))
             queue.append((j, cand))
-    return fronts, parents, cap_hit
+    return fronts, parents, any(deg in fronts[v] for v, deg in pruned)
 
 
 def brute_minimal(tuples):
@@ -189,6 +193,64 @@ def test_build_packs_each_distinct_weight_once(monkeypatch):
         PackedLabels.build((1,), (((0, (-1,), None),), ((0, (-1,), None),)))
 
 
+def unpacked(result):
+    """Each front of a search as a set of coefficient tuples."""
+    return [{result.labels.unpack(t) for t in front} for front in result.fronts]
+
+
+MIRROR_SYSTEMS = [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)]
+
+
+@pytest.mark.parametrize("letter,rank", MIRROR_SYSTEMS)
+def test_a_search_its_mirror_and_its_seeds_reordered_share_fronts_and_cap_hit(letter, rank):
+    """w_o maps the graph onto itself, so a search and its mirror have mirrored fronts; cap_hit
+    reads the fronts alone, so it is the same for both and for any order of the seeds."""
+    group = WeylGroup(build_root_system(letter, rank))
+    flagged = 0
+    for p in all_parabolics(rank):
+        duals = coset_duals(group, p)
+        up = coset_order(group, p)
+        for pad in range(3):
+            for j, dual in enumerate(duals):
+                result = _search(group, p, j, "up", pad)
+                mirror = ends_search(group, p, j, pad)
+                reordered = _pareto_search(result.labels, sorted(_bits(up[j]), reverse=True))
+                fronts = unpacked(result)
+                assert unpacked(mirror) == [fronts[x] for x in duals], (p, pad, j)
+                assert unpacked(reordered) == fronts, (p, pad, j)
+                assert mirror.cap_hit == reordered.cap_hit == result.cap_hit, (p, pad, j)
+                exact = _search(group, p, j, "exact", pad)
+                assert exact.cap_hit == _search(group, p, dual, "exact", pad).cap_hit
+                flagged += result.cap_hit
+    assert flagged  # the flag is set somewhere, so the comparison can fail
+
+
+@pytest.mark.parametrize("letter,rank", MIRROR_SYSTEMS)
+def test_an_unflagged_search_has_the_fronts_of_its_pad_plus_two_search(letter, rank):
+    """A search whose surviving labels all stay within the cap misses no minimal degree.
+
+    The caps run from d_X - 2 (clipped at 0) to d_X + 2, as no front reaches past d_X; a
+    flagged search below d_X whose fronts do change shows the check can fail.
+    """
+    group = WeylGroup(build_root_system(letter, rank))
+    unflagged = changed = 0
+    for p in all_parabolics(rank):
+        graph = adjacency_graph(group, p)
+        up = coset_order(group, p)
+        for pad in range(-2, 3):
+            cap = tuple(max(c + pad, 0) for c in d_x(group.system, p).coeffs)
+            narrow = PackedLabels.build(cap, graph.edges)
+            wide = PackedLabels.build(tuple(c + 2 for c in cap), graph.edges)
+            for source in range(len(graph.cosets)):
+                for seeds in (frozenset(_bits(up[source])), (source,)):
+                    result = _pareto_search(narrow, seeds)
+                    same = unpacked(result) == unpacked(_pareto_search(wide, seeds))
+                    assert same or result.cap_hit, (p, cap, source, seeds)
+                    unflagged += not result.cap_hit
+                    changed += not same
+    assert unflagged and changed
+
+
 def search_front_fault(graph, result, seeds):
     """Why a chain search's fronts break their invariant, or None.
 
@@ -222,19 +284,19 @@ def search_front_fault(graph, result, seeds):
 
 @pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
 def test_search_fronts_are_antichains_whose_parents_walk_back_to_a_seed(letter, rank):
-    """Every search the package runs, every mode and pad 0-2: the fronts are its only record."""
+    """Every search the package runs, both modes and pad 0-2, and the mirror of "up": the
+    fronts are its only record."""
     group = WeylGroup(build_root_system(letter, rank))
     for p in all_parabolics(rank):
         graph = adjacency_graph(group, p)
         up = coset_order(group, p)
         for source in range(len(graph.cosets)):
-            for mode, seeds in (
-                ("up", set(_bits(up[source]))),
-                ("ends", set(_chain_ends(group, p, source))),
-                ("exact", {source}),
-            ):
-                for pad in range(3):
-                    result = _search(group, p, source, mode, pad)
+            for pad in range(3):
+                for mode, seeds, result in (
+                    ("up", set(_bits(up[source])), _search(group, p, source, "up", pad)),
+                    ("ends", set(_chain_ends(group, p, source)), ends_search(group, p, source, pad)),
+                    ("exact", {source}, _search(group, p, source, "exact", pad)),
+                ):
                     fault = search_front_fault(graph, result, seeds)
                     assert fault is None, (letter, p, source, mode, pad, fault)
         for key in [key for key in group.memo if key[0] == "search"]:

@@ -233,6 +233,18 @@ def test_a_doctored_symmetrizer_raises(letter, rank, doctored):
     ]
 
 
+def test_a_non_primitive_root_raises_though_the_symmetrizer_fits():
+    """A2 with (2, 2) among its roots: (1, 1) symmetrizes the Cartan matrix, but the gcd 2 of
+    (2, 2) is no d_i, so coroots raises and keeps nothing."""
+    true = build_root_system("A", 2)
+    system = dataclasses.replace(true, positive_roots=(*true.positive_roots, (2, 2)))
+    assert system.symmetrizer == (1, 1) and system.symmetrizes
+    for _ in range(2):
+        with pytest.raises(InvariantViolationError):
+            system.coroot(system.simple_roots[0])
+        assert "coroots" not in system.__dict__
+
+
 def test_pairings():
     g2 = build_root_system("G", 2)
     theta_s = g2.highest_short_root

@@ -222,6 +222,27 @@ def test_description_names_the_first_coset_whose_fronts_differ():
     assert check.counterexample == "u=s2 scan=[(2, 1)] chain=[(0, 1)]"
 
 
+def test_description_reads_a_front_again_at_pad_plus_one_under_cap_hit(monkeypatch):
+    """The G2 Borel's search is flagged, so each chain front is read again at pad + 1 and the
+    count is unchanged; a front that changes there fails at that coset, naming both fronts.
+    G2/P{2}'s search is not flagged, so each front is read once."""
+    real, pads = suites.delta_uv, []
+
+    def counted(group, parabolic, u, v, pad):
+        pads.append(pad)
+        front = real(group, parabolic, u, v, pad)
+        return front if pad == 2 else replace(front, degrees=(d_x(group.system, parabolic),))
+
+    monkeypatch.setattr(suites, "delta_uv", counted)
+    group = WeylGroup(build_root_system("G", 2))
+    (check,) = _suite_description(group, Parabolic(2, frozenset({1})), 2)
+    assert check.passed and check.checked == 6 and pads == [2] * 6
+    pads.clear()
+    (check,) = _suite_description(group, Parabolic(2, frozenset()), 2)
+    assert not check.passed and check.checked == 12 and pads == [2, 3] * 12
+    assert check.counterexample == "u=e scan=[(0, 0)] chain=[(0, 0)] chain at pad 3=[(2, 2)]"
+
+
 def test_resind_fails_when_no_degree_is_a_self_front(monkeypatch):
     """With no self-front degree in any box there is no witness: the first degree fails."""
     monkeypatch.setattr(suites, "_self_fronts", lambda *args: frozenset())

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdeg import weylgroup
 from qdeg.errors import DomainError, InvariantViolationError, ResourceError
 from qdeg.rootsystem import build_root_system
 from qdeg.weylgroup import Parabolic, WeylGroup, _descent, weyl_group
@@ -655,8 +656,6 @@ def test_enumeration():
     a3 = weyl_group("A", 3)
     p = Parabolic.from_indices(3, {0, 2})
     assert len(a3.cosets(p)) == 6
-    with pytest.raises(ResourceError):
-        weyl_group("B", 3).elements(cap=7)
 
 
 @pytest.mark.parametrize("letter,rank", [("B", 3), ("G", 2)])
@@ -701,23 +700,23 @@ def test_enumeration_memo_is_keyed_without_the_cap():
     assert len(w) == 48
     assert [k for k, v in group.memo.items() if v == w] == [("elements", frozenset({0, 1, 2}))]
     assert group.cosets(borel) is w
-    assert group.elements(cap=48) is w
-    with pytest.raises(ResourceError):
-        group.elements(cap=47)
-    with pytest.raises(ResourceError):
-        group.cosets(borel, cap=47)
 
 
-def test_a_capped_enumeration_is_never_stored():
+def test_a_capped_enumeration_is_never_stored(monkeypatch):
     group = WeylGroup(build_root_system("B", 3))
     p = Parabolic(3, frozenset({0}))
-    with pytest.raises(ResourceError):
-        group.elements(cap=47)
-    with pytest.raises(ResourceError):
-        group.cosets(p, cap=23)
+    monkeypatch.setattr(weylgroup, "ENUMERATION_CAP", 23)
+    with pytest.raises(ResourceError, match="enumeration of 48 exceeded the cap of 23"):
+        group.elements()
+    with pytest.raises(ResourceError, match="enumeration of 24 exceeded the cap of 23"):
+        group.cosets(p)
     assert not group.memo
-    assert len(group.cosets(p, cap=24)) == 24
-    assert len(group.elements(cap=48)) == 48
+    monkeypatch.setattr(weylgroup, "ENUMERATION_CAP", 24)
+    assert len(group.cosets(p)) == 24
+    with pytest.raises(ResourceError):
+        group.elements()
+    monkeypatch.setattr(weylgroup, "ENUMERATION_CAP", 48)
+    assert len(group.elements()) == 48
 
 
 @pytest.mark.parametrize(
